@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -32,21 +31,18 @@ from .stats import (cdf_empirical, cdf_sqrt_half, coincidence_rate, gaps,
                     write_curve_csv, write_histogram_csv)
 from .sweep import SweepConfig, averaged_pair_correlation
 
-WORKERS_ENV = "BCVLAB_WORKERS"
-
-
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
 def _parse_floats(text: str) -> list[float]:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise DomainError(f"cannot parse float list {text!r}")
+
+
+def _parse_interval(text: str) -> tuple[float, float]:
+    values = _parse_floats(text)
+    if len(values) != 2:
+        raise DomainError(f"interval needs exactly two values a,b, got {text!r}")
+    return values[0], values[1]
 
 
 def _parse_poly_arg(text: str):
@@ -173,8 +169,7 @@ def cmd_paircorr(args) -> int:
               "use the exact subcommand for certified coincidence analysis",
               file=sys.stderr)
     if args.interval is not None:
-        a, b = _parse_floats(args.interval)
-        curve = pair_correlation_interval(ps, (a, b), grid)
+        curve = pair_correlation_interval(ps, _parse_interval(args.interval), grid)
     else:
         curve = pair_correlation(ps, grid)
     write_curve_csv(curve, run.path("paircorr_curve.csv"))
@@ -223,7 +218,7 @@ def cmd_exact(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = SweepConfig(
-        interval=tuple(_parse_floats(args.interval)),
+        interval=_parse_interval(args.interval),
         levels=args.n,
         s_grid=tuple(_parse_floats(args.s_grid)),
         sample_count=args.samples,
@@ -336,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quadrature", choices=("midpoint", "montecarlo"),
                    default="midpoint")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=1)
     add_common(p)
     p.set_defaults(func=cmd_sweep)
 

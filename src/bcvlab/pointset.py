@@ -183,10 +183,19 @@ def read_binary(path) -> PointSet:
         magic = f.read(4)
         if magic != _MAGIC:
             raise DomainError(f"bad magic {magic!r}; expected {_MAGIC!r}")
-        lam, levels, code = struct.unpack("<dIB", f.read(13))
+        header = f.read(13)
+        if len(header) != 13:
+            raise DomainError("truncated point-set header")
+        lam, levels, code = struct.unpack("<dIB", header)
+        if code not in _CODE_FORM:
+            raise DomainError(f"unknown form byte {code}")
+        if not 1 <= levels <= MAX_FLOAT_LEVELS:
+            raise DomainError(f"levels must lie in 1..{MAX_FLOAT_LEVELS}, got {levels}")
         values = np.fromfile(f, dtype="<f8", count=1 << levels)
-    if values.size != 1 << levels:
-        raise DomainError("truncated point-set dump")
+        if values.size != 1 << levels:
+            raise DomainError("truncated point-set dump")
+        if f.read(1):
+            raise DomainError("trailing bytes after the point-set values")
     values = values.astype(np.float64)
     values.flags.writeable = False
     note = _RANGE_NOTE if lam <= 0.5 else None

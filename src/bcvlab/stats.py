@@ -54,28 +54,41 @@ HIST_BIN_COUNT = 50
 
 
 # ---------------------------------------------------------------------------
-# sliding-window pair counter (numba-compiled when available)
+# sliding-window pair counter
+
+_COUNT_BLOCK = 1 << 15  # values per searchsorted call; bounds the temporaries
 
 
-def _window_count_py(values, thr):
-    n = values.shape[0]
+def _window_count(values: np.ndarray, thr: float) -> int:
+    """Index pairs i < j of a sorted finite array with ``values[j] - values[i] <= thr``.
+
+    For each i, ``searchsorted`` finds the last j with ``values[j] <=
+    values[i] + thr``.  Rounding of that sum can leave j one value, or one run
+    of tied values, off the exact predicate, so j is then stepped back and
+    forward until the predicate holds for j and fails for j + 1.  The
+    predicate is monotone in j because float subtraction is, and it holds at
+    j = i since ``thr >= 0``.
+    """
+    n = values.size
     total = 0
-    j = 0
-    for i in range(n):
-        if j < i:
-            j = i
-        while j + 1 < n and values[j + 1] - values[i] <= thr:
-            j += 1
-        total += j - i
+    for start in range(0, n, _COUNT_BLOCK):
+        v = values[start:start + _COUNT_BLOCK]
+        j = np.searchsorted(values, v + thr, side="right") - 1
+        k = np.arange(v.size)
+        while True:
+            k = k[values[j[k]] - v[k] > thr]
+            if not k.size:
+                break
+            j[k] -= 1
+        k = np.arange(v.size)
+        while True:
+            k = k[j[k] < n - 1]
+            k = k[values[j[k] + 1] - v[k] <= thr]
+            if not k.size:
+                break
+            j[k] += 1
+        total += int((j - np.arange(start, start + v.size)).sum())
     return total
-
-
-try:
-    from numba import njit
-
-    _window_count = njit(cache=True)(_window_count_py)
-except Exception:  # pragma: no cover - numba is an optional accelerator
-    _window_count = _window_count_py
 
 
 def _as_sorted_values(source) -> tuple[np.ndarray, PointSet | None]:
@@ -84,6 +97,8 @@ def _as_sorted_values(source) -> tuple[np.ndarray, PointSet | None]:
     values = np.ascontiguousarray(source, dtype=np.float64)
     if values.ndim != 1:
         raise DomainError("expected a 1-D sequence of values")
+    if not np.all(np.isfinite(values)):
+        raise DomainError("values must be finite")
     if values.size > 1 and np.any(np.diff(values) < 0):
         raise DomainError("sequence must be sorted ascending")
     return values, None
@@ -343,6 +358,8 @@ def _validate_grid(s_grid) -> np.ndarray:
         grid = grid.reshape(1)
     if grid.size == 0:
         raise DomainError("empty s grid")
+    if not np.all(np.isfinite(grid)):
+        raise DomainError("s values must be finite")
     if np.any(grid < 0):
         raise DomainError("s values must be nonnegative")
     if np.any(np.diff(grid) < 0):
@@ -350,21 +367,26 @@ def _validate_grid(s_grid) -> np.ndarray:
     return grid
 
 
+def _r2(window: np.ndarray, grid: np.ndarray, width: float) -> np.ndarray:
+    """R2 over ``grid``: ordered pairs within ``s * width / m`` per point."""
+    m = window.size
+    return np.array([2.0 * _window_count(window, s * width / m) / m for s in grid])
+
+
 def pair_correlation(source, s_grid) -> CorrelationCurve:
     """R2(s): ordered pairs within ``s / n_points``, divided by ``n_points``.
 
-    One monotone sliding-window pass over the sorted values per grid point,
-    O(n + matches).  At s = 0 only exact float coincidences count; certified
-    coincidence analysis for algebraic parameters belongs to
-    :func:`coincidence_rate` on the exact backend.
+    One blocked ``searchsorted`` pass over the sorted values per grid point.
+    At s = 0 only exact float coincidences count; certified coincidence
+    analysis for algebraic parameters belongs to :func:`coincidence_rate` on
+    the exact backend.
     """
     values, ps = _as_sorted_values(source)
     grid = _validate_grid(s_grid)
     n = values.size
-    r = np.empty(grid.size, dtype=np.float64)
-    for i, s in enumerate(grid):
-        thr = s / n
-        r[i] = 2.0 * _window_count(values, thr) / n
+    if n == 0:
+        raise DomainError("no points to correlate")
+    r = _r2(values, grid, 1.0)
     if ps is not None:
         return CorrelationCurve(grid, r, ps.lam, ps.levels, ps.form, None, n)
     return CorrelationCurve(grid, r, point_count=n)
@@ -386,14 +408,11 @@ def pair_correlation_interval(source, interval, s_grid) -> CorrelationCurve:
     grid = _validate_grid(s_grid)
     lo = int(np.searchsorted(values, a, side="left"))
     hi = int(np.searchsorted(values, b, side="left"))
-    window = np.ascontiguousarray(values[lo:hi])
+    window = values[lo:hi]
     m = window.size
     if m == 0:
         raise DomainError(f"no points of the set fall in [{a}, {b}]")
-    r = np.empty(grid.size, dtype=np.float64)
-    for i, s in enumerate(grid):
-        thr = s * (b - a) / m
-        r[i] = 2.0 * _window_count(window, thr) / m
+    r = _r2(window, grid, b - a)
     lam = ps.lam if ps is not None else None
     levels = ps.levels if ps is not None else None
     form = ps.form if ps is not None else None

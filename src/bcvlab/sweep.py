@@ -71,6 +71,8 @@ class SweepConfig:
             raise DomainError(f"unknown quadrature {self.quadrature!r}")
         if not self.s_grid:
             raise DomainError("empty s grid")
+        if not all(math.isfinite(s) for s in self.s_grid):
+            raise DomainError("s values must be finite")
         if any(s < 0 for s in self.s_grid):
             raise DomainError("s values must be nonnegative")
         if any(x > y for x, y in zip(self.s_grid, self.s_grid[1:])):
@@ -134,9 +136,9 @@ def _sample_lambdas(cfg: SweepConfig) -> tuple[np.ndarray, int | None]:
 def averaged_pair_correlation(cfg: SweepConfig, progress: bool = False) -> SweepReport:
     """Average R2(s, lambda, 2**levels) over sampled lambdas, per grid point.
 
-    Parameter samples are independent work items; with ``worker_count > 1``
-    they are dispatched to a thread pool but gathered and reduced in sample
-    order, so the report is identical for any worker count.
+    Parameter samples are independent work items dispatched to a pool of
+    ``worker_count`` threads, but gathered and reduced in sample order, so
+    the report is identical for any worker count.
     """
     lambdas, seed = _sample_lambdas(cfg)
     grid = np.asarray(cfg.s_grid, dtype=np.float64)
@@ -144,16 +146,14 @@ def averaged_pair_correlation(cfg: SweepConfig, progress: bool = False) -> Sweep
     def one(lam: float) -> np.ndarray:
         return pair_correlation(generate(lam, cfg.levels, cfg.form), grid).r_values
 
-    if cfg.worker_count > 1:
-        with ThreadPoolExecutor(max_workers=cfg.worker_count) as pool:
-            rows = list(pool.map(one, lambdas))
-    else:
-        rows = []
-        t0 = time.perf_counter()
-        for i, lam in enumerate(lambdas):
-            rows.append(one(lam))
-            if progress and (i + 1) % max(1, len(lambdas) // 10) == 0:
-                print(f"sweep: {i + 1}/{len(lambdas)} samples "
+    rows = []
+    step = max(1, len(lambdas) // 10)
+    t0 = time.perf_counter()
+    with ThreadPoolExecutor(max_workers=cfg.worker_count) as pool:
+        for i, row in enumerate(pool.map(one, lambdas), 1):
+            rows.append(row)
+            if progress and i % step == 0:
+                print(f"sweep: {i}/{len(lambdas)} samples "
                       f"({time.perf_counter() - t0:.1f}s)", file=sys.stderr)
     curves = np.vstack(rows)
     mean = curves.mean(axis=0)

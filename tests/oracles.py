@@ -1,9 +1,9 @@
 """Independent oracle implementations used to freeze expected test values.
 
 Everything here deliberately avoids the library's own code paths: digit sums
-are evaluated string by string, pair counts by quadratic all-pairs scans,
-word counts by exhaustive enumeration, and polynomial remainders by long
-division over exact rationals.
+are evaluated string by string, pair counts by quadratic all-pairs scans and
+a scalar two-pointer loop, word counts by exhaustive enumeration, and
+polynomial remainders by long division over exact rationals.
 """
 
 import itertools
@@ -29,6 +29,20 @@ def all_pairs_ordered_count(values: np.ndarray, thr: float) -> int:
     """Ordered pairs (i, j), i != j, with |v_i - v_j| <= thr; O(n^2) scan."""
     diff = np.abs(values[:, None] - values[None, :])
     return int((diff <= thr).sum()) - values.size
+
+
+def window_count_loop(values: np.ndarray, thr: float) -> int:
+    """Pairs i < j with values[j] - values[i] <= thr; monotone two-pointer loop."""
+    n = values.shape[0]
+    total = 0
+    j = 0
+    for i in range(n):
+        if j < i:
+            j = i
+        while j + 1 < n and values[j + 1] - values[i] <= thr:
+            j += 1
+        total += j - i
+    return total
 
 
 def words_avoiding(block: str, length: int) -> int:

@@ -130,6 +130,12 @@ def test_paircorr_disjoint_interval_errors(tmp_path):
     assert rc == 4
 
 
+def test_paircorr_one_value_interval_errors(tmp_path):
+    rc, _ = run(tmp_path, "paircorr", "--lambda", "0.6", "--n", "6",
+                "--s-grid", "1", "--interval", "0.2")
+    assert rc == 4
+
+
 def test_exact_golden_growth_comparison(tmp_path):
     rc, out = run(tmp_path, "exact", "--minpoly", "x^2+x-1", "--n", "12")
     assert rc == 0
@@ -213,10 +219,7 @@ def test_sweep_subcommand_deterministic(tmp_path):
     assert read_json(out1 / "run_manifest.json")["seed"] == 99
 
 
-def test_workers_env_default(tmp_path, monkeypatch):
-    monkeypatch.setenv("BCVLAB_WORKERS", "3")
-    from bcvlab.cli import build_parser
-    args = build_parser().parse_args(
-        ["sweep", "--interval", "0.51,0.6", "--n", "6", "--s-grid", "1",
-         "--samples", "2"])
-    assert args.workers == 3
+def test_sweep_one_value_interval_errors(tmp_path):
+    rc, _ = run(tmp_path, "sweep", "--interval", "0.55", "--n", "6",
+                "--s-grid", "1", "--samples", "2")
+    assert rc == 4

@@ -155,6 +155,22 @@ def test_binary_bad_magic(tmp_path):
         read_binary(path)
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda raw: raw[:16] + b"\x07" + raw[17:],
+    lambda raw: raw[:12] + (200).to_bytes(4, "little") + raw[16:],
+    lambda raw: raw[:12] + (0).to_bytes(4, "little") + raw[16:],
+    lambda raw: raw + b"\x00",
+    lambda raw: raw[:-1],
+    lambda raw: raw[:10],
+], ids=["form", "levels-200", "levels-0", "trailing", "truncated", "header"])
+def test_binary_corrupt_dump(tmp_path, corrupt):
+    path = tmp_path / "dump.bin"
+    write_binary(generate(0.6, 4), path)
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(DomainError):
+        read_binary(path)
+
+
 def test_csv_round_trip(tmp_path):
     ps = generate(0.70880447, 7)
     path = tmp_path / "vals.csv"

@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bcvlab import stats
 from bcvlab import (CdfModel, DomainError, Form, SpacingSet, cdf_empirical,
                     cdf_sqrt_half, coincidence_rate, gaps, generate,
                     generate_exact, gof_statistics, histogram,
                     pair_correlation, pair_correlation_interval,
                     poisson_cdf, poisson_reference, rescale, spacings)
 from bcvlab.stats import write_curve_csv, write_histogram_csv
-from oracles import all_pairs_ordered_count, gamma_cdf_int
+from oracles import all_pairs_ordered_count, gamma_cdf_int, window_count_loop
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SQRT_HALF = 2.0**-0.5
@@ -298,6 +301,47 @@ def test_pair_correlation_grid_validation():
         pair_correlation(ps, [-1.0, 1.0])
     with pytest.raises(DomainError):
         pair_correlation(ps, [])
+    with pytest.raises(DomainError):
+        pair_correlation(ps, [float("nan")])
+    with pytest.raises(DomainError):
+        pair_correlation(ps, [1.0, float("inf")])
+
+
+def test_pair_correlation_rejects_empty_and_non_finite_values():
+    with pytest.raises(DomainError):
+        pair_correlation(np.array([]), [1.0])
+    with pytest.raises(DomainError):
+        pair_correlation(np.array([0.0, 0.5, np.inf]), [1.0])
+    with pytest.raises(DomainError):
+        pair_correlation(np.array([0.0, np.nan, 0.5]), [1.0])
+
+
+@st.composite
+def sorted_values_with_ties(draw):
+    """A sorted array in which some values repeat, and a threshold that is 0,
+    arbitrary, or within one ulp of a difference of two of its values (where
+    ``values[i] + thr`` and ``values[j] - values[i]`` can round apart)."""
+    base = draw(st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=40))
+    copies = draw(st.lists(st.sampled_from(base), max_size=20))
+    values = np.sort(np.array(base + copies, dtype=np.float64))
+    i, j = sorted(draw(st.lists(st.integers(0, values.size - 1),
+                                min_size=2, max_size=2)))
+    diff = values[j] - values[i]
+    near = [float(diff), float(np.nextafter(diff, -1.0)), float(np.nextafter(diff, 10.0))]
+    thr = draw(st.sampled_from([0.0] + [t for t in near if t >= 0.0])
+               | st.floats(0.0, 10.0))
+    return values, thr
+
+
+@settings(max_examples=300, deadline=None)
+@given(sorted_values_with_ties())
+def test_window_count_matches_loop_and_all_pairs(case):
+    values, thr = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stats, "_COUNT_BLOCK", 3)  # exercise block boundaries
+        got = stats._window_count(values, thr)
+    assert got == window_count_loop(values, thr)
+    assert 2 * got == all_pairs_ordered_count(values, thr)
 
 
 def test_pair_correlation_interval_full_matches_plain():

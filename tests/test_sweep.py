@@ -29,6 +29,8 @@ def test_config_validation():
     with pytest.raises(DomainError):
         SweepConfig(**{**ok, "s_grid": (2.0, 1.0)})
     with pytest.raises(DomainError):
+        SweepConfig(**{**ok, "s_grid": (float("nan"),)})
+    with pytest.raises(DomainError):
         SweepConfig(**{**ok, "quadrature": "simpson"})
 
 
