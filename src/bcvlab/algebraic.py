@@ -37,8 +37,8 @@ __all__ = [
     "nearest_zero_above",
     "forbidden_block",
     "sft_growth_rate",
-    "reduction_vector",
-    "shift_residue",
+    "defining_poly",
+    "times_x",
     "reduce_mod_minpoly",
 ]
 
@@ -502,33 +502,32 @@ def sft_growth_rate(block: str, count_cap: int = 30) -> GrowthReport:
 # exact reduction modulo a defining polynomial
 
 
-def reduction_vector(minpoly):
-    """Normalized polynomial and the reduction row for ``x**d`` modulo it.
-
-    Returns ``(p, red)`` where ``p`` has positive leading coefficient and
-    ``red[i]`` is the coefficient of ``x**i`` in ``x**d mod p`` (exact
-    rationals; plain ints when ``p`` is monic so the hot path stays integer).
-    """
+def defining_poly(minpoly) -> tuple[int, ...]:
+    """Trimmed integer coefficients of ``minpoly`` with positive leading term."""
     p = _trim(tuple(int(c) for c in minpoly))
     if len(p) < 2:
         raise DomainError("defining polynomial must be nonconstant")
     if p[-1] < 0:
         p = tuple(-c for c in p)
+    return p
+
+
+def times_x(R, p):
+    """One reduction step on the integer residue scale ``lead**t``.
+
+    ``R`` stands for the residue ``R / lead**t`` modulo ``p`` (from
+    :func:`defining_poly`, ``lead = p[-1]``).  Returns the vector standing for
+    ``x * R / lead**t`` at scale ``lead**(t+1)``, i.e.
+    ``lead * (0, R[:-1]) - R[-1] * p[:-1]``; all arithmetic stays integral.
+    """
     lead = p[-1]
-    red = tuple(Fraction(-c, lead) for c in p[:-1])
-    if all(r.denominator == 1 for r in red):
-        red = tuple(int(r) for r in red)
-    return p, red
-
-
-def shift_residue(res, red):
-    """Multiply a residue vector by x and reduce, using the row from
-    :func:`reduction_vector`."""
-    top = res[-1]
-    base = (0,) + res[:-1]
+    base = (0,) + R[:-1]
+    if lead != 1:
+        base = tuple(lead * b for b in base)
+    top = R[-1]
     if not top:
         return base
-    return tuple(b + top * r for b, r in zip(base, red))
+    return tuple(b - top * c for b, c in zip(base, p))
 
 
 def reduce_mod_minpoly(digits, minpoly) -> tuple[Fraction, ...]:
@@ -538,13 +537,14 @@ def reduce_mod_minpoly(digits, minpoly) -> tuple[Fraction, ...]:
     strings reduce to the same vector exactly when their difference is
     divisible by the polynomial.
     """
-    p, red = reduction_vector(minpoly)
+    p = defining_poly(minpoly)
     if any(d not in (0, 1) for d in digits):
         raise DomainError("digits must lie in {0, 1}")
-    d = len(p) - 1
-    res = (0,) * d
+    res = (0,) * (len(p) - 1)
+    scale = 1
     for a in reversed(tuple(digits)):
-        res = shift_residue(res, red)
+        res = times_x(res, p)
+        scale *= p[-1]
         if a:
-            res = (res[0] + 1,) + res[1:]
-    return tuple(Fraction(c) for c in res)
+            res = (res[0] + scale,) + res[1:]
+    return tuple(Fraction(c, scale) for c in res)

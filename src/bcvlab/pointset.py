@@ -1,11 +1,13 @@
 """Finite Bernoulli convolution point sets.
 
-``generate`` builds the 2**N partial-sum values for a parameter lambda by N
-sorted merges of the iterated affine map x -> lambda*x (+1), keeping repeated
-values (multiplicity matters: repeats are exactly the coincidences between
-digit strings).  ``generate_exact`` tallies the same 2**N digit strings as
-residues modulo a defining integer polynomial, so coincidence structure at an
-algebraic parameter is certified exactly instead of read off floats.
+``generate`` builds the 2**N partial-sum values for a parameter lambda from
+the iterated affine map x -> lambda*x (+1): each level writes both images of
+the sorted values into one buffer and stable-sorts it, keeping repeated values
+(multiplicity matters: repeats are exactly the coincidences between digit
+strings).  ``generate_exact`` tallies the same 2**N digit strings as residues
+modulo a defining integer polynomial, in integer arithmetic on the scale
+``lead**N``, so coincidence structure at an algebraic parameter is certified
+exactly instead of read off floats.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .algebraic import reduction_vector, shift_residue
+from .algebraic import defining_poly, times_x
 from .errors import DomainError, SizeCapError
 
 __all__ = [
@@ -75,8 +77,12 @@ class PointSet:
 class ExactPointSet:
     """Residues of the 2**N digit polynomials modulo ``minpoly``.
 
-    ``residues`` maps the canonical coefficient vector (degree < deg minpoly,
-    exact rational entries) to its multiplicity; multiplicities sum to 2**N.
+    ``minpoly`` is stored trimmed with a positive leading coefficient
+    ``lead``.  ``residues`` maps an integer vector ``R`` of length
+    ``deg minpoly`` to its multiplicity; the residue it stands for is
+    ``R / lead**levels`` (so ``R`` is the residue itself when ``minpoly`` is
+    monic).  Distinct keys are distinct residues, and the multiplicities sum
+    to 2**N.
     """
 
     minpoly: tuple[int, ...]
@@ -84,23 +90,15 @@ class ExactPointSet:
     residues: Mapping[tuple, int]
 
 
-def _merge_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.empty(a.size + b.size, dtype=np.float64)
-    pos_b = np.searchsorted(a, b, side="right") + np.arange(b.size)
-    mask = np.ones(out.size, dtype=bool)
-    mask[pos_b] = False
-    out[pos_b] = b
-    out[mask] = a
-    return out
-
-
 def generate(lam: float, levels: int, form: Form = Form.STANDARD) -> PointSet:
     """All 2**levels values ``sum a_n lam^n`` (a_n in {0,1}), sorted, repeats kept.
 
-    Built by iterating ``A -> merge(lam*A, lam*A + 1)`` from {0}, which costs
-    O(2**levels) and evaluates every digit string by the same Horner scheme a
-    direct evaluation would use.  STANDARD form scales the result by
-    ``(1 - lam)`` so the support is inside [0, 1].
+    Built by iterating ``A -> sort(lam*A, lam*A + 1)`` from {0}: each level
+    writes the two images into one buffer, two sorted runs that numpy's
+    stable sort merges in O(2**levels).  Every digit string is evaluated by
+    the same Horner scheme a direct evaluation would use.  STANDARD form
+    scales the result in place by ``(1 - lam)`` so the support is inside
+    [0, 1].
     """
     lam = float(lam)
     if not 0.0 < lam < 1.0:
@@ -110,11 +108,14 @@ def generate(lam: float, levels: int, form: Form = Form.STANDARD) -> PointSet:
             f"levels must lie in 1..{MAX_FLOAT_LEVELS} (2**{MAX_FLOAT_LEVELS} floats), got {levels}")
     values = np.zeros(1, dtype=np.float64)
     for _ in range(levels):
-        low = lam * values
-        high = lam * values + 1.0
-        values = _merge_sorted(low, high)
+        out = np.empty(2 * values.size, dtype=np.float64)
+        low, high = out[:values.size], out[values.size:]
+        np.multiply(lam, values, out=low)
+        np.add(low, 1.0, out=high)
+        values = out
+        values.sort(kind="stable")
     if form is Form.STANDARD:
-        values = (1.0 - lam) * values
+        values *= 1.0 - lam
     values.flags.writeable = False
     note = _RANGE_NOTE if lam <= 0.5 else None
     return PointSet(lam, levels, form, values, note)
@@ -124,16 +125,17 @@ def _exact_levels(minpoly, levels: int):
     if not 1 <= levels <= MAX_EXACT_LEVELS:
         raise SizeCapError(
             f"levels must lie in 1..{MAX_EXACT_LEVELS} for the exact backend, got {levels}")
-    p, red = reduction_vector(minpoly)
-    d = len(p) - 1
-    residues = {(0,) * d: 1}
+    p = defining_poly(minpoly)
+    residues = {(0,) * (len(p) - 1): 1}
+    bump = 1
     for _ in range(levels):
+        bump *= p[-1]  # the "+1" on the scale lead**(t+1)
         nxt: dict = {}
         get = nxt.get
         for res, mult in residues.items():
-            shifted = shift_residue(res, red)
+            shifted = times_x(res, p)
             nxt[shifted] = get(shifted, 0) + mult
-            bumped = (shifted[0] + 1,) + shifted[1:]
+            bumped = (shifted[0] + bump,) + shifted[1:]
             nxt[bumped] = get(bumped, 0) + mult
         residues = nxt
         yield p, residues
@@ -142,10 +144,11 @@ def _exact_levels(minpoly, levels: int):
 def generate_exact(minpoly, levels: int) -> ExactPointSet:
     """Exact residue tally of all 2**levels digit strings modulo ``minpoly``.
 
-    Reduction is exact rational division, so non-monic defining polynomials
-    (e.g. 2x^2 - 1 for lambda = 2**-0.5) are handled.  When ``minpoly`` is the
-    minimal polynomial of lambda, equal residues are exactly the digit strings
-    evaluating to the same point.
+    Reduction is exact integer arithmetic: level t holds each residue as an
+    integer vector over the common denominator ``lead**t``, so non-monic
+    defining polynomials (e.g. 2x^2 - 1 for lambda = 2**-0.5) need no
+    rationals.  When ``minpoly`` is the minimal polynomial of lambda, equal
+    residues are exactly the digit strings evaluating to the same point.
     """
     for p, residues in _exact_levels(minpoly, levels):
         pass
@@ -196,6 +199,10 @@ def read_binary(path) -> PointSet:
             raise DomainError("truncated point-set dump")
         if f.read(1):
             raise DomainError("trailing bytes after the point-set values")
+    # NaN fails every comparison, so ascending values with finite ends are
+    # all finite.
+    if not (np.all(values[1:] >= values[:-1]) and np.all(np.isfinite(values[[0, -1]]))):
+        raise DomainError("point-set values must be finite and ascending")
     values = values.astype(np.float64)
     values.flags.writeable = False
     note = _RANGE_NOTE if lam <= 0.5 else None

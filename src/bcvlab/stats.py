@@ -465,8 +465,9 @@ def gaps(ps: PointSet, distinct_tol: float | None = None) -> GapReport:
     if distinct_tol < 0:
         raise DomainError("distinct_tol must be >= 0")
     diffs = np.diff(ps.values)
-    positive = diffs[diffs > distinct_tol]
-    min_gap = float(positive.min()) if positive.size else 0.0
+    min_gap = float(np.min(diffs, where=diffs > distinct_tol, initial=np.inf))
+    if min_gap == np.inf:
+        min_gap = 0.0
     max_idx = int(np.argmax(diffs))
     max_gap = float(diffs[max_idx])
 

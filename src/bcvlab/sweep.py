@@ -25,7 +25,7 @@ from numpy.polynomial import polynomial as npoly
 from .algebraic import nearest_zero_above
 from .errors import DomainError
 from .pointset import Form, generate, generate_exact, MAX_EXACT_LEVELS
-from .stats import coincidence_rate, gaps, pair_correlation
+from .stats import _validate_grid, coincidence_rate, gaps, pair_correlation
 
 __all__ = [
     "SweepConfig",
@@ -62,6 +62,8 @@ class SweepConfig:
     keep_curves: bool = False
 
     def __post_init__(self):
+        if len(self.interval) != 2:
+            raise DomainError(f"interval needs exactly two endpoints, got {self.interval!r}")
         a, b = self.interval
         if not (0.5 <= a <= b < 1.0):
             raise DomainError(f"interval must satisfy 0.5 <= a <= b < 1, got [{a}, {b}]")
@@ -69,14 +71,7 @@ class SweepConfig:
             raise DomainError("sample_count must be >= 1")
         if self.quadrature not in ("midpoint", "montecarlo"):
             raise DomainError(f"unknown quadrature {self.quadrature!r}")
-        if not self.s_grid:
-            raise DomainError("empty s grid")
-        if not all(math.isfinite(s) for s in self.s_grid):
-            raise DomainError("s values must be finite")
-        if any(s < 0 for s in self.s_grid):
-            raise DomainError("s values must be nonnegative")
-        if any(x > y for x, y in zip(self.s_grid, self.s_grid[1:])):
-            raise DomainError("s grid must be ascending")
+        _validate_grid(self.s_grid)
         if self.worker_count < 1:
             raise DomainError("worker_count must be >= 1")
 

@@ -1,7 +1,8 @@
 """Independent oracle implementations used to freeze expected test values.
 
 Everything here deliberately avoids the library's own code paths: digit sums
-are evaluated string by string, pair counts by quadratic all-pairs scans and
+are evaluated string by string or merged level by level with an explicit
+mask-and-scatter merge, pair counts by quadratic all-pairs scans and
 a scalar two-pointer loop, word counts by exhaustive enumeration, and
 polynomial remainders by long division over exact rationals.
 """
@@ -23,6 +24,26 @@ def horner_values(lam: float, levels: int, standard: bool) -> np.ndarray:
     if standard:
         acc = acc * (1.0 - lam)
     return np.sort(acc)
+
+
+def merge_levels(lam: float, levels: int) -> np.ndarray:
+    """PRIMED values by the explicit merge ``A -> merge(lam*A, lam*A + 1)``.
+
+    Each level places the high copy after its ``searchsorted`` position in
+    the low copy and scatters both through a mask, with no sort call.
+    """
+    values = np.zeros(1, dtype=np.float64)
+    for _ in range(levels):
+        low = lam * values
+        high = lam * values + 1.0
+        out = np.empty(low.size + high.size, dtype=np.float64)
+        pos_high = np.searchsorted(low, high, side="right") + np.arange(high.size)
+        mask = np.ones(out.size, dtype=bool)
+        mask[pos_high] = False
+        out[pos_high] = high
+        out[mask] = low
+        values = out
+    return values
 
 
 def all_pairs_ordered_count(values: np.ndarray, thr: float) -> int:

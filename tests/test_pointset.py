@@ -1,12 +1,18 @@
+import itertools
 import math
+import struct
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcvlab import (DomainError, Form, SizeCapError, distinct_count,
                     distinct_count_profile, generate, generate_exact,
                     read_binary, write_binary, write_csv)
-from oracles import horner_values
+from oracles import digit_poly, horner_values, merge_levels, poly_mod
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_MINPOLY = (-1, 1, 1)  # x^2 + x - 1
@@ -70,6 +76,36 @@ def test_merge_equals_horner_brute_force():
                 want = horner_values(lam, n, standard)
                 tol = 8 * n * np.spacing(np.maximum(np.abs(got), np.abs(want)))
                 assert np.all(np.abs(got - want) <= tol)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.5, 1.0, exclude_min=True, exclude_max=True)
+       | st.sampled_from([GOLDEN, 2.0**-0.5]),
+       st.integers(1, 14), st.sampled_from(list(Form)))
+def test_generate_bytes_match_merge_oracle(lam, levels, form):
+    want = merge_levels(lam, levels)
+    if form is Form.STANDARD:
+        want = (1.0 - lam) * want
+    assert generate(lam, levels, form).values.tobytes() == want.tobytes()
+
+
+# golden, Garsia x^2-2, non-monic 2x^2-1, Garsia x^3-2x-2, golden negated
+EXACT_POLYS = [GOLDEN_MINPOLY, (-2, 0, 1), (-1, 0, 2), (-2, -2, 0, 1), (1, -1, -1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(EXACT_POLYS), st.integers(1, 8))
+def test_exact_tally_matches_poly_mod_grouping(minpoly, levels):
+    groups = [Counter(poly_mod(digit_poly(bits), minpoly)
+                      for bits in itertools.product((0, 1), repeat=n))
+              for n in range(1, levels + 1)]
+    eps = generate_exact(minpoly, levels)
+    assert sorted(eps.residues.values()) == sorted(groups[-1].values())
+    # A key R stands for the residue R / lead**levels.
+    scale = eps.minpoly[-1] ** levels
+    assert {tuple(Fraction(c, scale) for c in key): m
+            for key, m in eps.residues.items()} == groups[-1]
+    assert distinct_count_profile(minpoly, levels) == [len(g) for g in groups]
 
 
 def test_standard_is_scaled_primed_same_float_path():
@@ -162,7 +198,11 @@ def test_binary_bad_magic(tmp_path):
     lambda raw: raw + b"\x00",
     lambda raw: raw[:-1],
     lambda raw: raw[:10],
-], ids=["form", "levels-200", "levels-0", "trailing", "truncated", "header"])
+    lambda raw: raw[:41] + struct.pack("<d", math.nan) + raw[49:],
+    lambda raw: raw[:17] + raw[-8:] + raw[25:-8] + raw[17:25],
+    lambda raw: raw[:-8] + struct.pack("<d", math.inf),
+], ids=["form", "levels-200", "levels-0", "trailing", "truncated", "header",
+        "nan", "unsorted", "inf-last"])
 def test_binary_corrupt_dump(tmp_path, corrupt):
     path = tmp_path / "dump.bin"
     write_binary(generate(0.6, 4), path)

@@ -23,6 +23,8 @@ def test_config_validation():
     with pytest.raises(DomainError):
         SweepConfig(**{**ok, "interval": (0.7, 0.66)})
     with pytest.raises(DomainError):
+        SweepConfig(**{**ok, "interval": (0.55,)})
+    with pytest.raises(DomainError):
         SweepConfig(**{**ok, "sample_count": 0})
     with pytest.raises(DomainError):
         SweepConfig(**{**ok, "s_grid": ()})
