@@ -7,7 +7,10 @@ the sorted values into one buffer and stable-sorts it, keeping repeated values
 strings).  ``generate_exact`` tallies the same 2**N digit strings as residues
 modulo a defining integer polynomial, in integer arithmetic on the scale
 ``lead**N``, so coincidence structure at an algebraic parameter is certified
-exactly instead of read off floats.
+exactly instead of read off floats.  Each level of that tally is one int64
+matrix of distinct residue vectors, deduplicated by a lexsort; a level
+whose entries could leave int64 is refused with ``SizeCapError`` before it
+is computed.
 """
 
 from __future__ import annotations
@@ -15,12 +18,13 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
-from .algebraic import defining_poly, times_x
+from .algebraic import defining_poly
 from .errors import DomainError, SizeCapError
 
 __all__ = [
@@ -78,16 +82,26 @@ class ExactPointSet:
     """Residues of the 2**N digit polynomials modulo ``minpoly``.
 
     ``minpoly`` is stored trimmed with a positive leading coefficient
-    ``lead``.  ``residues`` maps an integer vector ``R`` of length
-    ``deg minpoly`` to its multiplicity; the residue it stands for is
-    ``R / lead**levels`` (so ``R`` is the residue itself when ``minpoly`` is
-    monic).  Distinct keys are distinct residues, and the multiplicities sum
-    to 2**N.
+    ``lead``.  Row ``i`` of ``keys`` (shape ``(distinct, deg minpoly)``,
+    int64, lex-sorted, no repeats) is an integer vector ``R`` standing for
+    the residue ``R / lead**levels`` (``R`` is the residue itself when
+    ``minpoly`` is monic), and ``multiplicities[i]`` counts the digit strings
+    that reduce to it.  Distinct rows are distinct residues, and the
+    multiplicities sum to 2**N.  Both arrays are read-only; ``residues``
+    is derived from them on first access.
     """
 
     minpoly: tuple[int, ...]
     levels: int
-    residues: Mapping[tuple, int]
+    keys: np.ndarray
+    multiplicities: np.ndarray
+
+    @cached_property
+    def residues(self) -> Mapping[tuple, int]:
+        """The same tally as a read-only mapping from key tuples to multiplicities."""
+        # Zipping the column lists builds the key tuples without per-row lists.
+        return MappingProxyType(dict(zip(zip(*self.keys.T.tolist()),
+                                         self.multiplicities.tolist())))
 
 
 def generate(lam: float, levels: int, form: Form = Form.STANDARD) -> PointSet:
@@ -121,24 +135,63 @@ def generate(lam: float, levels: int, form: Form = Form.STANDARD) -> PointSet:
     return PointSet(lam, levels, form, values, note)
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def _exact_levels(minpoly, levels: int):
+    """Yield ``(p, cols, multiplicities)`` for every level 1..levels.
+
+    ``cols`` holds the residue vectors column-major, shape
+    ``(deg p, distinct)``, in lexicographic order.  Level t+1 is ``x*R``
+    (``lead*(0, R[:-1]) - R[-1]*p[:-1]``) and that block plus ``lead**(t+1)``
+    in the constant slot, written side by side into one buffer; a lexsort
+    of the vectors and a run-start mask merge equal ones, and
+    ``np.add.reduceat`` sums their multiplicities.  Every entry of the next
+    level is at most ``(lead + max|c_i|) * max|R| + lead**(t+1)`` in absolute
+    value, checked in Python integers before the level is computed.
+    """
     if not 1 <= levels <= MAX_EXACT_LEVELS:
         raise SizeCapError(
             f"levels must lie in 1..{MAX_EXACT_LEVELS} for the exact backend, got {levels}")
     p = defining_poly(minpoly)
-    residues = {(0,) * (len(p) - 1): 1}
+    lead, deg = p[-1], len(p) - 1
+    growth = lead + max(abs(c) for c in p[:-1])
+    if growth > _INT64_MAX:
+        raise SizeCapError("defining polynomial coefficients exceed the int64 exact backend")
+    low = np.array(p[:-1], dtype=np.int64)[:, None]
+    cols = np.zeros((deg, 1), dtype=np.int64)
+    mult = np.ones(1, dtype=np.int64)
+    bound = 0  # max |entry| of cols
     bump = 1
-    for _ in range(levels):
-        bump *= p[-1]  # the "+1" on the scale lead**(t+1)
-        nxt: dict = {}
-        get = nxt.get
-        for res, mult in residues.items():
-            shifted = times_x(res, p)
-            nxt[shifted] = get(shifted, 0) + mult
-            bumped = (shifted[0] + bump,) + shifted[1:]
-            nxt[bumped] = get(bumped, 0) + mult
-        residues = nxt
-        yield p, residues
+    for t in range(levels):
+        bump *= lead  # the "+1" on the scale lead**(t+1)
+        bound = growth * bound + bump
+        if bound > _INT64_MAX:
+            raise SizeCapError(
+                f"level {t + 1} residues may exceed int64 (bound {bound}); "
+                f"at most {t} levels fit for this polynomial")
+        n = cols.shape[1]
+        nxt = np.empty((deg, 2 * n), dtype=np.int64)
+        shifted = nxt[:, :n]
+        shifted[0] = 0
+        np.multiply(cols[:-1], lead, out=shifted[1:])
+        shifted -= low * cols[-1]
+        nxt[:, n:] = shifted
+        nxt[0, n:] += bump
+        order = np.lexsort(nxt[::-1])
+        nxt = nxt[:, order]
+        mult = np.concatenate((mult, mult))[order]
+        first = np.empty(2 * n, dtype=bool)  # vector starts a run of equal ones
+        first[0] = True
+        np.not_equal(nxt[0, 1:], nxt[0, :-1], out=first[1:])
+        for col in nxt[1:]:
+            first[1:] |= col[1:] != col[:-1]
+        starts = np.flatnonzero(first)
+        if starts.size < 2 * n:
+            nxt = nxt[:, starts]
+            mult = np.add.reduceat(mult, starts)
+        cols = nxt
+        yield p, cols, mult
 
 
 def generate_exact(minpoly, levels: int) -> ExactPointSet:
@@ -149,20 +202,23 @@ def generate_exact(minpoly, levels: int) -> ExactPointSet:
     defining polynomials (e.g. 2x^2 - 1 for lambda = 2**-0.5) need no
     rationals.  When ``minpoly`` is the minimal polynomial of lambda, equal
     residues are exactly the digit strings evaluating to the same point.
+    Raises ``SizeCapError`` when the entries could leave int64.
     """
-    for p, residues in _exact_levels(minpoly, levels):
+    for p, cols, mult in _exact_levels(minpoly, levels):
         pass
-    return ExactPointSet(p, levels, MappingProxyType(residues))
+    cols.flags.writeable = False
+    mult.flags.writeable = False
+    return ExactPointSet(p, levels, cols.T, mult)
 
 
 def distinct_count(eps: ExactPointSet) -> int:
     """Number of distinct values, i.e. the point-set size without multiplicities."""
-    return len(eps.residues)
+    return int(eps.multiplicities.size)
 
 
 def distinct_count_profile(minpoly, levels: int) -> list[int]:
     """Distinct-value counts for every level 1..levels in one pass."""
-    return [len(residues) for _, residues in _exact_levels(minpoly, levels)]
+    return [int(mult.size) for _, _, mult in _exact_levels(minpoly, levels)]
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +246,8 @@ def read_binary(path) -> PointSet:
         if len(header) != 13:
             raise DomainError("truncated point-set header")
         lam, levels, code = struct.unpack("<dIB", header)
+        if not 0.0 < lam < 1.0:
+            raise DomainError(f"lambda must lie in (0, 1), got {lam}")
         if code not in _CODE_FORM:
             raise DomainError(f"unknown form byte {code}")
         if not 1 <= levels <= MAX_FLOAT_LEVELS:
@@ -203,7 +261,7 @@ def read_binary(path) -> PointSet:
     # all finite.
     if not (np.all(values[1:] >= values[:-1]) and np.all(np.isfinite(values[[0, -1]]))):
         raise DomainError("point-set values must be finite and ascending")
-    values = values.astype(np.float64)
+    values = values.astype(np.float64, copy=False)
     values.flags.writeable = False
     note = _RANGE_NOTE if lam <= 0.5 else None
     return PointSet(lam, levels, _CODE_FORM[code], values, note)

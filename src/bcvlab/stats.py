@@ -421,8 +421,9 @@ def pair_correlation_interval(source, interval, s_grid) -> CorrelationCurve:
 
 def coincidence_rate(eps: ExactPointSet) -> float:
     """Exact R2(0): ordered coincident pairs per point, ``sum m(m-1) / 2**N``."""
-    total = sum(m * (m - 1) for m in eps.residues.values())
-    return total / float(2 ** eps.levels)
+    m = eps.multiplicities
+    # m <= 2**MAX_EXACT_LEVELS, so the int64 dot product is exact.
+    return int(np.dot(m, m - 1)) / float(2 ** eps.levels)
 
 
 # ---------------------------------------------------------------------------

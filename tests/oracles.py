@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's own code paths: digit sums
 are evaluated string by string or merged level by level with an explicit
 mask-and-scatter merge, pair counts by quadratic all-pairs scans and
-a scalar two-pointer loop, word counts by exhaustive enumeration, and
-polynomial remainders by long division over exact rationals.
+a scalar two-pointer loop, word counts by exhaustive enumeration,
+polynomial remainders by long division over exact rationals, and residue
+tallies by a dict of Python-integer tuples.
 """
 
 import itertools
@@ -88,6 +89,37 @@ def poly_mod(num, den):
             num[shift + i] -= factor * d
         num.pop()
     return tuple(num + [Fraction(0)] * (len(den) - 1 - len(num)))
+
+
+def exact_tally_dict(minpoly, levels: int) -> list[dict]:
+    """Residue tallies of levels 1..levels by a dict of Python-integer tuples.
+
+    The polynomial is trimmed and given a positive leading coefficient
+    ``lead``.  Level t maps each integer vector ``R`` (the residue
+    ``R / lead**t``) to the number of length-t digit strings reducing to it:
+    each level maps ``R`` to ``x*R = lead*(0, R[:-1]) - R[-1]*p[:-1]`` and to
+    that plus ``lead**t`` in the constant slot.
+    """
+    p = [int(c) for c in minpoly]
+    while p[-1] == 0:
+        p.pop()
+    if p[-1] < 0:
+        p = [-c for c in p]
+    lead = p[-1]
+    tally = {(0,) * (len(p) - 1): 1}
+    out = []
+    bump = 1
+    for _ in range(levels):
+        bump *= lead
+        nxt: dict = {}
+        for res, mult in tally.items():
+            shifted = tuple(lead * b - res[-1] * c for b, c in zip((0,) + res[:-1], p))
+            bumped = (shifted[0] + bump,) + shifted[1:]
+            for key in (shifted, bumped):
+                nxt[key] = nxt.get(key, 0) + mult
+        tally = nxt
+        out.append(tally)
+    return out
 
 
 def digit_poly(bits) -> tuple:

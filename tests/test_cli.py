@@ -167,6 +167,14 @@ def test_exact_garsia_cubic_reciprocal(tmp_path):
     assert report["classification"]["reciprocal"] == pytest.approx(0.5652, abs=5e-5)
 
 
+def test_exact_int64_guard_exit_code(tmp_path, capsys):
+    # Residues of 1000x^2-1 at N=8 sit on the scale 1000**8 > 2**63.
+    rc, _ = run(tmp_path, "exact", "--minpoly", "1000x^2-1", "--n", "8")
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "error (resource cap)" in err and "Traceback" not in err
+
+
 def test_exact_unparsable_polynomial(tmp_path):
     rc, _ = run(tmp_path, "exact", "--minpoly", "x^^2", "--n", "4")
     assert rc == 4

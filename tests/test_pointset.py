@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from bcvlab import (DomainError, Form, SizeCapError, distinct_count,
                     distinct_count_profile, generate, generate_exact,
                     read_binary, write_binary, write_csv)
-from oracles import digit_poly, horner_values, merge_levels, poly_mod
+from oracles import (digit_poly, exact_tally_dict, horner_values, merge_levels,
+                     poly_mod)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_MINPOLY = (-1, 1, 1)  # x^2 + x - 1
@@ -108,6 +109,62 @@ def test_exact_tally_matches_poly_mod_grouping(minpoly, levels):
     assert distinct_count_profile(minpoly, levels) == [len(g) for g in groups]
 
 
+# golden, tribonacci, x^2-2, Garsia x^3-2x-2, non-monic 2x^2-1, golden negated
+ORACLE_POLYS = [GOLDEN_MINPOLY, (-1, -1, -1, 1), (-2, 0, 1), (-2, -2, 0, 1), (-1, 0, 2),
+                (1, -1, -1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ORACLE_POLYS), st.integers(1, 12))
+def test_exact_arrays_match_dict_oracle(minpoly, levels):
+    tallies = exact_tally_dict(minpoly, levels)
+    want = sorted(tallies[-1])
+    eps = generate_exact(minpoly, levels)
+    assert eps.keys.dtype == np.int64 and eps.multiplicities.dtype == np.int64
+    assert eps.keys.shape == (len(want), len(eps.minpoly) - 1)
+    # Rows come lex-sorted, each once, with the oracle's multiplicities.
+    assert eps.keys.tolist() == [list(key) for key in want]
+    assert eps.multiplicities.tolist() == [tallies[-1][key] for key in want]
+    assert int(eps.multiplicities.sum()) == 1 << levels
+    assert not eps.keys.flags.writeable and not eps.multiplicities.flags.writeable
+    assert dict(eps.residues) == tallies[-1]
+    assert distinct_count_profile(minpoly, levels) == [len(t) for t in tallies]
+
+
+def test_exact_int64_guard():
+    # 1000x^2-1: the "+1" at level 7 is 1000**7 > 2**63 on the residue scale.
+    with pytest.raises(SizeCapError):
+        generate_exact((-1, 0, 1000), 8)
+    with pytest.raises(SizeCapError):
+        distinct_count_profile((-1, 0, 1000), 8)
+    with pytest.raises(SizeCapError):
+        generate_exact((-(2**63), 0, 1), 1)
+    assert distinct_count(generate_exact((-1, 0, 1000), 6)) == 64
+    # Large low coefficients: each level matches the Python-integer oracle or
+    # is refused, never wrapped (x^4 = 2**80 modulo x^2 - 2**40).
+    for minpoly in [(-(2**40), 0, 1), (3, -(2**21), 5)]:
+        tallies = exact_tally_dict(minpoly, 8)
+        refused = 0
+        for n in range(1, 9):
+            try:
+                eps = generate_exact(minpoly, n)
+            except SizeCapError:
+                refused += 1
+                continue
+            assert dict(eps.residues) == tallies[n - 1]
+        assert 0 < refused < 8
+
+
+def test_golden_at_exact_cap():
+    # Distinct golden values at level N number F(N+3) - 1.
+    fib = [0, 1]
+    while len(fib) < 28:
+        fib.append(fib[-1] + fib[-2])
+    eps = generate_exact(GOLDEN_MINPOLY, 24)
+    assert distinct_count(eps) == fib[27] - 1 == 196417
+    assert int(eps.multiplicities.sum()) == 1 << 24
+
+
 def test_standard_is_scaled_primed_same_float_path():
     rng = np.random.default_rng(7)
     for lam in 0.52 + 0.45 * rng.random(5):
@@ -181,7 +238,8 @@ def test_binary_round_trip(tmp_path):
     assert len(raw) == 4 + 13 + 8 * (1 << 9)
     back = read_binary(path)
     assert back.lam == ps.lam and back.levels == ps.levels and back.form == ps.form
-    assert np.array_equal(back.values, ps.values)
+    assert back.values.tobytes() == ps.values.tobytes()
+    assert back.values.dtype == np.float64 and not back.values.flags.writeable
 
 
 def test_binary_bad_magic(tmp_path):
@@ -201,14 +259,51 @@ def test_binary_bad_magic(tmp_path):
     lambda raw: raw[:41] + struct.pack("<d", math.nan) + raw[49:],
     lambda raw: raw[:17] + raw[-8:] + raw[25:-8] + raw[17:25],
     lambda raw: raw[:-8] + struct.pack("<d", math.inf),
+    lambda raw: raw[:4] + struct.pack("<d", math.nan) + raw[12:],
 ], ids=["form", "levels-200", "levels-0", "trailing", "truncated", "header",
-        "nan", "unsorted", "inf-last"])
+        "nan", "unsorted", "inf-last", "lambda-nan"])
 def test_binary_corrupt_dump(tmp_path, corrupt):
     path = tmp_path / "dump.bin"
     write_binary(generate(0.6, 4), path)
     path.write_bytes(corrupt(path.read_bytes()))
     with pytest.raises(DomainError):
         read_binary(path)
+
+
+_DUMP_BYTES = 4 + 13 + 8 * (1 << 4)
+# Flip positions lean on the 17 header bytes, which a uniform draw rarely hits.
+_dump_byte = st.integers(0, 16) | st.integers(0, _DUMP_BYTES - 1)
+_dump_edits = st.one_of(
+    st.integers(0, _DUMP_BYTES - 1).map(lambda k: ("truncate", k)),
+    st.binary(min_size=1, max_size=24).map(lambda extra: ("extend", extra)),
+    st.lists(st.tuples(_dump_byte, st.integers(1, 255)),
+             min_size=1, max_size=6).map(lambda flips: ("flip", flips)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dump_edits)
+def test_binary_fuzzed_dump(tmp_path_factory, edit):
+    ps = generate(0.6, 4)
+    path = tmp_path_factory.mktemp("fuzz") / "dump.bin"
+    write_binary(ps, path)
+    raw = bytearray(path.read_bytes())
+    kind, arg = edit
+    if kind == "truncate":
+        raw = raw[:arg]
+    elif kind == "extend":
+        raw += arg
+    else:
+        for pos, mask in arg:
+            raw[pos] ^= mask
+    path.write_bytes(bytes(raw))
+    try:
+        back = read_binary(path)
+    except DomainError:
+        return
+    assert 0.0 < back.lam < 1.0
+    assert back.values.size == 1 << back.levels
+    assert np.all(np.isfinite(back.values))
+    assert np.all(back.values[1:] >= back.values[:-1])
 
 
 def test_csv_round_trip(tmp_path):

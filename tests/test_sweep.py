@@ -158,6 +158,13 @@ def test_transversality_ratios_bounded_over_decades():
     assert report.empirical_C == report.ratios.max()
 
 
+def test_transversality_empirical_c_seeded_regression():
+    # One grid point more or less at rho = 1e-4 moves the value by 0.01.
+    report = transversality_check(30, 20, (1e-2, 1e-3, 1e-4), (0.5, 0.668),
+                                  seed=2024)
+    assert report.empirical_C == pytest.approx(1.1699930357557398, rel=1e-12)
+
+
 def test_sublevel_ratio_validation():
     with pytest.raises(DomainError):
         sublevel_ratio((1, -1), -0.1, (0.5, 0.668))
