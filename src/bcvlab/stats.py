@@ -10,6 +10,10 @@ Conventions fixed across the module:
   coincidences.
 * Histograms use 50 left-closed bins on [0, 5*ell]; out-of-range samples land
   in an explicit overflow counter, never silently dropped.
+* The histogram and the KS statistic both read one sorted copy of the
+  spacings (``SpacingSet.ordered``): bin counts come from searching the 51
+  bin starts in it, and the ECDF is read at the ends of its runs of tied
+  values.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -110,7 +115,12 @@ def _as_sorted_values(source) -> tuple[np.ndarray, PointSet | None]:
 
 @dataclass(frozen=True)
 class SpacingSet:
-    """Point-count-normalized order-ell spacings of a sorted sequence."""
+    """Point-count-normalized order-ell spacings of a sorted sequence.
+
+    ``ordered`` is a read-only sorted copy of ``values``, built on first
+    access and kept; ``values`` must not change after that.  :func:`spacings`
+    returns read-only values.
+    """
 
     ell: int
     values: np.ndarray  # length point_count - ell, all >= 0
@@ -119,6 +129,13 @@ class SpacingSet:
     levels: int | None = None
     form: Form | None = None
     rescaled: bool = False
+
+    @cached_property
+    def ordered(self) -> np.ndarray:
+        """``values`` sorted ascending (read-only)."""
+        ordered = np.sort(self.values)
+        ordered.flags.writeable = False
+        return ordered
 
 
 def spacings(source, ell: int, rescaled: bool = False) -> SpacingSet:
@@ -132,6 +149,7 @@ def spacings(source, ell: int, rescaled: bool = False) -> SpacingSet:
     if not 1 <= ell < n:
         raise DomainError(f"ell must lie in 1..{n - 1}, got {ell}")
     sp = (values[ell:] - values[:-ell]) * float(n)
+    sp.flags.writeable = False
     if ps is not None:
         return SpacingSet(ell, sp, n, ps.lam, ps.levels, ps.form, rescaled)
     return SpacingSet(ell, sp, n, rescaled=rescaled)
@@ -285,8 +303,44 @@ def poisson_cdf(ell: int, s):
     return float(out) if out.ndim == 0 else out
 
 
+def _finite_ordered(sp: SpacingSet) -> np.ndarray:
+    """``sp.ordered``, after checking that the spacings are finite.
+
+    Sorting puts -inf first and +inf and NaN last, so the two ends decide.
+    """
+    ordered = sp.ordered
+    if ordered.size and not np.all(np.isfinite(ordered[[0, -1]])):
+        raise DomainError("spacings must be finite")
+    return ordered
+
+
+def _bin_start(k: int, width_units: float) -> float:
+    """Least double ``v`` with ``floor(v * HIST_BIN_COUNT / width_units) >= k``.
+
+    The bin index is monotone in ``v``, so this is where bin k starts.  The
+    rounded ``k * width_units / HIST_BIN_COUNT`` can sit an ulp or two off
+    that boundary, so it is stepped until the index changes exactly there.
+    """
+    def index(v):
+        return math.floor(v * float(HIST_BIN_COUNT) / width_units)
+
+    v = k * width_units / HIST_BIN_COUNT
+    while index(v) < k:
+        v = math.nextafter(v, math.inf)
+    while index(math.nextafter(v, -math.inf)) >= k:
+        v = math.nextafter(v, -math.inf)
+    return v
+
+
 def histogram(sp: SpacingSet) -> Histogram:
     """Bin the spacings into 50 left-closed bins of width 0.1*ell on [0, 5*ell].
+
+    A spacing ``v`` goes in bin ``floor(v * 50 / (5*ell))`` (scaled first, so
+    exact bin-edge values such as a lattice spacing of 1.0 land in the bin
+    they start).  The counts come from one ``searchsorted`` of the 51 exact
+    bin starts in the sorted spacings; spacings whose index falls outside
+    0..49 (negative ones, and those at or past ``5*ell``) are the overflow.
+    Non-finite spacings raise :class:`DomainError`.
 
     The overlay is the expected Poisson count per bin,
     ``0.1 * ell * point_count * P_ell(bin center)`` (bin width times sample
@@ -294,13 +348,10 @@ def histogram(sp: SpacingSet) -> Histogram:
     """
     ell = sp.ell
     width_units = 5.0 * ell
-    # Two-step index so exact bin-edge values (like a lattice spacing of 1.0)
-    # land in the correct left-closed bin.
-    scaled = sp.values * float(HIST_BIN_COUNT)
-    idx = np.floor(scaled / width_units).astype(np.int64)
-    in_range = (idx >= 0) & (idx < HIST_BIN_COUNT)
-    counts = np.bincount(idx[in_range], minlength=HIST_BIN_COUNT).astype(np.int64)
-    overflow = int(sp.values.size - counts.sum())
+    ordered = _finite_ordered(sp)
+    starts = [_bin_start(k, width_units) for k in range(HIST_BIN_COUNT + 1)]
+    counts = np.diff(np.searchsorted(ordered, starts, side="left")).astype(np.int64)
+    overflow = int(ordered.size - counts.sum())
     edges = np.linspace(0.0, width_units, HIST_BIN_COUNT + 1)
     centers = (np.arange(HIST_BIN_COUNT) + 0.5) * (0.1 * ell)
     overlay = 0.1 * ell * sp.point_count * poisson_reference(ell, centers)
@@ -320,21 +371,26 @@ def gof_statistics(sp: SpacingSet) -> GofReport:
     """Goodness of fit of the spacings against the order-ell Poisson law.
 
     ``ks`` is the maximum over sample points of |ECDF - Poisson CDF| (the
-    ECDF evaluated right-continuously at the samples); ``chi2`` is Pearson's
-    statistic of the 50 histogram bins against the overlay.
+    ECDF evaluated right-continuously at the samples).  Tied samples share
+    the ECDF value at the end of their run in ``sp.ordered``, so only run
+    ends are evaluated.  ``chi2`` is Pearson's statistic of the 50 histogram
+    bins against the overlay; ``mean`` and ``variance`` are taken over
+    ``sp.values`` in their own order.  Non-finite spacings raise
+    :class:`DomainError`.
     """
     n = sp.values.size
     if n < 100:
         raise DomainError(f"need at least 100 spacings for fit statistics, got {n}")
-    ordered = np.sort(sp.values)
-    ecdf = np.searchsorted(ordered, ordered, side="right") / n
-    ks = float(np.max(np.abs(ecdf - poisson_cdf(sp.ell, ordered))))
+    ordered = _finite_ordered(sp)
+    ends = np.append(np.flatnonzero(ordered[1:] != ordered[:-1]), n - 1)
+    ecdf = (ends + 1) / n
+    ks = float(np.max(np.abs(ecdf - poisson_cdf(sp.ell, ordered[ends]))))
     hist = histogram(sp)
     live = hist.overlay > 0
     chi2 = float(np.sum((hist.counts[live] - hist.overlay[live]) ** 2
                         / hist.overlay[live]))
     return GofReport(ks, chi2, float(np.mean(sp.values)),
-                     float(np.var(sp.values, ddof=1)) if n > 1 else 0.0, n)
+                     float(np.var(sp.values, ddof=1)), n)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ Everything here deliberately avoids the library's own code paths: digit sums
 are evaluated string by string or merged level by level with an explicit
 mask-and-scatter merge, pair counts by quadratic all-pairs scans and
 a scalar two-pointer loop, word counts by exhaustive enumeration,
-polynomial remainders by long division over exact rationals, and residue
-tallies by a dict of Python-integer tuples.
+polynomial remainders by long division over exact rationals, residue
+tallies by a dict of Python-integer tuples, spacing histograms by a per-value
+bin index and ``bincount``, and the KS statistic by the ECDF at every sample.
 """
 
 import itertools
@@ -65,6 +66,28 @@ def window_count_loop(values: np.ndarray, thr: float) -> int:
             j += 1
         total += j - i
     return total
+
+
+def histogram_bincount(values: np.ndarray, ell: int, bins: int = 50):
+    """Counts of ``values`` in ``bins`` left-closed bins on [0, 5*ell], and the overflow.
+
+    Each value gets the bin index ``floor(v * bins / (5*ell))`` (scaled first,
+    so exact bin-edge values land in the bin they start); indices outside
+    0..bins-1 go to the overflow.
+    """
+    scaled = values * float(bins)
+    idx = np.floor(scaled / (5.0 * ell)).astype(np.int64)
+    in_range = (idx >= 0) & (idx < bins)
+    counts = np.bincount(idx[in_range], minlength=bins).astype(np.int64)
+    return counts, int(values.size - counts.sum())
+
+
+def ks_searchsorted(values: np.ndarray, cdf) -> float:
+    """max |ECDF - cdf| over the samples, with the right-continuous ECDF found
+    by searching every sorted sample in the sorted array."""
+    ordered = np.sort(values)
+    ecdf = np.searchsorted(ordered, ordered, side="right") / values.size
+    return float(np.max(np.abs(ecdf - cdf(ordered))))
 
 
 def words_avoiding(block: str, length: int) -> int:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -102,6 +103,28 @@ def test_spacings_empirical_rescale_mode(tmp_path):
     gof = read_json(out / "spacings_gof.json")
     assert gof["rescale"] == "empirical:10"
     assert gof["sample_count"] == (1 << 12) - 2
+
+
+# sha256 of the spacings outputs for three fixed runs; a change to the
+# histogram or fit statistics must not move a single byte of them.
+SPACINGS_DIGESTS = {
+    ("1", "sqrt-half"): ("317a83ce5087ca8a2d0b1b163eaf79e50191ec10a34a55c22fc7aed22254acd4",
+                         "c051d408ed11ef71094003258b2d2ed618206c7a9dc0be434d84a9162da75435"),
+    ("3", "sqrt-half"): ("ec4bcaaa6511bf65fb8d753d9a2dd847d6b746d298363cb3405466b141d4ae2e",
+                         "804bb54f0460e4485d01a242a42cc20aaaa6c7647c242b01fb26ce056fec892a"),
+    ("2", "empirical:12"): ("16b41c044c66c452df2e1d77b0516ea111386b4cce9185854af6bafac4ad95a9",
+                            "b1b119d890be1d2ec1e937ff3ff321daeb858c5aa6e22b6f9b7dc50b6aef9d4d"),
+}
+
+
+@pytest.mark.parametrize("ell,mode", sorted(SPACINGS_DIGESTS))
+def test_spacings_output_digests(tmp_path, ell, mode):
+    rc, out = run(tmp_path, "spacings", "--lambda", "0.70880447", "--n", "16",
+                  "--ell", ell, "--rescale", mode)
+    assert rc == 0
+    got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in ("spacings_histogram.csv", "spacings_gof.json"))
+    assert got == SPACINGS_DIGESTS[ell, mode]
 
 
 def test_spacings_bad_rescale_flag(tmp_path):

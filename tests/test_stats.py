@@ -12,7 +12,8 @@ from bcvlab import (CdfModel, DomainError, Form, SpacingSet, cdf_empirical,
                     pair_correlation, pair_correlation_interval,
                     poisson_cdf, poisson_reference, rescale, spacings)
 from bcvlab.stats import write_curve_csv, write_histogram_csv
-from oracles import all_pairs_ordered_count, gamma_cdf_int, window_count_loop
+from oracles import (all_pairs_ordered_count, gamma_cdf_int, histogram_bincount,
+                     ks_searchsorted, window_count_loop)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SQRT_HALF = 2.0**-0.5
@@ -35,6 +36,15 @@ def test_golden_primed_contains_zero_spacing():
     # The coincidence at value 1 shows up as a spacing below the distinctness
     # tolerance (bit-exact zero is not guaranteed in floats).
     assert sp.values.min() <= ps.point_count * ps.distinct_tolerance()
+
+
+def test_spacing_values_are_read_only():
+    for source in (generate(0.6, 8), rescale(generate(0.6, 8), cdf_sqrt_half())):
+        sp = spacings(source, 2)
+        with pytest.raises(ValueError):
+            sp.values[0] = 1.0
+        with pytest.raises(ValueError):
+            sp.ordered[0] = 1.0
 
 
 def test_spacings_validation():
@@ -233,6 +243,78 @@ def test_gof_telescoping_mean():
 def test_gof_needs_samples():
     with pytest.raises(DomainError):
         gof_statistics(spacings(generate(0.6, 5), 1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_spacings_raise(bad):
+    values = np.linspace(0.0, 3.0, 200)
+    values[57] = bad
+    sp = SpacingSet(1, values, values.size)
+    with pytest.raises(DomainError):
+        histogram(sp)
+    with pytest.raises(DomainError):
+        gof_statistics(sp)
+
+
+def _assert_stats_match_oracles(values, ell):
+    """Exact (==) agreement with the bincount histogram and searchsorted KS."""
+    sp = SpacingSet(ell, values, values.size)
+    h = histogram(sp)
+    counts, overflow = histogram_bincount(values, ell)
+    assert np.array_equal(h.counts, counts) and h.counts.dtype == np.int64
+    assert h.overflow == overflow
+    if values.size < 100:
+        return
+    report = gof_statistics(sp)
+    assert report.ks == ks_searchsorted(values, lambda s: poisson_cdf(ell, s))
+    live = h.overlay > 0
+    assert report.chi2 == float(np.sum((counts[live] - h.overlay[live]) ** 2
+                                       / h.overlay[live]))
+    assert report.mean == float(np.mean(values))
+    assert report.variance == float(np.var(values, ddof=1))
+
+
+@st.composite
+def spacing_samples(draw):
+    """Spacings for order ``ell`` that sit on bin edges (as ``k*0.1*ell`` and
+    as ``k*5*ell/50``) or up to two ulps from one, signed zeros, negatives,
+    values at or past ``5*ell``, and arbitrary values, repeated into long
+    tie runs and shuffled."""
+    ell = draw(st.integers(1, 7))
+    k = np.arange(51)
+    edges = np.concatenate([k * 0.1 * ell, k * (5.0 * ell) / 50])
+    down = np.nextafter(edges, -np.inf)
+    up = np.nextafter(edges, np.inf)
+    near = np.concatenate([edges, down, np.nextafter(down, -np.inf),
+                           up, np.nextafter(up, np.inf)])
+    atom = st.one_of(st.sampled_from(near.tolist()),
+                     st.sampled_from([0.0, -0.0, 5.0 * ell]),
+                     st.floats(-2.0, 0.0), st.floats(5.0 * ell, 1e6),
+                     st.floats(0.0, 5.0 * ell))
+    atoms = draw(st.lists(atom, min_size=1, max_size=40))
+    if draw(st.booleans()):
+        atoms += near.tolist()  # every bin boundary at once
+    reps = draw(st.lists(st.integers(1, 30), min_size=len(atoms), max_size=len(atoms)))
+    values = np.repeat(np.array(atoms, dtype=np.float64), reps)
+    size = draw(st.sampled_from([values.size, max(values.size, 120)]))
+    values = np.resize(values, size)
+    seed = draw(st.integers(0, 2**32 - 1))
+    return ell, np.random.default_rng(seed).permutation(values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spacing_samples())
+def test_spacing_stats_match_oracles(case):
+    ell, values = case
+    _assert_stats_match_oracles(values, ell)
+
+
+@pytest.mark.parametrize("lam", [0.5, GOLDEN, 0.70880447, SQRT_HALF])
+def test_spacing_stats_match_oracles_on_point_sets(lam):
+    ps = generate(lam, 12)
+    for seq, rescaled in ((ps, False), (rescale(ps, cdf_sqrt_half()), True)):
+        for ell in (1, 2, 3, 7):
+            _assert_stats_match_oracles(spacings(seq, ell, rescaled).values, ell)
 
 
 # ---------------------------------------------------------------------------
