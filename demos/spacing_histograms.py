@@ -31,7 +31,7 @@ rescaled = rescale(ps, cdf_sqrt_half())
 
 for ell in (1, 2, 3):
     raw = spacings(ps, ell)
-    tidy = spacings(rescaled, ell, rescaled=True)
+    tidy = spacings(rescaled, ell)
     h = histogram(tidy)
     fit = gof_statistics(tidy)
     raw_fit = gof_statistics(raw)

@@ -427,10 +427,7 @@ def _spectral_radius(T: np.ndarray) -> float:
         W = W @ W
         W /= W.max()
     v = W @ np.ones(m)
-    norm = v.sum()
-    if norm <= 0:  # unreachable: state 0 always survives on the 0 symbol
-        return 1.0
-    v /= norm
+    v /= v.sum()
     return float((M @ v).sum() / v.sum()) - 1.0
 
 

@@ -103,13 +103,16 @@ class _Run:
 # subcommands
 
 
-def _build_rescaler(kind: str, lam: float, levels: int):
+def _build_rescaler(kind: str, lam: float):
     if kind == "none":
         return None
     if kind == "sqrt-half":
         return cdf_sqrt_half()
     if kind.startswith("empirical:"):
-        level = int(kind.split(":", 1)[1])
+        try:
+            level = int(kind.split(":", 1)[1])
+        except ValueError:
+            raise DomainError(f"empirical:M needs an integer level M, got {kind!r}")
         return cdf_empirical(lam, level)
     raise DomainError(f"unknown rescale mode {kind!r} "
                       "(expected none, sqrt-half, or empirical:M)")
@@ -118,9 +121,9 @@ def _build_rescaler(kind: str, lam: float, levels: int):
 def cmd_spacings(args) -> int:
     run = _Run(args, "spacings")
     ps = generate(args.lam, args.n, Form.STANDARD)
-    model = _build_rescaler(args.rescale, args.lam, args.n)
+    model = _build_rescaler(args.rescale, args.lam)
     seq = rescale(ps, model) if model is not None else ps
-    sp = spacings(seq, args.ell, rescaled=model is not None)
+    sp = spacings(seq, args.ell)
     hist = histogram(sp)
     gof = gof_statistics(sp)
 

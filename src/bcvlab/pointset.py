@@ -229,6 +229,16 @@ _FORM_CODE = {Form.STANDARD: 0, Form.PRIMED: 1}
 _CODE_FORM = {v: k for k, v in _FORM_CODE.items()}
 
 
+def _check_sorted_finite(values: np.ndarray) -> None:
+    """Raise :class:`DomainError` unless a 1-D array is finite and ascending.
+
+    NaN fails every comparison, so ascending values with finite ends are all
+    finite."""
+    if values.size and not (np.all(values[1:] >= values[:-1])
+                            and np.all(np.isfinite(values[[0, -1]]))):
+        raise DomainError("values must be finite and ascending")
+
+
 def write_binary(ps: PointSet, path) -> None:
     """Little-endian dump: magic "BCV1", lambda f64, levels u32, form u8, values."""
     with open(path, "wb") as f:
@@ -257,10 +267,7 @@ def read_binary(path) -> PointSet:
             raise DomainError("truncated point-set dump")
         if f.read(1):
             raise DomainError("trailing bytes after the point-set values")
-    # NaN fails every comparison, so ascending values with finite ends are
-    # all finite.
-    if not (np.all(values[1:] >= values[:-1]) and np.all(np.isfinite(values[[0, -1]]))):
-        raise DomainError("point-set values must be finite and ascending")
+    _check_sorted_finite(values)
     values = values.astype(np.float64, copy=False)
     values.flags.writeable = False
     note = _RANGE_NOTE if lam <= 0.5 else None

@@ -96,17 +96,14 @@ def _window_count(values: np.ndarray, thr: float) -> int:
     return total
 
 
-def _as_sorted_values(source) -> tuple[np.ndarray, PointSet | None]:
+def _as_sorted_values(source) -> np.ndarray:
     if isinstance(source, PointSet):
-        return source.values, source
+        return source.values
     values = np.ascontiguousarray(source, dtype=np.float64)
     if values.ndim != 1:
         raise DomainError("expected a 1-D sequence of values")
-    if not np.all(np.isfinite(values)):
-        raise DomainError("values must be finite")
-    if values.size > 1 and np.any(np.diff(values) < 0):
-        raise DomainError("sequence must be sorted ascending")
-    return values, None
+    _pointset._check_sorted_finite(values)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +122,6 @@ class SpacingSet:
     ell: int
     values: np.ndarray  # length point_count - ell, all >= 0
     point_count: int
-    lam: float | None = None
-    levels: int | None = None
-    form: Form | None = None
-    rescaled: bool = False
 
     @cached_property
     def ordered(self) -> np.ndarray:
@@ -138,21 +131,19 @@ class SpacingSet:
         return ordered
 
 
-def spacings(source, ell: int, rescaled: bool = False) -> SpacingSet:
+def spacings(source, ell: int) -> SpacingSet:
     """Order-ell spacings ``n_points * (x[n+ell] - x[n])`` of a sorted sequence.
 
-    ``source`` is a :class:`PointSet` or any sorted 1-D array (e.g. the output
-    of :func:`rescale`, in which case pass ``rescaled=True`` for bookkeeping).
+    ``source`` is a :class:`PointSet` or any sorted finite 1-D array, such as
+    the output of :func:`rescale`.
     """
-    values, ps = _as_sorted_values(source)
+    values = _as_sorted_values(source)
     n = values.size
     if not 1 <= ell < n:
         raise DomainError(f"ell must lie in 1..{n - 1}, got {ell}")
     sp = (values[ell:] - values[:-ell]) * float(n)
     sp.flags.writeable = False
-    if ps is not None:
-        return SpacingSet(ell, sp, n, ps.lam, ps.levels, ps.form, rescaled)
-    return SpacingSet(ell, sp, n, rescaled=rescaled)
+    return SpacingSet(ell, sp, n)
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +178,7 @@ class CdfModel:
             self.support = (0.0, 1.0)
 
     def __call__(self, x):
-        y, _ = self.evaluate(x)
-        return y
-
-    def evaluate(self, x):
         x = np.asarray(x, dtype=np.float64)
-        lo, hi = self.support
-        clamped = int(np.count_nonzero((x < lo) | (x > hi)))
         if self.variant == "explicit-sqrt-half":
             xc = np.clip(x, 0.0, 1.0)
             y = np.where(
@@ -207,7 +192,12 @@ class CdfModel:
             )
         else:
             y = np.interp(x, self.knots_x, self.knots_y)
-        return y, clamped
+        return y
+
+    def evaluate(self, x):
+        x = np.asarray(x, dtype=np.float64)
+        lo, hi = self.support
+        return self(x), int(np.count_nonzero((x < lo) | (x > hi)))
 
 
 def cdf_sqrt_half() -> CdfModel:
@@ -246,7 +236,8 @@ def rescale(ps: PointSet, model: CdfModel) -> np.ndarray:
     """Apply the CDF elementwise to a STANDARD-form point set.
 
     The output stays sorted because the model is nondecreasing; this is
-    asserted rather than re-sorted so any violation surfaces loudly.
+    checked rather than re-sorted, and output that is not finite and
+    ascending raises :class:`DomainError`.
     """
     if ps.form is Form.PRIMED:
         raise DomainError("rescale needs STANDARD form (support in [0, 1]); "
@@ -258,8 +249,7 @@ def rescale(ps: PointSet, model: CdfModel) -> np.ndarray:
             "uniform lattice; build the CDF at a different level",
             UserWarning, stacklevel=2)
     out = model(ps.values)
-    if np.any(np.diff(out) < 0):
-        raise AssertionError("CDF model produced a non-monotone rescaling")
+    _pointset._check_sorted_finite(out)
     return out
 
 
@@ -276,30 +266,44 @@ class Histogram:
     counts: np.ndarray  # int64, length 50
     overlay: np.ndarray  # expected Poisson count per bin, length 50
     overflow: int
-    point_count: int
 
 
 def poisson_reference(ell: int, s):
-    """Poisson order-ell spacing density ``s**(ell-1) * exp(-s) / (ell-1)!``."""
-    if ell < 1:
-        raise DomainError("ell must be >= 1")
+    """Poisson order-ell spacing density ``s**(ell-1) * exp(-s) / (ell-1)!``.
+
+    The density is at most 1, so a non-finite result (a factor overflowed)
+    raises :class:`DomainError`."""
+    if not 1 <= ell <= 171:  # (ell-1)! must fit a double
+        raise DomainError(f"ell must lie in 1..171, got {ell}")
     s = np.asarray(s, dtype=np.float64)
     if np.any(s < 0):
         raise DomainError("s must be nonnegative")
-    out = s ** (ell - 1) * np.exp(-s) / math.factorial(ell - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = s ** (ell - 1) * np.exp(-s) / math.factorial(ell - 1)
+    if not np.all(np.isfinite(out)):
+        raise DomainError(f"order-{ell} Poisson density overflows a double")
     return float(out) if out.ndim == 0 else out
 
 
 def poisson_cdf(ell: int, s):
-    """CDF of the order-ell Poisson spacing law (a Gamma(ell, 1) variable)."""
+    """CDF of the order-ell Poisson spacing law (a Gamma(ell, 1) variable).
+
+    Exactly 1.0 where ``exp(-s)`` underflows and ``s >= 2*ell``, since the
+    upper tail there is below 1e-50; other non-finite results raise
+    :class:`DomainError`."""
     s = np.asarray(s, dtype=np.float64)
     partial = np.zeros_like(s)
     term = np.ones_like(s)
-    for j in range(ell):
-        if j > 0:
-            term = term * s / j
-        partial += term
-    out = 1.0 - np.exp(-s) * partial
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(ell):
+            if j > 0:
+                term = term * s / j
+            partial += term
+        out = 1.0 - np.exp(-s) * partial
+        if not np.all(np.isfinite(out)):
+            out = np.where((np.exp(-s) == 0.0) & (s >= 2 * ell), 1.0, out)
+            if not np.all(np.isfinite(out)):
+                raise DomainError(f"order-{ell} Poisson CDF is not finite at these s")
     return float(out) if out.ndim == 0 else out
 
 
@@ -340,7 +344,8 @@ def histogram(sp: SpacingSet) -> Histogram:
     they start).  The counts come from one ``searchsorted`` of the 51 exact
     bin starts in the sorted spacings; spacings whose index falls outside
     0..49 (negative ones, and those at or past ``5*ell``) are the overflow.
-    Non-finite spacings raise :class:`DomainError`.
+    Non-finite spacings, and ``ell >= 114`` (where the overlay overflows a
+    double), raise :class:`DomainError`.
 
     The overlay is the expected Poisson count per bin,
     ``0.1 * ell * point_count * P_ell(bin center)`` (bin width times sample
@@ -355,7 +360,7 @@ def histogram(sp: SpacingSet) -> Histogram:
     edges = np.linspace(0.0, width_units, HIST_BIN_COUNT + 1)
     centers = (np.arange(HIST_BIN_COUNT) + 0.5) * (0.1 * ell)
     overlay = 0.1 * ell * sp.point_count * poisson_reference(ell, centers)
-    return Histogram(ell, edges, counts, overlay, overflow, sp.point_count)
+    return Histogram(ell, edges, counts, overlay, overflow)
 
 
 @dataclass(frozen=True)
@@ -375,8 +380,8 @@ def gof_statistics(sp: SpacingSet) -> GofReport:
     the ECDF value at the end of their run in ``sp.ordered``, so only run
     ends are evaluated.  ``chi2`` is Pearson's statistic of the 50 histogram
     bins against the overlay; ``mean`` and ``variance`` are taken over
-    ``sp.values`` in their own order.  Non-finite spacings raise
-    :class:`DomainError`.
+    ``sp.values`` in their own order.  Non-finite spacings and
+    ``ell >= 114`` raise :class:`DomainError`, as in :func:`histogram`.
     """
     n = sp.values.size
     if n < 100:
@@ -401,11 +406,7 @@ def gof_statistics(sp: SpacingSet) -> GofReport:
 class CorrelationCurve:
     s_grid: np.ndarray
     r_values: np.ndarray
-    lam: float | None = None
-    levels: int | None = None
-    form: Form | None = None
-    restricted_interval: tuple[float, float] | None = None
-    point_count: int = 0
+    point_count: int
 
 
 def _validate_grid(s_grid) -> np.ndarray:
@@ -437,15 +438,12 @@ def pair_correlation(source, s_grid) -> CorrelationCurve:
     analysis for algebraic parameters belongs to :func:`coincidence_rate` on
     the exact backend.
     """
-    values, ps = _as_sorted_values(source)
+    values = _as_sorted_values(source)
     grid = _validate_grid(s_grid)
     n = values.size
     if n == 0:
         raise DomainError("no points to correlate")
-    r = _r2(values, grid, 1.0)
-    if ps is not None:
-        return CorrelationCurve(grid, r, ps.lam, ps.levels, ps.form, None, n)
-    return CorrelationCurve(grid, r, point_count=n)
+    return CorrelationCurve(grid, _r2(values, grid, 1.0), n)
 
 
 def pair_correlation_interval(source, interval, s_grid) -> CorrelationCurve:
@@ -455,8 +453,8 @@ def pair_correlation_interval(source, interval, s_grid) -> CorrelationCurve:
     uniform occupancy again gives the Poisson slope 2s.  J is half-open on
     the right (immaterial for b = 1: STANDARD support stays below 1).
     """
-    values, ps = _as_sorted_values(source)
-    if ps is not None and ps.form is not Form.STANDARD:
+    values = _as_sorted_values(source)
+    if isinstance(source, PointSet) and source.form is not Form.STANDARD:
         raise DomainError("interval restriction expects STANDARD form (support in [0,1])")
     a, b = float(interval[0]), float(interval[1])
     if not 0.0 <= a < b <= 1.0:
@@ -468,11 +466,7 @@ def pair_correlation_interval(source, interval, s_grid) -> CorrelationCurve:
     m = window.size
     if m == 0:
         raise DomainError(f"no points of the set fall in [{a}, {b}]")
-    r = _r2(window, grid, b - a)
-    lam = ps.lam if ps is not None else None
-    levels = ps.levels if ps is not None else None
-    form = ps.form if ps is not None else None
-    return CorrelationCurve(grid, r, lam, levels, form, (a, b), m)
+    return CorrelationCurve(grid, _r2(window, grid, b - a), m)
 
 
 def coincidence_rate(eps: ExactPointSet) -> float:

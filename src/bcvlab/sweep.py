@@ -59,7 +59,6 @@ class SweepConfig:
     seed: int | None = None
     form: Form = Form.STANDARD
     worker_count: int = 1
-    keep_curves: bool = False
 
     def __post_init__(self):
         if len(self.interval) != 2:
@@ -94,7 +93,7 @@ class SweepReport:
     max: np.ndarray
     c_hat: float
     C_hat: float
-    curves: np.ndarray | None = None
+    curves: np.ndarray  # one R2 row per sample, samples x grid
 
     def to_json_dict(self) -> dict:
         per_s = [
@@ -118,14 +117,10 @@ class SweepReport:
         }
 
 
-def _sample_lambdas(cfg: SweepConfig) -> tuple[np.ndarray, int | None]:
-    a, b = cfg.interval
-    n = cfg.sample_count
-    if cfg.quadrature == "midpoint":
-        return a + (np.arange(n) + 0.5) * (b - a) / n, None
-    seed = cfg.seed if cfg.seed is not None else secrets.randbits(64)
-    rng = np.random.default_rng(seed)
-    return a + (b - a) * rng.random(n), seed
+def _seeded_uniform(a: float, b: float, n: int, seed: int | None):
+    """``n`` uniform samples from [a, b) and their seed (a fresh 64-bit one if None)."""
+    seed = seed if seed is not None else secrets.randbits(64)
+    return a + (b - a) * np.random.default_rng(seed).random(n), seed
 
 
 def averaged_pair_correlation(cfg: SweepConfig, progress: bool = False) -> SweepReport:
@@ -135,7 +130,12 @@ def averaged_pair_correlation(cfg: SweepConfig, progress: bool = False) -> Sweep
     ``worker_count`` threads, but gathered and reduced in sample order, so
     the report is identical for any worker count.
     """
-    lambdas, seed = _sample_lambdas(cfg)
+    a, b = cfg.interval
+    n = cfg.sample_count
+    if cfg.quadrature == "midpoint":
+        lambdas, seed = a + (np.arange(n) + 0.5) * (b - a) / n, None
+    else:
+        lambdas, seed = _seeded_uniform(a, b, n, cfg.seed)
     grid = np.asarray(cfg.s_grid, dtype=np.float64)
 
     def one(lam: float) -> np.ndarray:
@@ -158,7 +158,7 @@ def averaged_pair_correlation(cfg: SweepConfig, progress: bool = False) -> Sweep
     C_hat = float(slopes.max()) if slopes.size else float("nan")
     return SweepReport(cfg, seed, lambdas, grid, mean,
                        curves.min(axis=0), curves.max(axis=0), c_hat, C_hat,
-                       curves if cfg.keep_curves else None)
+                       curves)
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +193,7 @@ def min_gap_scan(interval, lambda_samples, level_range, alpha,
     if not levels:
         raise DomainError("empty level range")
     if isinstance(lambda_samples, (int, np.integer)):
-        used_seed = seed if seed is not None else secrets.randbits(64)
-        rng = np.random.default_rng(used_seed)
-        lambdas = a + (b - a) * rng.random(int(lambda_samples))
+        lambdas, used_seed = _seeded_uniform(a, b, int(lambda_samples), seed)
     else:
         lambdas = np.asarray(lambda_samples, dtype=np.float64)
         used_seed = None

@@ -128,9 +128,47 @@ def test_spacings_output_digests(tmp_path, ell, mode):
 
 
 def test_spacings_bad_rescale_flag(tmp_path):
-    rc, _ = run(tmp_path, "spacings", "--lambda", "0.6", "--n", "8",
-                "--rescale", "fourier")
+    for mode in ("fourier", "empirical:abc", "empirical:"):
+        rc, _ = run(tmp_path, "spacings", "--lambda", "0.6", "--n", "8",
+                    "--rescale", mode)
+        assert rc == 4
+
+
+@pytest.mark.parametrize("ell", ["114", "171", "172"])
+def test_spacings_overflowing_poisson_overlay_exit_code(tmp_path, ell):
+    # The order-ell Poisson density overflows a double from ell = 114 on.
+    rc, out = run(tmp_path, "spacings", "--lambda", "0.7", "--n", "14",
+                  "--ell", ell)
     assert rc == 4
+    assert not (out / "spacings_gof.json").exists()
+
+
+# sha256 of paircorr_curve.csv and sweep_report.json for fixed runs; a change
+# to the pair counter or the sweep must not move a single byte of them.
+PAIRCORR_ARGS = ("paircorr", "--lambda", "0.70880447", "--n", "14",
+                 "--s-grid", "0,0.5,1,2")
+PAIRCORR_DIGESTS = {
+    (): "eef82a3ee28a2421f00c512cb0250deee0a12067df1450365cd9f6b4c79836dd",
+    ("--interval", "0.25,0.75"):
+        "98aedb9e8564d3ba810d31ec72f6b14362f69c90f84b38df3fec0965ca577272",
+}
+
+
+@pytest.mark.parametrize("extra", sorted(PAIRCORR_DIGESTS))
+def test_paircorr_output_digests(tmp_path, extra):
+    rc, out = run(tmp_path, *PAIRCORR_ARGS, *extra)
+    assert rc == 0
+    got = hashlib.sha256((out / "paircorr_curve.csv").read_bytes()).hexdigest()
+    assert got == PAIRCORR_DIGESTS[extra]
+
+
+def test_sweep_montecarlo_output_digest(tmp_path):
+    rc, out = run(tmp_path, "sweep", "--interval", "0.6,0.7", "--n", "12",
+                  "--s-grid", "0.5,1,2", "--samples", "6",
+                  "--quadrature", "montecarlo", "--seed", "7", "--workers", "2")
+    assert rc == 0
+    got = hashlib.sha256((out / "sweep_report.json").read_bytes()).hexdigest()
+    assert got == "fe9d72930df12b6e97f6a2cb8a87c461ec0cc93c62827e97db05f07e4c83cce5"
 
 
 def test_paircorr_lattice_value(tmp_path):

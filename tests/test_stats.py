@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -136,6 +137,14 @@ def test_rescale_rejects_primed():
         rescale(generate(0.6, 5, Form.PRIMED), cdf_sqrt_half())
 
 
+@pytest.mark.parametrize("knots_y", [[1.0, 0.0], [0.0, np.nan]])
+def test_rescale_rejects_non_monotone_or_nan_output(knots_y):
+    model = CdfModel("empirical", knots_x=np.array([0.0, 1.0]),
+                     knots_y=np.array(knots_y))
+    with pytest.raises(DomainError):
+        rescale(generate(0.6, 6), model)
+
+
 def test_rescale_warns_on_self_cdf():
     ps = generate(0.6429, 10)
     F = cdf_empirical(0.6429, 10, knots=128)
@@ -147,7 +156,7 @@ def test_rescaled_spacings_near_poisson_smoke():
     # Small-scale version of the figure setting: random-ish lambda near
     # 2**-0.5, explicit CDF rescale, nearest spacings roughly exponential.
     ps = generate(0.70880447, 16)
-    sp = spacings(rescale(ps, cdf_sqrt_half()), 1, rescaled=True)
+    sp = spacings(rescale(ps, cdf_sqrt_half()), 1)
     report = gof_statistics(sp)
     assert report.ks < 0.1
 
@@ -210,6 +219,33 @@ def test_poisson_cdf_matches_oracle(ell):
         assert poisson_cdf(ell, s) == pytest.approx(gamma_cdf_int(ell, s), abs=1e-14)
 
 
+def test_poisson_cdf_huge_s_is_one_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert poisson_cdf(3, 1e200) == 1.0
+        assert poisson_cdf(7, 1e60) == 1.0
+        got = poisson_cdf(3, np.array([1.0, 1e200]))
+    assert got[0] == 1.0 - np.exp(-1.0) * 2.5 and got[1] == 1.0
+
+
+def test_poisson_cdf_non_finite_raises():
+    for s in (np.nan, -1000.0):
+        with pytest.raises(DomainError):
+            poisson_cdf(3, s)
+
+
+def test_poisson_overlay_overflow_raises():
+    ps = generate(0.7, 14)
+    hist = histogram(spacings(ps, 113))  # the last ell whose overlay fits
+    assert np.all(np.isfinite(hist.overlay))
+    for ell in (114, 171, 172):
+        sp = spacings(ps, ell)
+        with pytest.raises(DomainError):
+            histogram(sp)
+        with pytest.raises(DomainError):
+            gof_statistics(sp)
+
+
 # ---------------------------------------------------------------------------
 # goodness of fit
 
@@ -235,7 +271,7 @@ def test_gof_lattice_degenerate_ks():
 def test_gof_telescoping_mean():
     ps = generate(0.70880447, 12)
     seq = rescale(ps, cdf_sqrt_half())
-    report = gof_statistics(spacings(seq, 1, rescaled=True))
+    report = gof_statistics(spacings(seq, 1))
     n = seq.size
     assert report.mean == pytest.approx(n * (seq[-1] - seq[0]) / (n - 1), rel=1e-12)
 
@@ -254,6 +290,18 @@ def test_non_finite_spacings_raise(bad):
         histogram(sp)
     with pytest.raises(DomainError):
         gof_statistics(sp)
+
+
+def test_gof_huge_spacing_gives_finite_ks():
+    values = np.linspace(0.0, 3.0, 200)
+    values[57] = 1e200
+    sp = SpacingSet(3, values, values.size)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the variance overflows
+        report = gof_statistics(sp)
+    assert math.isfinite(report.ks)
+    assert report.ks == ks_searchsorted(values, lambda s: poisson_cdf(3, s))
+    assert histogram(sp).overflow == 1
 
 
 def _assert_stats_match_oracles(values, ell):
@@ -312,9 +360,9 @@ def test_spacing_stats_match_oracles(case):
 @pytest.mark.parametrize("lam", [0.5, GOLDEN, 0.70880447, SQRT_HALF])
 def test_spacing_stats_match_oracles_on_point_sets(lam):
     ps = generate(lam, 12)
-    for seq, rescaled in ((ps, False), (rescale(ps, cdf_sqrt_half()), True)):
+    for seq in (ps, rescale(ps, cdf_sqrt_half())):
         for ell in (1, 2, 3, 7):
-            _assert_stats_match_oracles(spacings(seq, ell, rescaled).values, ell)
+            _assert_stats_match_oracles(spacings(seq, ell).values, ell)
 
 
 # ---------------------------------------------------------------------------

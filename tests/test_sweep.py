@@ -97,7 +97,7 @@ def test_monte_carlo_without_seed_records_one():
 
 def test_keep_curves():
     cfg = SweepConfig(interval=(0.52, 0.6), levels=8, s_grid=(1.0, 2.0),
-                      sample_count=5, keep_curves=True)
+                      sample_count=5)
     report = averaged_pair_correlation(cfg)
     assert report.curves.shape == (5, 2)
     assert np.array_equal(report.curves.mean(axis=0), report.mean)
@@ -112,6 +112,16 @@ def test_min_gap_scan_exceedances():
                         lambda n: 3.0**-n * n**-1.1, seed=5)
     assert all(len(e) >= 1 for e in scan.exceedances)
     assert scan.min_gaps.shape == (8, 7)
+
+
+def test_min_gap_scan_seeded_lambdas():
+    scan = min_gap_scan((0.51, 0.66), 3, range(4, 6), lambda n: 0.0, seed=5)
+    want = 0.51 + (0.66 - 0.51) * np.random.default_rng(5).random(3)
+    assert np.array_equal(scan.lambdas, want) and scan.seed == 5
+    fresh = min_gap_scan((0.51, 0.66), 3, range(4, 6), lambda n: 0.0, seed=None)
+    replay = min_gap_scan((0.51, 0.66), 3, range(4, 6), lambda n: 0.0,
+                          seed=fresh.seed)
+    assert np.array_equal(fresh.lambdas, replay.lambdas)
 
 
 def test_min_gap_scan_zero_threshold():
