@@ -38,7 +38,6 @@ __all__ = [
     "forbidden_block",
     "sft_growth_rate",
     "defining_poly",
-    "times_x",
     "reduce_mod_minpoly",
 ]
 
@@ -509,24 +508,6 @@ def defining_poly(minpoly) -> tuple[int, ...]:
     return p
 
 
-def times_x(R, p):
-    """One reduction step on the integer residue scale ``lead**t``.
-
-    ``R`` stands for the residue ``R / lead**t`` modulo ``p`` (from
-    :func:`defining_poly`, ``lead = p[-1]``).  Returns the vector standing for
-    ``x * R / lead**t`` at scale ``lead**(t+1)``, i.e.
-    ``lead * (0, R[:-1]) - R[-1] * p[:-1]``; all arithmetic stays integral.
-    """
-    lead = p[-1]
-    base = (0,) + R[:-1]
-    if lead != 1:
-        base = tuple(lead * b for b in base)
-    top = R[-1]
-    if not top:
-        return base
-    return tuple(b - top * c for b, c in zip(base, p))
-
-
 def reduce_mod_minpoly(digits, minpoly) -> tuple[Fraction, ...]:
     """Canonical representative of ``sum digits[n] * x**n`` modulo ``minpoly``.
 
@@ -537,11 +518,14 @@ def reduce_mod_minpoly(digits, minpoly) -> tuple[Fraction, ...]:
     p = defining_poly(minpoly)
     if any(d not in (0, 1) for d in digits):
         raise DomainError("digits must lie in {0, 1}")
+    lead = p[-1]
     res = (0,) * (len(p) - 1)
     scale = 1
     for a in reversed(tuple(digits)):
-        res = times_x(res, p)
-        scale *= p[-1]
+        # x * res / scale at the integral scale lead * scale:
+        # lead * (0, res[:-1]) - res[-1] * p[:-1]
+        res = tuple(lead * b - res[-1] * c for b, c in zip((0,) + res[:-1], p))
+        scale *= lead
         if a:
             res = (res[0] + scale,) + res[1:]
     return tuple(Fraction(c, scale) for c in res)

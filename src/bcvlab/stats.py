@@ -152,52 +152,59 @@ def spacings(source, ell: int) -> SpacingSet:
 _SQRT2 = math.sqrt(2.0)
 _CDF_A = 1.5 * _SQRT2 + 2.0
 _CDF_B = _SQRT2 - 1.0
+EMPIRICAL_KNOTS = 4096  # equally spaced knots of every empirical CDF
 
 
+@dataclass(frozen=True, eq=False)
 class CdfModel:
     """Nondecreasing CDF used to push a point set toward the uniform lattice.
 
-    ``variant`` is ``"explicit-sqrt-half"`` (closed form, support [0, 1]) or
-    ``"empirical"`` (monotone linear interpolation of an empirical CDF on an
-    equally spaced knot grid).  Calling the model clamps to {0, 1} outside the
-    support; :meth:`evaluate` additionally reports how many inputs clamped.
+    With knots it linearly interpolates an empirical CDF through ``(knots_x,
+    knots_y)`` (:func:`cdf_empirical` builds ``EMPIRICAL_KNOTS`` = 4096 of
+    them); without knots it is the closed form of :func:`cdf_sqrt_half` on
+    [0, 1].  ``lam`` and ``level`` name the point set it was built from.
+    Inputs must be finite and ascending (a 0-d input is one value), or
+    :class:`DomainError` is raised.  Outside the support the model clamps to
+    its end values; :meth:`evaluate` also counts the clamped inputs.
     """
 
-    def __init__(self, variant: str, lam: float | None = None,
-                 level: int | None = None,
-                 knots_x: np.ndarray | None = None,
-                 knots_y: np.ndarray | None = None):
-        self.variant = variant
-        self.lam = lam
-        self.level = level
-        self.knots_x = knots_x
-        self.knots_y = knots_y
-        if variant == "empirical":
-            self.support = (float(knots_x[0]), float(knots_x[-1]))
-        else:
-            self.support = (0.0, 1.0)
+    lam: float | None = None
+    level: int | None = None
+    knots_x: np.ndarray | None = None
+    knots_y: np.ndarray | None = None
+
+    @property
+    def support(self) -> tuple[float, float]:
+        if self.knots_x is None:
+            return (0.0, 1.0)
+        return (float(self.knots_x[0]), float(self.knots_x[-1]))
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if self.variant == "explicit-sqrt-half":
-            xc = np.clip(x, 0.0, 1.0)
-            y = np.where(
-                xc <= _CDF_B,
-                _CDF_A * xc * xc / 2.0,
-                np.where(
-                    xc >= 1.0 - _CDF_B,
-                    1.0 - _CDF_A * (1.0 - xc) ** 2 / 2.0,
-                    _CDF_A * _CDF_B * _CDF_B / 2.0 + _CDF_A * _CDF_B * (xc - _CDF_B),
-                ),
-            )
-        else:
-            y = np.interp(x, self.knots_x, self.knots_y)
-        return y
+        return self.evaluate(x)[0]
 
     def evaluate(self, x):
+        """``(F(x), count of x outside the support)``; the support ends and the
+        closed form's two joins split the sorted ``x`` into one slice per piece."""
         x = np.asarray(x, dtype=np.float64)
+        v = _as_sorted_values(np.atleast_1d(x))
         lo, hi = self.support
-        return self(x), int(np.count_nonzero((x < lo) | (x > hi)))
+        below = int(np.searchsorted(v, lo, side="left"))
+        inside = int(np.searchsorted(v, hi, side="right"))
+        if self.knots_x is not None:
+            y = np.interp(v, self.knots_x, self.knots_y)
+        else:
+            left = int(np.searchsorted(v, _CDF_B, side="right"))
+            right = int(np.searchsorted(v, 1.0 - _CDF_B, side="left"))
+            y = np.empty_like(v)
+            y[:below] = 0.0
+            t = v[below:left]
+            y[below:left] = _CDF_A * t * t / 2.0
+            t = v[left:right]
+            y[left:right] = _CDF_A * _CDF_B * _CDF_B / 2.0 + _CDF_A * _CDF_B * (t - _CDF_B)
+            t = v[right:inside]
+            y[right:inside] = 1.0 - _CDF_A * (1.0 - t) ** 2 / 2.0
+            y[inside:] = 1.0
+        return y.reshape(x.shape), below + v.size - inside
 
 
 def cdf_sqrt_half() -> CdfModel:
@@ -206,44 +213,44 @@ def cdf_sqrt_half() -> CdfModel:
     Three pieces with a = 1.5*sqrt(2) + 2 and b = sqrt(2) - 1:
     ``a x^2/2`` on [0, b], linear ``a b^2/2 + a b (x - b)`` on [b, 1-b], and
     ``1 - a (1-x)^2/2`` on [1-b, 1]; continuous at both joins since
-    ``a b (1 - b) = 1`` exactly.
+    ``a b (1 - b) = 1`` exactly.  Inputs must be finite and ascending.
     """
-    return CdfModel("explicit-sqrt-half", lam=1.0 / _SQRT2)
+    return CdfModel(lam=1.0 / _SQRT2)
 
 
-def cdf_empirical(lam: float, level: int, knots: int = 4096) -> CdfModel:
-    """Empirical CDF of the level-``level`` point set, resampled onto ``knots``
-    equally spaced positions with monotone linear interpolation.
+def cdf_empirical(lam: float, level: int) -> CdfModel:
+    """Empirical CDF of the level-``level`` point set, resampled onto
+    ``EMPIRICAL_KNOTS`` (4096) equally spaced positions with monotone linear
+    interpolation.  Inputs to the model must be finite and ascending.
 
     The model must not be used to rescale the very point set it was built
     from (same lambda and level): that degenerates to the uniform lattice and
-    :func:`rescale` warns about it.  64+ knots are recommended.
+    :func:`rescale` warns about it.
     """
-    if knots < 2:
-        raise DomainError("need at least 2 knots")
     if level > _pointset.MAX_EXACT_LEVELS:
         raise SizeCapError(f"empirical CDF level capped at {_pointset.MAX_EXACT_LEVELS}")
     values = _pointset.generate(lam, level, Form.STANDARD).values
-    xs = np.linspace(0.0, float(values[-1]), knots)
+    xs = np.linspace(0.0, float(values[-1]), EMPIRICAL_KNOTS)
     counts = np.searchsorted(values, xs, side="right")
     # Rank-based normalization pins F(min)=0 and F(max)=1 exactly; counts is
     # nondecreasing, so the knot values are monotone as interp requires.
     ys = (counts - 1) / float(values.size - 1)
-    return CdfModel("empirical", lam=float(lam), level=level, knots_x=xs, knots_y=ys)
+    return CdfModel(lam=float(lam), level=level, knots_x=xs, knots_y=ys)
 
 
 def rescale(ps: PointSet, model: CdfModel) -> np.ndarray:
     """Apply the CDF elementwise to a STANDARD-form point set.
 
-    The output stays sorted because the model is nondecreasing; this is
-    checked rather than re-sorted, and output that is not finite and
-    ascending raises :class:`DomainError`.
+    The point set's values are ascending, as the model requires; an
+    empirical model interpolates its 4096 knots.  The output
+    stays sorted because the model is nondecreasing; this is checked rather
+    than re-sorted, and output that is not finite and ascending raises
+    :class:`DomainError`.
     """
     if ps.form is Form.PRIMED:
         raise DomainError("rescale needs STANDARD form (support in [0, 1]); "
                           "regenerate with Form.STANDARD")
-    if (model.variant == "empirical" and model.lam == ps.lam
-            and model.level == ps.levels):
+    if (model.lam, model.level) == (ps.lam, ps.levels):
         warnings.warn(
             "rescaling a point set by its own empirical CDF degenerates to the "
             "uniform lattice; build the CDF at a different level",

@@ -57,7 +57,6 @@ class SweepConfig:
     sample_count: int
     quadrature: str = "midpoint"
     seed: int | None = None
-    form: Form = Form.STANDARD
     worker_count: int = 1
 
     def __post_init__(self):
@@ -107,7 +106,7 @@ class SweepReport:
                 "s_grid": list(self.config.s_grid),
                 "sample_count": self.config.sample_count,
                 "quadrature": self.config.quadrature,
-                "form": self.config.form.value,
+                "form": Form.STANDARD.value,
                 "worker_count": self.config.worker_count,
             },
             "seed": self.seed,
@@ -139,7 +138,7 @@ def averaged_pair_correlation(cfg: SweepConfig, progress: bool = False) -> Sweep
     grid = np.asarray(cfg.s_grid, dtype=np.float64)
 
     def one(lam: float) -> np.ndarray:
-        return pair_correlation(generate(lam, cfg.levels, cfg.form), grid).r_values
+        return pair_correlation(generate(lam, cfg.levels), grid).r_values
 
     rows = []
     step = max(1, len(lambdas) // 10)

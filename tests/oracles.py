@@ -6,7 +6,9 @@ mask-and-scatter merge, pair counts by quadratic all-pairs scans and
 a scalar two-pointer loop, word counts by exhaustive enumeration,
 polynomial remainders by long division over exact rationals, residue
 tallies by a dict of Python-integer tuples, spacing histograms by a per-value
-bin index and ``bincount``, and the KS statistic by the ECDF at every sample.
+bin index and ``bincount``, the KS statistic by the ECDF at every sample, and
+the closed-form CDF at 2**-0.5 by clipping and selecting among all three
+pieces for every value.
 """
 
 import itertools
@@ -88,6 +90,26 @@ def ks_searchsorted(values: np.ndarray, cdf) -> float:
     ordered = np.sort(values)
     ecdf = np.searchsorted(ordered, ordered, side="right") / values.size
     return float(np.max(np.abs(ecdf - cdf(ordered))))
+
+
+def cdf_sqrt_half_where(x):
+    """The closed-form CDF at lambda = 2**-0.5 and the count of inputs outside
+    [0, 1]: every piece is computed for every (clipped) value, and
+    ``np.where`` picks one; the count is a mask over the inputs."""
+    sqrt2 = math.sqrt(2.0)
+    a, b = 1.5 * sqrt2 + 2.0, sqrt2 - 1.0
+    x = np.asarray(x, dtype=np.float64)
+    xc = np.clip(x, 0.0, 1.0)
+    y = np.where(
+        xc <= b,
+        a * xc * xc / 2.0,
+        np.where(
+            xc >= 1.0 - b,
+            1.0 - a * (1.0 - xc) ** 2 / 2.0,
+            a * b * b / 2.0 + a * b * (xc - b),
+        ),
+    )
+    return y, int(np.count_nonzero((x < 0.0) | (x > 1.0)))
 
 
 def words_avoiding(block: str, length: int) -> int:

@@ -171,6 +171,39 @@ def test_sweep_montecarlo_output_digest(tmp_path):
     assert got == "fe9d72930df12b6e97f6a2cb8a87c461ec0cc93c62827e97db05f07e4c83cce5"
 
 
+# sha256 of the JSON report of fixed gaps, classify, greedy and exact runs.
+REPORT_DIGESTS = {
+    ("gaps", "--lambda", "0.6", "--n", "5", "--primed"):
+        "ac186f19df48ca51054be34a8f47a0e8e28c005101a6106f01abbab687662af0",
+    ("gaps", "--lambda", "0.6", "--n", "9", "--distinct-tol", "1e-9"):
+        "0904f9b1ca7845b59b9d8caab1b2720e783cb42a02228154a5ffeaca13eb4c0a",
+    ("classify", "--poly", "x^3-2x-2"):
+        "fc61017c47724fbb481525ae1f11cc02ef4443ffb02acb12c622054b3de09600",
+    ("classify", "--poly", "x^2+x-1"):
+        "3c180d57f54a620c75ff9251f641adff89701118e55fe2880e1367c7ce18c4ee",
+    ("classify", "--poly", "2x^2-1"):
+        "adc513f8376e17afc3a7fae172e2bc2d558c641d79c121895c71859095c59279",
+    ("greedy", "--lambda", "0.75", "--k", "5"):
+        "17a63a1c24159f84e478a520f7164c6200002d08c2bdc591ce3da901a86a9373",
+    ("exact", "--minpoly", "x^2+x-1", "--n", "12"):
+        "e2591c1597d283032da86a94f2d60038c760509bd0a7d07464723a5b85389c67",
+    ("exact", "--minpoly", "x^2-2", "--n", "12"):
+        "4a2df5b9b8347cc55b679c7d2e4aca9881c25fe0fc14117c2e44439422362230",
+    ("exact", "--minpoly", "2x^2-1", "--n", "10"):
+        "50dfab75abd34168729b01997884459a33f2cf5a4d0c490deba7218d379f92ad",
+    ("exact", "--minpoly", "x^3-2x-2", "--n", "10"):
+        "6db2c74066c5d64bf212677b804e1d948bb2238f700e865601e02256530cfe8b",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(REPORT_DIGESTS))
+def test_report_output_digests(tmp_path, argv):
+    rc, out = run(tmp_path, *argv)
+    assert rc == 0
+    got = hashlib.sha256((out / f"{argv[0]}_report.json").read_bytes()).hexdigest()
+    assert got == REPORT_DIGESTS[argv]
+
+
 def test_paircorr_lattice_value(tmp_path):
     rc, out = run(tmp_path, "paircorr", "--lambda", "0.5", "--n", "4",
                   "--s-grid", "2.5")

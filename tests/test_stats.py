@@ -13,8 +13,8 @@ from bcvlab import (CdfModel, DomainError, Form, SpacingSet, cdf_empirical,
                     pair_correlation, pair_correlation_interval,
                     poisson_cdf, poisson_reference, rescale, spacings)
 from bcvlab.stats import write_curve_csv, write_histogram_csv
-from oracles import (all_pairs_ordered_count, gamma_cdf_int, histogram_bincount,
-                     ks_searchsorted, window_count_loop)
+from oracles import (all_pairs_ordered_count, cdf_sqrt_half_where, gamma_cdf_int,
+                     histogram_bincount, ks_searchsorted, window_count_loop)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SQRT_HALF = 2.0**-0.5
@@ -89,28 +89,83 @@ def test_cdf_sqrt_half_clamps_with_flag():
 
 
 def test_cdf_empirical_identity_for_half():
-    F = cdf_empirical(0.5, 10, knots=1024)
+    F = cdf_empirical(0.5, 10)
     xs = np.linspace(0.0, F.support[1], 4001)
     assert np.max(np.abs(F(xs) - xs)) <= 2.0**-10
 
 
 def test_cdf_empirical_endpoints():
-    F = cdf_empirical(0.6429, 12, knots=256)
+    F = cdf_empirical(0.6429, 12)
     lo, hi = F.support
     assert float(F(lo)) == 0.0
     assert float(F(hi)) == 1.0
 
 
 def test_cdf_empirical_close_to_explicit():
-    F_emp = cdf_empirical(SQRT_HALF, 20, knots=4096)
+    F_emp = cdf_empirical(SQRT_HALF, 20)
     F_ref = cdf_sqrt_half()
     xs = np.linspace(0.0, 1.0, 20001)
     assert np.max(np.abs(F_emp(xs) - F_ref(xs))) < 0.01
 
 
-def test_cdf_empirical_validation():
+EMPIRICAL_06 = cdf_empirical(0.6, 8)  # support ends at 1 - 0.6**8, below 1
+
+
+@st.composite
+def cdf_inputs(draw):
+    """Ascending CDF inputs: 0, b, 1-b and 1 and up to two ulps either side
+    of each (optionally all of them at once), the empirical model's last
+    knot and its neighbours, -0.0, negatives, values past 1 and arbitrary
+    values, in tie runs; a single value is sometimes drawn 0-d."""
+    b = math.sqrt(2.0) - 1.0
+    marks = np.array([0.0, b, 1.0 - b, 1.0, EMPIRICAL_06.support[1]])
+    down = np.nextafter(marks, -np.inf)
+    up = np.nextafter(marks, np.inf)
+    near = np.concatenate([marks, down, np.nextafter(down, -np.inf),
+                           up, np.nextafter(up, np.inf)])
+    atom = st.one_of(st.sampled_from(near.tolist()), st.just(-0.0),
+                     st.floats(-3.0, 0.0), st.floats(1.0, 1e6), st.floats(0.0, 1.0))
+    atoms = draw(st.lists(atom, max_size=40))
+    if draw(st.booleans()):
+        atoms += near.tolist()  # every mark and its neighbours at once
+    reps = draw(st.lists(st.integers(1, 4), min_size=len(atoms), max_size=len(atoms)))
+    values = np.sort(np.repeat(np.array(atoms, dtype=np.float64), reps))
+    if values.size == 1 and draw(st.booleans()):
+        values = values.reshape(())
+    return values
+
+
+@settings(max_examples=300, deadline=None)
+@given(cdf_inputs())
+def test_cdf_models_match_oracles(x):
+    y, clamped = cdf_sqrt_half().evaluate(x)
+    y_ref, clamped_ref = cdf_sqrt_half_where(x)
+    assert y.shape == x.shape and y.tobytes() == y_ref.tobytes()
+    assert clamped == clamped_ref
+    F = EMPIRICAL_06
+    lo, hi = F.support
+    y, clamped = F.evaluate(x)
+    assert y.tobytes() == np.interp(x, F.knots_x, F.knots_y).tobytes()
+    assert clamped == int(np.count_nonzero((x < lo) | (x > hi)))
+
+
+def test_cdf_empirical_clamps_past_last_knot():
+    F = EMPIRICAL_06
+    hi = F.support[1]
+    y, clamped = F.evaluate([-1.0, 0.0, hi / 2, hi, np.nextafter(hi, 2.0), 1.0, 5.0])
+    assert clamped == 4
+    assert y[0] == 0.0 and y[1] == 0.0
+    assert np.all(y[3:] == 1.0)
+
+
+@pytest.mark.parametrize("model", [cdf_sqrt_half(), EMPIRICAL_06])
+@pytest.mark.parametrize("x", [[0.5, 0.2], [0.1, np.nan], [np.nan, 0.1], np.nan,
+                               [0.2, np.inf], [-np.inf, 0.2], [[0.1, 0.2]]])
+def test_cdf_models_reject_unsorted_or_non_finite_input(model, x):
     with pytest.raises(DomainError):
-        cdf_empirical(0.6, 10, knots=1)
+        model(x)
+    with pytest.raises(DomainError):
+        model.evaluate(x)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +174,7 @@ def test_cdf_empirical_validation():
 
 def test_rescale_identity_model_keeps_lattice():
     ps = generate(0.5, 8)
-    ident = CdfModel("empirical", knots_x=np.array([0.0, 1.0]),
+    ident = CdfModel(knots_x=np.array([0.0, 1.0]),
                      knots_y=np.array([0.0, 1.0]))
     out = rescale(ps, ident)
     assert np.array_equal(out, ps.values)
@@ -139,7 +194,7 @@ def test_rescale_rejects_primed():
 
 @pytest.mark.parametrize("knots_y", [[1.0, 0.0], [0.0, np.nan]])
 def test_rescale_rejects_non_monotone_or_nan_output(knots_y):
-    model = CdfModel("empirical", knots_x=np.array([0.0, 1.0]),
+    model = CdfModel(knots_x=np.array([0.0, 1.0]),
                      knots_y=np.array(knots_y))
     with pytest.raises(DomainError):
         rescale(generate(0.6, 6), model)
@@ -147,7 +202,7 @@ def test_rescale_rejects_non_monotone_or_nan_output(knots_y):
 
 def test_rescale_warns_on_self_cdf():
     ps = generate(0.6429, 10)
-    F = cdf_empirical(0.6429, 10, knots=128)
+    F = cdf_empirical(0.6429, 10)
     with pytest.warns(UserWarning):
         rescale(ps, F)
 
