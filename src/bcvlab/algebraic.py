@@ -153,11 +153,10 @@ class GreedyExpansion:
     """Digits ``c_1..c_k`` of the greedy expansion of 1 in powers of lambda.
 
     ``remainder = 1 - sum(c_n * lam**n)`` lies in ``[0, lam**k)`` and
-    ``c_1 == 1`` (which needs ``lam > 1/2``).
+    ``c_1 == 1`` (which needs ``lam > 1/2``).  Lambda and k are the caller's
+    inputs and are not stored; k is ``len(coefficients)``.
     """
 
-    lam: float
-    k: int
     coefficients: tuple[int, ...]  # c_1..c_k, each 0 or 1
     remainder: float
 
@@ -225,7 +224,7 @@ def greedy_expansion(lam: float, k: int) -> GreedyExpansion:
             remainder -= power
         else:
             digits.append(0)
-    return GreedyExpansion(lam, k, tuple(digits), remainder)
+    return GreedyExpansion(tuple(digits), remainder)
 
 
 def nearest_zero_above(lam: float, k: int) -> tuple[SignedPoly, float]:
@@ -293,7 +292,9 @@ def poly_roots(coeffs) -> tuple[complex, ...]:
             if abs(step) < 1e-15 * (1.0 + abs(z)):
                 break
         polished.append(z)
-    # Snap near-real roots, then rebuild exact conjugate pairs.
+    # Snap near-real roots, then rebuild exact conjugate pairs.  The raw
+    # eigenvalues come in exact conjugate pairs, and the polish and the snap
+    # test commute with conjugation, so reals plus pairs fill the degree.
     reals = []
     uppers = []
     for z in polished:
@@ -305,9 +306,6 @@ def poly_roots(coeffs) -> tuple[complex, ...]:
     for z in uppers:
         roots.append(z)
         roots.append(z.conjugate())
-    if len(roots) != len(coeffs) - 1:
-        # Pairing lost someone (e.g. odd cluster); fall back to raw values.
-        roots = [complex(z) for z in polished]
     roots.sort(key=lambda z: (z.real, z.imag))
     scale = sum(abs(c) for c in coeffs)
     for z in roots:

@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +125,7 @@ def cmd_spacings(args) -> int:
     model = _build_rescaler(args.rescale, args.lam)
     seq = rescale(ps, model) if model is not None else ps
     sp = spacings(seq, args.ell)
+    del ps, seq  # the statistics need only the spacings
     hist = histogram(sp)
     gof = gof_statistics(sp)
 
@@ -135,11 +137,7 @@ def cmd_spacings(args) -> int:
         "n": args.n,
         "ell": args.ell,
         "rescale": args.rescale,
-        "ks": gof.ks,
-        "chi2": gof.chi2,
-        "mean": gof.mean,
-        "variance": gof.variance,
-        "sample_count": gof.sample_count,
+        **asdict(gof),
         "overflow": hist.overflow,
     }, gof_path)
     plot_path = run.path("spacings_plot.gp")
@@ -240,19 +238,8 @@ def cmd_gaps(args) -> int:
     form = Form.PRIMED if args.primed else Form.STANDARD
     ps = generate(args.lam, args.n, form)
     report = gaps(ps, args.distinct_tol)
-    _json_dump({
-        "lambda": report.lam,
-        "n": report.levels,
-        "form": report.form.value,
-        "distinct_tol": report.distinct_tol,
-        "min_gap": report.min_gap,
-        "max_gap": report.max_gap,
-        "max_gap_index": report.max_gap_index,
-        "max_gap_left": report.max_gap_left,
-        "interior_max_gap": report.interior_max_gap,
-        "interior_max_left": report.interior_max_left,
-        "ejk_prediction_match": report.ejk_prediction_match,
-    }, run.path("gaps_report.json"))
+    _json_dump({"lambda": args.lam, "n": args.n, "form": form.value,
+                **asdict(report)}, run.path("gaps_report.json"))
     return run.finish()
 
 
@@ -280,8 +267,7 @@ def cmd_greedy(args) -> int:
     _json_dump({
         "lambda": args.lam,
         "k": args.k,
-        "coefficients": list(expansion.coefficients),
-        "remainder": expansion.remainder,
+        **asdict(expansion),
         "polynomial": poly_to_string(poly.coeffs),
         "root": root,
     }, run.path("greedy_report.json"))

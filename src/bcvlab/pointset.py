@@ -2,7 +2,8 @@
 
 ``generate`` builds the 2**N partial-sum values for a parameter lambda from
 the iterated affine map x -> lambda*x (+1): each level writes both images of
-the sorted values into one buffer and stable-sorts it, keeping repeated values
+the sorted values into the front of one 2**N buffer and stable-sorts that
+prefix, keeping repeated values
 (multiplicity matters: repeats are exactly the coincidences between digit
 strings).  ``generate_exact`` tallies the same 2**N digit strings as residues
 modulo a defining integer polynomial, in integer arithmetic on the scale
@@ -107,9 +108,11 @@ class ExactPointSet:
 def generate(lam: float, levels: int, form: Form = Form.STANDARD) -> PointSet:
     """All 2**levels values ``sum a_n lam^n`` (a_n in {0,1}), sorted, repeats kept.
 
-    Built by iterating ``A -> sort(lam*A, lam*A + 1)`` from {0}: each level
-    writes the two images into one buffer, two sorted runs that numpy's
-    stable sort merges in O(2**levels).  Every digit string is evaluated by
+    Built by iterating ``A -> sort(lam*A, lam*A + 1)`` from {0} inside one
+    2**levels buffer: at level t the first 2**t values are scaled in place,
+    their images plus 1 fill the next 2**t, and numpy's stable sort merges
+    the two sorted runs of that prefix in O(2**(t+1)).  No level allocates
+    a new buffer.  Every digit string is evaluated by
     the same Horner scheme a direct evaluation would use.  STANDARD form
     scales the result in place by ``(1 - lam)`` so the support is inside
     [0, 1].
@@ -120,14 +123,13 @@ def generate(lam: float, levels: int, form: Form = Form.STANDARD) -> PointSet:
     if not 1 <= levels <= MAX_FLOAT_LEVELS:
         raise SizeCapError(
             f"levels must lie in 1..{MAX_FLOAT_LEVELS} (2**{MAX_FLOAT_LEVELS} floats), got {levels}")
-    values = np.zeros(1, dtype=np.float64)
-    for _ in range(levels):
-        out = np.empty(2 * values.size, dtype=np.float64)
-        low, high = out[:values.size], out[values.size:]
-        np.multiply(lam, values, out=low)
-        np.add(low, 1.0, out=high)
-        values = out
-        values.sort(kind="stable")
+    values = np.zeros(1 << levels, dtype=np.float64)
+    for t in range(levels):
+        m = 1 << t
+        low = values[:m]
+        low *= lam
+        np.add(low, 1.0, out=values[m:2 * m])
+        values[:2 * m].sort(kind="stable")
     if form is Form.STANDARD:
         values *= 1.0 - lam
     values.flags.writeable = False

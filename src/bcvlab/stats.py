@@ -495,12 +495,10 @@ class GapReport:
     exact coincidences).  ``ejk_prediction_match`` records whether the largest
     interior gap sits at the Erdos-Joo-Komornik location ``1 + lam^2 + ... +
     lam^(N-3)`` with size ``lam^(N-1)`` (meaningful for odd N and lambda below
-    the golden ratio).
+    the golden ratio).  The point set's lambda, level and form are not
+    repeated here; the caller has them.
     """
 
-    lam: float
-    levels: int
-    form: Form
     distinct_tol: float
     min_gap: float
     max_gap: float
@@ -516,12 +514,14 @@ def gaps(ps: PointSet, distinct_tol: float | None = None) -> GapReport:
 
     PRIMED form is the natural scale: there the largest gap equals
     ``lam**(N-1)`` (the set starts 0, lam^(N-1)).  For STANDARD form the
-    reference quantities are scaled by ``(1 - lam)``.
+    reference quantities are scaled by ``(1 - lam)``.  ``distinct_tol``
+    defaults to :meth:`PointSet.distinct_tolerance`; a negative or
+    non-finite one raises :class:`DomainError`.
     """
     if distinct_tol is None:
         distinct_tol = ps.distinct_tolerance()
-    if distinct_tol < 0:
-        raise DomainError("distinct_tol must be >= 0")
+    if not 0 <= distinct_tol < math.inf:
+        raise DomainError(f"distinct_tol must be finite and >= 0, got {distinct_tol}")
     diffs = np.diff(ps.values)
     min_gap = float(np.min(diffs, where=diffs > distinct_tol, initial=np.inf))
     if min_gap == np.inf:
@@ -537,9 +537,8 @@ def gaps(ps: PointSet, distinct_tol: float | None = None) -> GapReport:
         interior_max = float(interior[k])
         interior_left = float(ps.values[1 + k])
         ejk = _ejk_match(ps, diffs, interior_max)
-    return GapReport(ps.lam, ps.levels, ps.form, float(distinct_tol),
-                     min_gap, max_gap, max_idx, float(ps.values[max_idx]),
-                     interior_max, interior_left, ejk)
+    return GapReport(float(distinct_tol), min_gap, max_gap, max_idx,
+                     float(ps.values[max_idx]), interior_max, interior_left, ejk)
 
 
 def _ejk_match(ps: PointSet, diffs: np.ndarray, interior_max: float) -> bool:

@@ -20,11 +20,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
-from .algebraic import nearest_zero_above
+from .algebraic import nearest_zero_above, poly_eval
 from .errors import DomainError
-from .pointset import Form, generate, generate_exact, MAX_EXACT_LEVELS
+from .pointset import Form, generate, generate_exact
 from .stats import _validate_grid, coincidence_rate, gaps, pair_correlation
 
 __all__ = [
@@ -80,7 +79,8 @@ class SweepReport:
 
     ``mean`` approximates the interval *mean* ``(1/|I|) \\int_I R2 ds`` (the raw
     integral is mean times the interval width).  ``c_hat``/``C_hat`` are the
-    extreme slopes ``mean(s)/s`` over the positive grid points.
+    extreme slopes ``mean(s)/s`` over the positive grid points, or None when
+    the grid has none.
     """
 
     config: SweepConfig
@@ -90,8 +90,8 @@ class SweepReport:
     mean: np.ndarray
     min: np.ndarray
     max: np.ndarray
-    c_hat: float
-    C_hat: float
+    c_hat: float | None
+    C_hat: float | None
     curves: np.ndarray  # one R2 row per sample, samples x grid
 
     def to_json_dict(self) -> dict:
@@ -153,8 +153,8 @@ def averaged_pair_correlation(cfg: SweepConfig, progress: bool = False) -> Sweep
     mean = curves.mean(axis=0)
     positive = grid > 0
     slopes = mean[positive] / grid[positive]
-    c_hat = float(slopes.min()) if slopes.size else float("nan")
-    C_hat = float(slopes.max()) if slopes.size else float("nan")
+    c_hat = float(slopes.min()) if slopes.size else None
+    C_hat = float(slopes.max()) if slopes.size else None
     return SweepReport(cfg, seed, lambdas, grid, mean,
                        curves.min(axis=0), curves.max(axis=0), c_hat, C_hat,
                        curves)
@@ -166,23 +166,21 @@ def averaged_pair_correlation(cfg: SweepConfig, progress: bool = False) -> Sweep
 
 @dataclass(frozen=True)
 class MinGapScan:
-    interval: tuple[float, float]
-    levels: tuple[int, ...]
     lambdas: np.ndarray
-    alphas: np.ndarray  # threshold alpha_N per level
     min_gaps: np.ndarray  # shape (len(lambdas), len(levels))
     exceedances: tuple[tuple[int, ...], ...]  # per lambda: levels with g_N > alpha_N
-    seed: int | None
+    seed: int | None  # None for explicit lambdas
 
 
 def min_gap_scan(interval, lambda_samples, level_range, alpha,
-                 seed: int | None = 0, form: Form = Form.PRIMED,
-                 distinct_tol: float | None = None) -> MinGapScan:
+                 seed: int | None = 0) -> MinGapScan:
     """Scan which levels have smallest gap above a summable threshold alpha(N).
 
     ``lambda_samples`` is either a count of seeded uniform samples from
-    ``interval`` or an explicit sequence of lambdas.  The caller chooses
-    ``alpha`` so that ``sum 3**N * alpha(N)`` converges (e.g.
+    ``interval`` (a fresh seed is drawn and recorded when ``seed`` is None)
+    or an explicit sequence of lambdas.  Each smallest gap is taken over the
+    PRIMED point set with the default tolerance of :func:`gaps`.  The caller
+    chooses ``alpha`` so that ``sum 3**N * alpha(N)`` converges (e.g.
     ``alpha = lambda n: 3.0**-n * n**-1.1``); exceedance of every sampled
     lambda at some level is the finite surrogate of the almost-everywhere
     statement.
@@ -202,12 +200,12 @@ def min_gap_scan(interval, lambda_samples, level_range, alpha,
     for i, lam in enumerate(lambdas):
         hit = []
         for j, n in enumerate(levels):
-            report = gaps(generate(lam, n, form), distinct_tol)
+            report = gaps(generate(lam, n, Form.PRIMED))
             table[i, j] = report.min_gap
             if report.min_gap > alphas[j]:
                 hit.append(n)
         exceed.append(tuple(hit))
-    return MinGapScan((a, b), levels, lambdas, alphas, table, tuple(exceed), used_seed)
+    return MinGapScan(lambdas, table, tuple(exceed), used_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -223,38 +221,39 @@ class TransversalityReport:
     uniform sublevel-measure constant).
     """
 
-    degree: int
-    interval: tuple[float, float]
     rho_grid: tuple[float, ...]
     coefficient_rows: np.ndarray  # c_1..c_D per sampled polynomial
     ratios: np.ndarray
     max_ratio_per_rho: np.ndarray
     empirical_C: float
-    seed: int
 
 
-def sublevel_ratio(coeffs, rho: float, interval, min_grid: int = 100_000) -> float:
+_MIN_GRID = 100_000  # fewest grid points of a sublevel measurement
+
+
+def sublevel_ratio(coeffs, rho: float, interval) -> float:
     """Measured ``Leb{lambda in I : |g(lambda)| <= rho} / rho`` for one polynomial.
 
-    Dense-grid measurement with step ``min(rho/100, |I|/min_grid)``; the
-    {0,±1} polynomials are Lipschitz on the interval, so this resolves the
-    sublevel set to ~1% of rho.
+    Dense-grid measurement with step ``min(rho/100, |I|/100000)``, the
+    polynomial evaluated by :func:`~bcvlab.algebraic.poly_eval`; the {0,±1}
+    polynomials are Lipschitz on the interval, so this resolves the sublevel
+    set to ~1% of rho.
     """
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise DomainError("empty interval")
     if rho <= 0:
         raise DomainError("rho must be positive")
-    n_pts = max(int(min_grid), int(math.ceil((b - a) * 100.0 / rho)) + 1)
+    n_pts = max(_MIN_GRID, int(math.ceil((b - a) * 100.0 / rho)) + 1)
     xs = np.linspace(a, b, n_pts)
     step = (b - a) / (n_pts - 1)
-    vals = npoly.polyval(xs, np.asarray(coeffs, dtype=np.float64))
+    vals = poly_eval(coeffs, xs)
     measure = np.count_nonzero(np.abs(vals) <= rho) * step
     return measure / rho
 
 
 def transversality_check(degree: int, poly_samples: int, rho_grid, interval,
-                         seed: int = 0, min_grid: int = 100_000) -> TransversalityReport:
+                         seed: int = 0) -> TransversalityReport:
     """Measure sublevel-set sizes of random {0,±1} polynomials on an interval.
 
     Polynomials are ``1 + c_1 x + ... + c_D x^D`` with seeded uniform
@@ -267,11 +266,10 @@ def transversality_check(degree: int, poly_samples: int, rho_grid, interval,
     for j, rho in enumerate(rho_grid):
         for i in range(poly_samples):
             coeffs = np.concatenate(([1.0], rows[i].astype(np.float64)))
-            ratios[i, j] = sublevel_ratio(coeffs, rho, interval, min_grid)
+            ratios[i, j] = sublevel_ratio(coeffs, rho, interval)
     max_per_rho = ratios.max(axis=0)
-    a, b = float(interval[0]), float(interval[1])
-    return TransversalityReport(degree, (a, b), rho_grid, rows, ratios,
-                                max_per_rho, float(max_per_rho.max()), seed)
+    return TransversalityReport(rho_grid, rows, ratios, max_per_rho,
+                                float(max_per_rho.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -295,17 +293,20 @@ class AttractingParameter:
     complete: bool
 
 
-def construct_attracting_parameter(interval, depth: int, epsilon: float,
-                                   level_cap: int = 18) -> AttractingParameter:
+_LEVEL_CAP = 18  # deepest exact level a construction stage tries
+
+
+def construct_attracting_parameter(interval, depth: int,
+                                   epsilon: float) -> AttractingParameter:
     """Finite truncation of the nested-interval construction.
 
     At stage k the midpoint's greedy relation pins a nearby {0,±1} zero
     lambda_k; the exact backend then searches for a level N_k whose certified
     coincidence count satisfies ``R2(0) >= 2**(N_k**(1-epsilon))`` (a lower
     bound for ``R2(2**-k)``), and the interval shrinks around lambda_k so the
-    float pair correlation keeps the bound across it.  If no level within
-    ``level_cap`` certifies, the result is returned partial with the depth
-    actually reached flagged.
+    float pair correlation keeps the bound across it.  If no level up to
+    ``_LEVEL_CAP`` (18) certifies, the result is returned partial with the
+    depth actually reached flagged.
     """
     a, b = float(interval[0]), float(interval[1])
     if not 0.5 < a < b < 1.0:
@@ -314,7 +315,6 @@ def construct_attracting_parameter(interval, depth: int, epsilon: float,
         raise DomainError("depth must lie in 0..4 (cost grows fast)")
     if not 0.0 < epsilon < 1.0:
         raise DomainError("epsilon must lie in (0, 1)")
-    level_cap = min(level_cap, MAX_EXACT_LEVELS)
 
     certificates: list[Certificate] = []
     prev_level = 0
@@ -328,7 +328,7 @@ def construct_attracting_parameter(interval, depth: int, epsilon: float,
         poly, lam_k = nearest_zero_above(mid, k)
         s_k = 2.0**-stage
         found = None
-        for n in range(prev_level + 1, level_cap + 1):
+        for n in range(prev_level + 1, _LEVEL_CAP + 1):
             eps_set = generate_exact(poly.coeffs, n)
             r0 = coincidence_rate(eps_set)
             if r0 >= 2.0 ** (n ** (1.0 - epsilon)):

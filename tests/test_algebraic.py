@@ -1,9 +1,12 @@
 import itertools
 import math
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcvlab import (DomainError, Verdict, classify, forbidden_block,
                     greedy_expansion, nearest_zero_above, parse_poly,
@@ -68,6 +71,12 @@ def test_greedy_three_quarters():
     e = greedy_expansion(0.75, 5)
     assert e.coefficients == (1, 0, 0, 0, 1)
     assert e.remainder == 1.0 - 0.75 - 0.75**5  # exact dyadic arithmetic
+
+
+def test_greedy_three_quarters_record():
+    # The whole record, as the greedy report writes it.
+    assert asdict(greedy_expansion(0.75, 5)) == {
+        "coefficients": (1, 0, 0, 0, 1), "remainder": 0.0126953125}
 
 
 def test_greedy_invariant_sampled():
@@ -146,6 +155,22 @@ def test_roots_garsia_cubic():
 def test_roots_error_on_constant():
     with pytest.raises(DomainError):
         poly_roots((3,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=12),
+       st.integers(-3, 3).filter(bool))
+def test_roots_count_and_conjugate_closure(low, lead):
+    # Real roots plus exact conjugate pairs make up the whole degree, so no
+    # root is lost or left unpaired; the residual check may still refuse.
+    coeffs = tuple(low) + (lead,)
+    try:
+        roots = poly_roots(coeffs)
+    except ArithmeticError:
+        return
+    key = lambda z: (z.real, z.imag)
+    assert len(roots) == len(coeffs) - 1
+    assert sorted(roots, key=key) == sorted((z.conjugate() for z in roots), key=key)
 
 
 def test_classify_pisot_golden():

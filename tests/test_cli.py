@@ -321,6 +321,46 @@ def test_sweep_subcommand_deterministic(tmp_path):
     assert read_json(out1 / "run_manifest.json")["seed"] == 99
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+# One run per subcommand with a JSON report, including the grid with no
+# positive s, where the sweep's slope band has no value.
+STRICT_JSON_RUNS = {
+    "spacings_gof.json": ("spacings", "--lambda", "0.7", "--n", "10"),
+    "gaps_report.json": ("gaps", "--lambda", "0.6", "--n", "9", "--distinct-tol", "0"),
+    "sweep_report.json": ("sweep", "--interval", "0.51,0.66", "--n", "6",
+                          "--s-grid", "0", "--samples", "2"),
+    "classify_report.json": ("classify", "--poly", "x^3-2x-2"),
+    "greedy_report.json": ("greedy", "--lambda", "0.75", "--k", "5"),
+    "exact_report.json": ("exact", "--minpoly", "2x^2-1", "--n", "6"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRICT_JSON_RUNS))
+def test_json_reports_are_strict(tmp_path, name):
+    rc, out = run(tmp_path, *STRICT_JSON_RUNS[name])
+    assert rc == 0
+    for path in (out / name, out / "run_manifest.json"):
+        json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
+def test_sweep_without_positive_s_writes_null_slopes(tmp_path):
+    rc, out = run(tmp_path, *STRICT_JSON_RUNS["sweep_report.json"])
+    assert rc == 0
+    report = read_json(out / "sweep_report.json")
+    assert report["c_hat"] is None and report["C_hat"] is None
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_gaps_non_finite_tolerance_exit_code(tmp_path, tol):
+    rc, out = run(tmp_path, "gaps", "--lambda", "0.6", "--n", "9",
+                  "--distinct-tol", tol)
+    assert rc == 4
+    assert not (out / "gaps_report.json").exists()
+
+
 def test_sweep_one_value_interval_errors(tmp_path):
     rc, _ = run(tmp_path, "sweep", "--interval", "0.55", "--n", "6",
                 "--s-grid", "1", "--samples", "2")

@@ -654,6 +654,12 @@ def test_gaps_validation():
         gaps(generate(0.6, 5), distinct_tol=-1.0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_gaps_rejects_non_finite_tolerance(tol):
+    with pytest.raises(DomainError):
+        gaps(generate(0.6, 5), distinct_tol=tol)
+
+
 # ---------------------------------------------------------------------------
 # CSV output
 

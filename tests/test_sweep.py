@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -7,6 +8,7 @@ import pytest
 from bcvlab import (DomainError, SweepConfig, averaged_pair_correlation,
                     construct_attracting_parameter, generate, min_gap_scan,
                     pair_correlation, sublevel_ratio, transversality_check)
+from bcvlab.sweep import AttractingParameter, Certificate
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -114,6 +116,15 @@ def test_min_gap_scan_exceedances():
     assert scan.min_gaps.shape == (8, 7)
 
 
+def test_min_gap_scan_pinned():
+    # Every sampled lambda exceeds at every level; the gaps are pinned bit for bit.
+    scan = min_gap_scan((0.51, 0.66), 8, range(10, 17),
+                        lambda n: 3.0**-n * n**-1.1, seed=5)
+    assert scan.exceedances == (tuple(range(10, 17)),) * 8
+    assert hashlib.sha256(scan.min_gaps.tobytes()).hexdigest() == (
+        "21b5843ba91c471ea98dc8682b013ba28ba1505f2dba7896e48e19f6f663ef75")
+
+
 def test_min_gap_scan_seeded_lambdas():
     scan = min_gap_scan((0.51, 0.66), 3, range(4, 6), lambda n: 0.0, seed=5)
     want = 0.51 + (0.66 - 0.51) * np.random.default_rng(5).random(3)
@@ -175,6 +186,14 @@ def test_transversality_empirical_c_seeded_regression():
     assert report.empirical_C == pytest.approx(1.1699930357557398, rel=1e-12)
 
 
+def test_transversality_ratios_pinned():
+    # Every ratio is pinned bit for bit.
+    report = transversality_check(30, 20, (1e-2, 1e-3, 1e-4), (0.5, 0.668),
+                                  seed=2024)
+    assert hashlib.sha256(report.ratios.tobytes()).hexdigest() == (
+        "1998bba94d1f36aa17560c1d50d864cd03afeaa4984085e0d4b55a0027ca82c7")
+
+
 def test_sublevel_ratio_validation():
     with pytest.raises(DomainError):
         sublevel_ratio((1, -1), -0.1, (0.5, 0.668))
@@ -211,14 +230,21 @@ def test_depth_two_reports_partial():
     # Stage 2 would need a relation of degree ~29 whose coincidences appear
     # only beyond the level cap, so the construction stops with an explicit
     # depth-reached flag instead of forcing a certificate.
-    res = construct_attracting_parameter((0.6, 0.63), 2, 0.5, level_cap=18)
+    res = construct_attracting_parameter((0.6, 0.63), 2, 0.5)
     assert not res.complete
     assert res.depth_reached == 1
     assert len(res.certificates) == 1
 
 
+def test_depth_two_result_pinned():
+    res = construct_attracting_parameter((0.6, 0.63), 2, 0.5)
+    assert res == AttractingParameter(
+        0.6180339887498949, (Certificate(1, 0.5, 15, 15.1181640625),),
+        (0.6180329442857836, 0.6180350332140062), 1, False)
+
+
 def test_certificate_levels_monotone():
-    res = construct_attracting_parameter((0.6, 0.63), 1, 0.7, level_cap=18)
+    res = construct_attracting_parameter((0.6, 0.63), 1, 0.7)
     levels = [c.levels for c in res.certificates]
     assert levels == sorted(levels)
 
