@@ -9,13 +9,16 @@ strings).  ``generate_exact`` tallies the same 2**N digit strings as residues
 modulo a defining integer polynomial, in integer arithmetic on the scale
 ``lead**N``, so coincidence structure at an algebraic parameter is certified
 exactly instead of read off floats.  Each level of that tally is one int64
-matrix of distinct residue vectors, deduplicated by a lexsort; a level
-whose entries could leave int64 is refused with ``SizeCapError`` before it
-is computed.
+matrix of distinct residue vectors.  Each vector and its multiplicity are
+packed into a mixed-radix uint64 word whose numeric order is the
+lexicographic order of the vectors, so one value sort of the words
+deduplicates the level.  A level whose entries could leave int64 is
+refused with ``SizeCapError`` before it is computed.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -84,7 +87,7 @@ class ExactPointSet:
 
     ``minpoly`` is stored trimmed with a positive leading coefficient
     ``lead``.  Row ``i`` of ``keys`` (shape ``(distinct, deg minpoly)``,
-    int64, lex-sorted, no repeats) is an integer vector ``R`` standing for
+    int64, in lexicographic order, no repeats) is an integer vector ``R`` standing for
     the residue ``R / lead**levels`` (``R`` is the residue itself when
     ``minpoly`` is monic), and ``multiplicities[i]`` counts the digit strings
     that reduce to it.  Distinct rows are distinct residues, and the
@@ -138,19 +141,140 @@ def generate(lam: float, levels: int, form: Form = Form.STANDARD) -> PointSet:
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+_WORD_CAPACITY = 1 << 64  # radix product one uint64 word can hold
+
+
+def _pack(radices) -> list[list[int]]:
+    """Split digit indices, most significant first, greedily into words whose
+    radix product stays within ``_WORD_CAPACITY``; a digit too wide to share
+    a word gets one of its own."""
+    words, size = [[]], 1
+    for i, radix in enumerate(radices):
+        if words[-1] and size * radix > _WORD_CAPACITY:
+            words.append([])
+            size = 1
+        words[-1].append(i)
+        size *= radix
+    return words
+
+
+def _split_low_digit(word: np.ndarray, radix: np.uint64, out: np.ndarray) -> None:
+    """Write ``word % radix`` to ``out`` and leave ``word // radix`` in ``word``.
+
+    numpy's uint64 floor division by a scalar is several times faster than
+    its modulo, and this order needs no temporary."""
+    np.floor_divide(word, radix, out=out)
+    out *= radix
+    np.subtract(word, out, out=out)
+    word //= radix
+
+
+def _encode(digits, lows, radices, packing, bump_step: int) -> np.ndarray:
+    """Mixed-radix words of ``n`` digit vectors, then of their bumped copies.
+
+    ``digits`` holds the uint64 views of the ``n`` vectors' entries, row by
+    row, then of their multiplicities.  The bumped copy of a vector differs
+    in digit 0 alone, which sits in word 0, so its word 0 is larger by
+    ``bump_step``.  Rows are reduced modulo 2**64, which is exact because
+    every radix is at most 2**64 - 1.
+    """
+    n = digits[0].size
+    words = np.empty((len(packing), 2 * n), dtype=np.uint64)
+    for word, group in zip(words, packing):
+        head = word[:n]
+        np.subtract(digits[group[0]], lows[group[0]], out=head)
+        for i in group[1:]:
+            head *= radices[i]
+            head += digits[i]
+            head -= lows[i]
+        word[n:] = head
+    words[0, n:] += np.uint64(bump_step)
+    return words
+
+
+def _decode(words, lows, radices, packing) -> np.ndarray:
+    """The int64 vectors, one per column, held by ``words`` once their
+    multiplicity digit is split off; ``words`` is consumed."""
+    deg = len(lows) - 1
+    cols = np.empty((deg, words.shape[1]), dtype=np.uint64)
+    for word, group in zip(words, packing):
+        group = [i for i in group if i < deg]
+        for i in reversed(group[1:]):
+            _split_low_digit(word, radices[i], out=cols[i])
+        if group:
+            cols[group[0]] = word
+    cols += lows[:deg, None]
+    return cols.view(np.int64)
+
+
+def _merge_level(shifted: np.ndarray, mult: np.ndarray, bump: int):
+    """Tally one level: return ``(cols, multiplicities)``.
+
+    The level holds the int64 vectors ``shifted`` (shape ``(deg, n)``, one
+    per column) and the same vectors with ``bump > 0`` added to entry 0,
+    both carrying the multiplicities ``mult``; no entry of either may leave
+    int64.  ``cols`` (shape ``(deg, distinct)``) holds its distinct vectors
+    in lexicographic order and the multiplicities are summed over equal
+    ones.  Each vector and its multiplicity are one mixed-radix integer:
+    entry 0 is the most significant digit, the multiplicity the least, and
+    each digit's radix is its span on the level (``max(mult) + 1`` for the
+    multiplicity), so the numeric order of the words is the lexicographic
+    order of the vectors.  One value sort of the uint64 words (a lexsort of
+    several words when the radix product exceeds 2**64) brings equal vectors
+    together, a comparison of neighbouring words without the multiplicity
+    digit marks the runs, ``np.add.reduceat`` sums their multiplicities, and
+    a division chain decodes the distinct vectors.
+    """
+    n = shifted.shape[1]
+    offsets = shifted.min(axis=1).tolist() + [0]
+    tops = shifted.max(axis=1).tolist() + [int(mult.max())]
+    tops[0] += bump
+    spans = [hi - lo + 1 for lo, hi in zip(offsets, tops)]
+    packing = _pack(spans)
+    lows = np.array(offsets, dtype=np.int64).view(np.uint64)
+    radices = np.array(spans, dtype=np.uint64)
+    words = _encode([*shifted.view(np.uint64), mult.view(np.uint64)], lows, radices,
+                    packing, bump * math.prod(spans[i] for i in packing[0][1:]))
+    del shifted  # callers pass a temporary, so this frees it before the sort
+    if len(packing) == 1:
+        words[0].sort()
+    else:
+        words = words[:, np.lexsort(words[::-1])]
+    mult = np.empty(2 * n, dtype=np.uint64)
+    _split_low_digit(words[-1], radices[-1], out=mult)
+    first = np.empty(2 * n, dtype=bool)  # vector starts a run of equal ones
+    first[0] = True
+    np.not_equal(words[0, 1:], words[0, :-1], out=first[1:])
+    for word in words[1:]:
+        first[1:] |= word[1:] != word[:-1]
+    starts = np.flatnonzero(first)
+    del first
+    if starts.size < 2 * n:
+        words = words[:, starts]
+        mult = np.add.reduceat(mult, starts)
+    del starts
+    return _decode(words, lows, radices, packing), mult.view(np.int64)
+
+
+def _times_x(cols: np.ndarray, lead: int, low: np.ndarray) -> np.ndarray:
+    """``x*R = lead*(0, R[:-1]) - R[-1]*p[:-1]`` for every column ``R``."""
+    shifted = np.empty_like(cols)
+    shifted[0] = 0
+    np.multiply(cols[:-1], lead, out=shifted[1:])
+    shifted -= low * cols[-1]
+    return shifted
 
 
 def _exact_levels(minpoly, levels: int):
     """Yield ``(p, cols, multiplicities)`` for every level 1..levels.
 
     ``cols`` holds the residue vectors column-major, shape
-    ``(deg p, distinct)``, in lexicographic order.  Level t+1 is ``x*R``
-    (``lead*(0, R[:-1]) - R[-1]*p[:-1]``) and that block plus ``lead**(t+1)``
-    in the constant slot, written side by side into one buffer; a lexsort
-    of the vectors and a run-start mask merge equal ones, and
-    ``np.add.reduceat`` sums their multiplicities.  Every entry of the next
-    level is at most ``(lead + max|c_i|) * max|R| + lead**(t+1)`` in absolute
-    value, checked in Python integers before the level is computed.
+    ``(deg p, distinct)``, in lexicographic order.  Level t+1 holds ``x*R``
+    and that vector plus ``lead**(t+1)`` in the constant slot, merged by
+    :func:`_merge_level`.  Every entry of the next level is at most
+    ``(lead + max|c_i|) * max|R| + lead**(t+1)`` in absolute value, checked
+    in Python integers before the level is computed, so every entry stays
+    in int64 and every span is below 2**64.
     """
     if not 1 <= levels <= MAX_EXACT_LEVELS:
         raise SizeCapError(
@@ -172,27 +296,7 @@ def _exact_levels(minpoly, levels: int):
             raise SizeCapError(
                 f"level {t + 1} residues may exceed int64 (bound {bound}); "
                 f"at most {t} levels fit for this polynomial")
-        n = cols.shape[1]
-        nxt = np.empty((deg, 2 * n), dtype=np.int64)
-        shifted = nxt[:, :n]
-        shifted[0] = 0
-        np.multiply(cols[:-1], lead, out=shifted[1:])
-        shifted -= low * cols[-1]
-        nxt[:, n:] = shifted
-        nxt[0, n:] += bump
-        order = np.lexsort(nxt[::-1])
-        nxt = nxt[:, order]
-        mult = np.concatenate((mult, mult))[order]
-        first = np.empty(2 * n, dtype=bool)  # vector starts a run of equal ones
-        first[0] = True
-        np.not_equal(nxt[0, 1:], nxt[0, :-1], out=first[1:])
-        for col in nxt[1:]:
-            first[1:] |= col[1:] != col[:-1]
-        starts = np.flatnonzero(first)
-        if starts.size < 2 * n:
-            nxt = nxt[:, starts]
-            mult = np.add.reduceat(mult, starts)
-        cols = nxt
+        cols, mult = _merge_level(_times_x(cols, lead, low), mult, bump)
         yield p, cols, mult
 
 

@@ -231,6 +231,19 @@ class TransversalityReport:
 _MIN_GRID = 100_000  # fewest grid points of a sublevel measurement
 
 
+def _grid_size(rho: float, a: float, b: float) -> int:
+    """Points of the grid on [a, b] with step ``min(rho/100, (b-a)/100000)``."""
+    if not a < b:
+        raise DomainError("empty interval")
+    if rho <= 0:
+        raise DomainError("rho must be positive")
+    return max(_MIN_GRID, int(math.ceil((b - a) * 100.0 / rho)) + 1)
+
+
+def _measured_ratio(sizes: np.ndarray, rho: float, step: float) -> float:
+    return np.count_nonzero(sizes <= rho) * step / rho
+
+
 def sublevel_ratio(coeffs, rho: float, interval) -> float:
     """Measured ``Leb{lambda in I : |g(lambda)| <= rho} / rho`` for one polynomial.
 
@@ -240,16 +253,9 @@ def sublevel_ratio(coeffs, rho: float, interval) -> float:
     set to ~1% of rho.
     """
     a, b = float(interval[0]), float(interval[1])
-    if not a < b:
-        raise DomainError("empty interval")
-    if rho <= 0:
-        raise DomainError("rho must be positive")
-    n_pts = max(_MIN_GRID, int(math.ceil((b - a) * 100.0 / rho)) + 1)
-    xs = np.linspace(a, b, n_pts)
-    step = (b - a) / (n_pts - 1)
-    vals = poly_eval(coeffs, xs)
-    measure = np.count_nonzero(np.abs(vals) <= rho) * step
-    return measure / rho
+    n_pts = _grid_size(rho, a, b)
+    sizes = np.abs(poly_eval(coeffs, np.linspace(a, b, n_pts)))
+    return _measured_ratio(sizes, rho, (b - a) / (n_pts - 1))
 
 
 def transversality_check(degree: int, poly_samples: int, rho_grid, interval,
@@ -257,16 +263,26 @@ def transversality_check(degree: int, poly_samples: int, rho_grid, interval,
     """Measure sublevel-set sizes of random {0,±1} polynomials on an interval.
 
     Polynomials are ``1 + c_1 x + ... + c_D x^D`` with seeded uniform
-    coefficients in {-1, 0, 1}; each is measured by :func:`sublevel_ratio`.
+    coefficients in {-1, 0, 1}; each ratio equals :func:`sublevel_ratio`.
+    Each polynomial is evaluated once per distinct grid, and every rho
+    that shares the grid is counted on those values.
     """
     rho_grid = tuple(float(r) for r in rho_grid)
+    a, b = float(interval[0]), float(interval[1])
     rng = np.random.default_rng(seed)
     rows = rng.integers(-1, 2, size=(poly_samples, degree))
     ratios = np.empty((poly_samples, len(rho_grid)), dtype=np.float64)
+    by_grid: dict[int, list[int]] = {}  # grid size -> columns of its rho values
     for j, rho in enumerate(rho_grid):
+        by_grid.setdefault(_grid_size(rho, a, b), []).append(j)
+    for n_pts, columns in by_grid.items():
+        xs = np.linspace(a, b, n_pts)
+        step = (b - a) / (n_pts - 1)
         for i in range(poly_samples):
             coeffs = np.concatenate(([1.0], rows[i].astype(np.float64)))
-            ratios[i, j] = sublevel_ratio(coeffs, rho, interval)
+            sizes = np.abs(poly_eval(coeffs, xs))
+            for j in columns:
+                ratios[i, j] = _measured_ratio(sizes, rho_grid[j], step)
     max_per_rho = ratios.max(axis=0)
     return TransversalityReport(rho_grid, rows, ratios, max_per_rho,
                                 float(max_per_rho.max()))

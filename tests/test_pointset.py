@@ -1,6 +1,7 @@
 import itertools
 import math
 import struct
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcvlab import (DomainError, Form, SizeCapError, distinct_count,
-                    distinct_count_profile, generate, generate_exact,
+                    distinct_count_profile, generate, generate_exact, pointset,
                     read_binary, write_binary, write_csv)
 from oracles import (digit_poly, exact_tally_dict, horner_values, merge_levels,
                      poly_mod)
@@ -109,14 +110,31 @@ def test_exact_tally_matches_poly_mod_grouping(minpoly, levels):
     assert distinct_count_profile(minpoly, levels) == [len(g) for g in groups]
 
 
+# 1 - x - x^3 - x^5 - x^7 - x^9, the degree-9 relation whose zero is 0.62037
+DEGREE_9 = (1, -1, 0, -1, 0, -1, 0, -1, 0, -1)
 # golden, tribonacci, x^2-2, Garsia x^3-2x-2, non-monic 2x^2-1, golden negated
 ORACLE_POLYS = [GOLDEN_MINPOLY, (-1, -1, -1, 1), (-2, 0, 1), (-2, -2, 0, 1), (-1, 0, 2),
-                (1, -1, -1)]
+                (1, -1, -1), DEGREE_9]
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(ORACLE_POLYS), st.integers(1, 12))
 def test_exact_arrays_match_dict_oracle(minpoly, levels):
+    check_exact_against_oracle(minpoly, levels)
+
+
+# Capacity 2 or 3 sends every level to the several-word path: row 0 and the
+# multiplicity each have radix >= 2.  Larger capacities pack some digits.
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ORACLE_POLYS), st.integers(1, 12),
+       st.sampled_from([2, 3, 2**5, 2**12]))
+def test_exact_several_words_match_dict_oracle(minpoly, levels, capacity):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pointset, "_WORD_CAPACITY", capacity)
+        check_exact_against_oracle(minpoly, levels)
+
+
+def check_exact_against_oracle(minpoly, levels):
     tallies = exact_tally_dict(minpoly, levels)
     want = sorted(tallies[-1])
     eps = generate_exact(minpoly, levels)
@@ -153,6 +171,38 @@ def test_exact_int64_guard():
                 continue
             assert dict(eps.residues) == tallies[n - 1]
         assert 0 < refused < 8
+
+
+def test_merge_level_row_spans_beyond_2_63():
+    # The int64 guard keeps every entry within 2**63 - 1, so a row may span
+    # up to 2**64 - 2; entries this wide are taken modulo 2**64.
+    top = 2**63 - 1
+    shifted = np.array([[-top, top - 5, -top, 3, top - 5],
+                        [top, -top, top, 0, -top]], dtype=np.int64)
+    mult = np.array([1, 2, 3, 4, 5], dtype=np.int64)
+    bump = 5
+    want = Counter()
+    for col, m in zip(shifted.T.tolist(), mult.tolist()):
+        want[tuple(col)] += m
+        want[(col[0] + bump, col[1])] += m
+    cols, got = pointset._merge_level(shifted, mult, bump)
+    keys = sorted(want)
+    assert cols.T.tolist() == [list(key) for key in keys]
+    assert got.tolist() == [want[key] for key in keys]
+    assert cols.dtype == got.dtype == np.int64
+
+
+@pytest.mark.parametrize("minpoly,levels", [((-2, -2, 0, 1), 16), ((-1, 0, 2), 16),
+                                            (DEGREE_9, 16), (GOLDEN_MINPOLY, 20)])
+def test_generate_exact_peak_memory(minpoly, levels):
+    # The tally's traced peak, in units of the arrays it returns.
+    tracemalloc.start()
+    try:
+        eps = generate_exact(minpoly, levels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.6 * (eps.keys.nbytes + eps.multiplicities.nbytes)
 
 
 def test_golden_at_exact_cap():

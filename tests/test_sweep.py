@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bcvlab import (DomainError, SweepConfig, averaged_pair_correlation,
+from bcvlab import (DomainError, SweepConfig, averaged_pair_correlation, sweep,
                     construct_attracting_parameter, generate, min_gap_scan,
                     pair_correlation, sublevel_ratio, transversality_check)
 from bcvlab.sweep import AttractingParameter, Certificate
@@ -192,6 +192,25 @@ def test_transversality_ratios_pinned():
                                   seed=2024)
     assert hashlib.sha256(report.ratios.tobytes()).hexdigest() == (
         "1998bba94d1f36aa17560c1d50d864cd03afeaa4984085e0d4b55a0027ca82c7")
+
+
+def test_transversality_evaluates_each_polynomial_once_per_grid(monkeypatch):
+    # rho 1e-2 and 1e-3 share the 100,000-point grid; 1e-4 needs 168,002 points.
+    real = sweep.poly_eval
+    sizes = []
+
+    def counting(coeffs, xs):
+        sizes.append(xs.size)
+        return real(coeffs, xs)
+
+    monkeypatch.setattr(sweep, "poly_eval", counting)
+    report = transversality_check(30, 20, (1e-2, 1e-3, 1e-4), (0.5, 0.668),
+                                  seed=2024)
+    assert sorted(set(sizes)) == [100_000, 168_002]
+    assert len(sizes) == 40 and sizes.count(100_000) == 20
+    coeffs = np.concatenate(([1.0], report.coefficient_rows[3].astype(np.float64)))
+    for j, rho in enumerate(report.rho_grid):
+        assert report.ratios[3, j] == sublevel_ratio(coeffs, rho, (0.5, 0.668))
 
 
 def test_sublevel_ratio_validation():
