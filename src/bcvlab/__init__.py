@@ -16,6 +16,7 @@ from .pointset import (
     ExactPointSet,
     generate,
     generate_exact,
+    exact_levels,
     distinct_count,
     distinct_count_profile,
     write_binary,

@@ -24,8 +24,9 @@ from .algebraic import (classify, forbidden_block, greedy_expansion,
                         nearest_zero_above, parse_poly, poly_to_string,
                         sft_growth_rate)
 from .errors import DomainError, SizeCapError
-from .pointset import (Form, distinct_count_profile, generate, generate_exact,
-                       distinct_count)
+from .pointset import Form, distinct_count, exact_levels, generate
+# Looked up here by name by the benchmark tracer (bench/tracing.py).
+from .pointset import distinct_count_profile, generate_exact  # noqa: F401
 from .stats import (cdf_empirical, cdf_sqrt_half, coincidence_rate, gaps,
                     gof_statistics, histogram, pair_correlation,
                     pair_correlation_interval, rescale, spacings,
@@ -180,7 +181,9 @@ def cmd_paircorr(args) -> int:
 def cmd_exact(args) -> int:
     run = _Run(args, "exact")
     coeffs = _parse_poly_arg(args.minpoly)
-    eps = generate_exact(coeffs, args.n)
+    distinct_counts = []
+    for eps in exact_levels(coeffs, args.n):
+        distinct_counts.append(distinct_count(eps))
     verdict = classify(coeffs)
     report = {
         "minpoly": poly_to_string(coeffs, descending=True),
@@ -208,7 +211,7 @@ def cmd_exact(args) -> int:
             "rho": growth.rho,
             "degenerate": growth.degenerate,
             "word_counts": list(growth.word_counts[1:args.n + 1]),
-            "distinct_counts": distinct_count_profile(coeffs, args.n),
+            "distinct_counts": distinct_counts,
         }
     else:
         report["growth_note"] = ("polynomial is not a {0,±1} relation; "

@@ -13,7 +13,11 @@ matrix of distinct residue vectors.  Each vector and its multiplicity are
 packed into a mixed-radix uint64 word whose numeric order is the
 lexicographic order of the vectors, so one value sort of the words
 deduplicates the level.  A level whose entries could leave int64 is
-refused with ``SizeCapError`` before it is computed.
+refused with ``SizeCapError`` before it is computed.  ``exact_levels`` walks
+the tally, yielding each level 1..N in turn as a read-only
+``ExactPointSet`` built from the one before; ``generate_exact`` keeps the
+last level and ``distinct_count_profile`` the size of each, so a caller
+that needs several levels tallies every level once.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ __all__ = [
     "ExactPointSet",
     "generate",
     "generate_exact",
+    "exact_levels",
     "distinct_count",
     "distinct_count_profile",
     "write_binary",
@@ -265,16 +270,19 @@ def _times_x(cols: np.ndarray, lead: int, low: np.ndarray) -> np.ndarray:
     return shifted
 
 
-def _exact_levels(minpoly, levels: int):
-    """Yield ``(p, cols, multiplicities)`` for every level 1..levels.
+def exact_levels(minpoly, levels: int):
+    """Yield the exact residue tally of every level 1..levels, in order.
 
-    ``cols`` holds the residue vectors column-major, shape
-    ``(deg p, distinct)``, in lexicographic order.  Level t+1 holds ``x*R``
-    and that vector plus ``lead**(t+1)`` in the constant slot, merged by
-    :func:`_merge_level`.  Every entry of the next level is at most
-    ``(lead + max|c_i|) * max|R| + lead**(t+1)`` in absolute value, checked
-    in Python integers before the level is computed, so every entry stays
-    in int64 and every span is below 2**64.
+    Each level is a read-only :class:`ExactPointSet` (see
+    :func:`generate_exact`), built from the one before: level t+1 holds
+    ``x*R`` and that vector plus ``lead**(t+1)`` in the constant slot for
+    every residue ``R`` of level t, merged by :func:`_merge_level`.  Every
+    entry of ``x*R`` is at most ``growth * max|R|`` in absolute value, with
+    ``growth = lead + max|c_i|``, and the bump adds to entry 0 alone, so
+    the next level is checked in Python integers against the largest entry
+    of the current one before it is computed; every entry stays in int64
+    and every span is below 2**64.  Raises ``SizeCapError`` at the first
+    level that could leave int64.
     """
     if not 1 <= levels <= MAX_EXACT_LEVELS:
         raise SizeCapError(
@@ -287,17 +295,19 @@ def _exact_levels(minpoly, levels: int):
     low = np.array(p[:-1], dtype=np.int64)[:, None]
     cols = np.zeros((deg, 1), dtype=np.int64)
     mult = np.ones(1, dtype=np.int64)
-    bound = 0  # max |entry| of cols
     bump = 1
-    for t in range(levels):
-        bump *= lead  # the "+1" on the scale lead**(t+1)
-        bound = growth * bound + bump
+    for t in range(1, levels + 1):
+        bump *= lead  # the "+1" on the scale lead**t
+        # No entry is -2**63, so max(max, -min) is the largest |entry|.
+        bound = growth * max(int(cols.max()), -int(cols.min())) + bump
         if bound > _INT64_MAX:
             raise SizeCapError(
-                f"level {t + 1} residues may exceed int64 (bound {bound}); "
-                f"at most {t} levels fit for this polynomial")
+                f"level {t} residues may exceed int64 (bound {bound}); "
+                f"at most {t - 1} levels fit for this polynomial")
         cols, mult = _merge_level(_times_x(cols, lead, low), mult, bump)
-        yield p, cols, mult
+        cols.flags.writeable = False
+        mult.flags.writeable = False
+        yield ExactPointSet(p, t, cols.T, mult)
 
 
 def generate_exact(minpoly, levels: int) -> ExactPointSet:
@@ -310,11 +320,9 @@ def generate_exact(minpoly, levels: int) -> ExactPointSet:
     residues are exactly the digit strings evaluating to the same point.
     Raises ``SizeCapError`` when the entries could leave int64.
     """
-    for p, cols, mult in _exact_levels(minpoly, levels):
+    for eps in exact_levels(minpoly, levels):
         pass
-    cols.flags.writeable = False
-    mult.flags.writeable = False
-    return ExactPointSet(p, levels, cols.T, mult)
+    return eps
 
 
 def distinct_count(eps: ExactPointSet) -> int:
@@ -324,7 +332,7 @@ def distinct_count(eps: ExactPointSet) -> int:
 
 def distinct_count_profile(minpoly, levels: int) -> list[int]:
     """Distinct-value counts for every level 1..levels in one pass."""
-    return [int(mult.size) for _, _, mult in _exact_levels(minpoly, levels)]
+    return [distinct_count(eps) for eps in exact_levels(minpoly, levels)]
 
 
 # ---------------------------------------------------------------------------

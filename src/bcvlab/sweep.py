@@ -23,7 +23,9 @@ import numpy as np
 
 from .algebraic import nearest_zero_above, poly_eval
 from .errors import DomainError
-from .pointset import Form, generate, generate_exact
+from .pointset import Form, exact_levels, generate
+# Looked up here by name by the benchmark tracer (bench/tracing.py).
+from .pointset import generate_exact  # noqa: F401
 from .stats import _validate_grid, coincidence_rate, gaps, pair_correlation
 
 __all__ = [
@@ -317,12 +319,13 @@ def construct_attracting_parameter(interval, depth: int,
     """Finite truncation of the nested-interval construction.
 
     At stage k the midpoint's greedy relation pins a nearby {0,±1} zero
-    lambda_k; the exact backend then searches for a level N_k whose certified
-    coincidence count satisfies ``R2(0) >= 2**(N_k**(1-epsilon))`` (a lower
-    bound for ``R2(2**-k)``), and the interval shrinks around lambda_k so the
-    float pair correlation keeps the bound across it.  If no level up to
-    ``_LEVEL_CAP`` (18) certifies, the result is returned partial with the
-    depth actually reached flagged.
+    lambda_k; one walk of its exact levels then stops at the first level
+    N_k > N_(k-1) whose certified coincidence count satisfies
+    ``R2(0) >= 2**(N_k**(1-epsilon))`` (a lower bound for ``R2(2**-k)``),
+    and the interval shrinks around lambda_k so the float pair correlation
+    keeps the bound across it.  If no level up to ``_LEVEL_CAP`` (18)
+    certifies, the result is returned partial with the depth actually
+    reached flagged.
     """
     a, b = float(interval[0]), float(interval[1])
     if not 0.5 < a < b < 1.0:
@@ -344,8 +347,10 @@ def construct_attracting_parameter(interval, depth: int,
         poly, lam_k = nearest_zero_above(mid, k)
         s_k = 2.0**-stage
         found = None
-        for n in range(prev_level + 1, _LEVEL_CAP + 1):
-            eps_set = generate_exact(poly.coeffs, n)
+        for eps_set in exact_levels(poly.coeffs, _LEVEL_CAP):
+            n = eps_set.levels
+            if n <= prev_level:
+                continue
             r0 = coincidence_rate(eps_set)
             if r0 >= 2.0 ** (n ** (1.0 - epsilon)):
                 found = (n, r0)

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from bcvlab import pointset
 from bcvlab.cli import main
 
 
@@ -240,6 +241,20 @@ def test_exact_golden_growth_comparison(tmp_path):
     # x^2+x-1 pins the parameter 0.618... itself (roots 0.618, -1.618); the
     # Pisot number is its reciprocal, whose polynomial is x^2-x-1.
     assert report["classification"]["verdict"] == "neither"
+
+
+def test_exact_tallies_each_level_once(tmp_path, monkeypatch):
+    real = pointset._merge_level
+    merges = []
+
+    def counting(*args):
+        merges.append(args[0].shape[1])
+        return real(*args)
+
+    monkeypatch.setattr(pointset, "_merge_level", counting)
+    rc, _ = run(tmp_path, "exact", "--minpoly", "x^2+x-1", "--n", "12")
+    assert rc == 0
+    assert len(merges) == 12
 
 
 def test_exact_garsia_no_growth_section(tmp_path):

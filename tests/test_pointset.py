@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcvlab import (DomainError, Form, SizeCapError, distinct_count,
-                    distinct_count_profile, generate, generate_exact, pointset,
-                    read_binary, write_binary, write_csv)
+                    distinct_count_profile, exact_levels, generate, generate_exact,
+                    pointset, read_binary, write_binary, write_csv)
 from oracles import (digit_poly, exact_tally_dict, horner_values, merge_levels,
                      poly_mod)
 
@@ -136,17 +136,25 @@ def test_exact_several_words_match_dict_oracle(minpoly, levels, capacity):
 
 def check_exact_against_oracle(minpoly, levels):
     tallies = exact_tally_dict(minpoly, levels)
-    want = sorted(tallies[-1])
-    eps = generate_exact(minpoly, levels)
+    check_level_against_oracle(generate_exact(minpoly, levels), levels, tallies[-1])
+    walked = list(exact_levels(minpoly, levels))
+    assert len(walked) == levels
+    for n, (eps, tally) in enumerate(zip(walked, tallies), start=1):
+        check_level_against_oracle(eps, n, tally)
+    assert distinct_count_profile(minpoly, levels) == [len(t) for t in tallies]
+
+
+def check_level_against_oracle(eps, levels, tally):
+    want = sorted(tally)
+    assert eps.levels == levels
     assert eps.keys.dtype == np.int64 and eps.multiplicities.dtype == np.int64
     assert eps.keys.shape == (len(want), len(eps.minpoly) - 1)
     # Rows come lex-sorted, each once, with the oracle's multiplicities.
     assert eps.keys.tolist() == [list(key) for key in want]
-    assert eps.multiplicities.tolist() == [tallies[-1][key] for key in want]
+    assert eps.multiplicities.tolist() == [tally[key] for key in want]
     assert int(eps.multiplicities.sum()) == 1 << levels
     assert not eps.keys.flags.writeable and not eps.multiplicities.flags.writeable
-    assert dict(eps.residues) == tallies[-1]
-    assert distinct_count_profile(minpoly, levels) == [len(t) for t in tallies]
+    assert dict(eps.residues) == tally
 
 
 def test_exact_int64_guard():
@@ -171,6 +179,15 @@ def test_exact_int64_guard():
                 continue
             assert dict(eps.residues) == tallies[n - 1]
         assert 0 < refused < 8
+
+
+def test_exact_int64_guard_bounds_real_entries():
+    # The guard grows the largest entry actually held, not a bound carried
+    # from level 1: these levels hold 47-bit and 41-bit entries.
+    for minpoly, levels in [((3, -(2**21), 5), 4), ((-(2**40), 0, 1), 3)]:
+        tallies = exact_tally_dict(minpoly, levels)
+        assert max(abs(c) for key in tallies[-1] for c in key) < 2**47
+        check_exact_against_oracle(minpoly, levels)
 
 
 def test_merge_level_row_spans_beyond_2_63():

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from bcvlab import (DomainError, SweepConfig, averaged_pair_correlation, sweep,
-                    construct_attracting_parameter, generate, min_gap_scan,
+from bcvlab import (DomainError, SweepConfig, averaged_pair_correlation, pointset,
+                    sweep, construct_attracting_parameter, generate, min_gap_scan,
                     pair_correlation, sublevel_ratio, transversality_check)
 from bcvlab.sweep import AttractingParameter, Certificate
 
@@ -260,6 +260,24 @@ def test_depth_two_result_pinned():
     assert res == AttractingParameter(
         0.6180339887498949, (Certificate(1, 0.5, 15, 15.1181640625),),
         (0.6180329442857836, 0.6180350332140062), 1, False)
+
+
+@pytest.mark.parametrize("interval,walks", [((0.6, 0.64), [18]), ((0.6, 0.63), [15, 18])])
+def test_construction_walks_each_stage_once(monkeypatch, interval, walks):
+    # Each stage walks the exact levels once, from level 1 (one input
+    # vector) to the level that certifies or to the cap (18).
+    real = pointset._merge_level
+    inputs = []
+
+    def counting(*args):
+        inputs.append(args[0].shape[1])
+        return real(*args)
+
+    monkeypatch.setattr(pointset, "_merge_level", counting)
+    construct_attracting_parameter(interval, 2, 0.5)
+    starts = [i for i, n in enumerate(inputs) if n == 1] + [len(inputs)]
+    assert [b - a for a, b in zip(starts, starts[1:])] == walks
+    assert starts[0] == 0
 
 
 def test_certificate_levels_monotone():
