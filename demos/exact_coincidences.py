@@ -12,9 +12,9 @@ Run:  python3 demos/exact_coincidences.py
 
 import math
 
-from bcvlab import (Verdict, classify, coincidence_rate, distinct_count_profile,
-                    forbidden_block, generate_exact, parse_poly, poly_to_string,
-                    sft_growth_rate)
+from bcvlab import (Verdict, classify, coincidence_rate, distinct_count,
+                    distinct_count_profile, forbidden_block, generate_exact,
+                    parse_poly, poly_to_string, sft_growth_rate)
 
 GOLDEN_MINPOLY = parse_poly("x^2+x-1")
 
@@ -39,11 +39,11 @@ for text in ("x^2-2", "x^3-2x-2", "x^3-x^2-2"):
     eps = generate_exact(poly, 12)
     print(f"{poly_to_string(poly, descending=True):>12}: Garsia number "
           f"{verdict.dominant_root:.6f}, parameter {verdict.reciprocal:.6f}, "
-          f"distinct values at N=12: {len(eps.residues)} = 2^12, "
+          f"distinct values at N=12: {distinct_count(eps)} = 2^12, "
           f"coincidence rate {coincidence_rate(eps)}")
 
 print("\n=== non-monic defining polynomials work too ===")
 poly = parse_poly("2x^2-1")  # parameter 2**-0.5 directly
 eps = generate_exact(poly, 12)
-print(f"2x^2 - 1 (parameter 2**-0.5): distinct at N=12: {len(eps.residues)}, "
+print(f"2x^2 - 1 (parameter 2**-0.5): distinct at N=12: {distinct_count(eps)}, "
       f"coincidence rate {coincidence_rate(eps)}")

@@ -21,7 +21,6 @@ from .pointset import (
     distinct_count_profile,
     write_binary,
     read_binary,
-    write_csv,
 )
 from .algebraic import (
     SignedPoly,
@@ -38,7 +37,6 @@ from .algebraic import (
     nearest_zero_above,
     forbidden_block,
     sft_growth_rate,
-    reduce_mod_minpoly,
 )
 from .stats import (
     SpacingSet,

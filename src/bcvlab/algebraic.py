@@ -3,8 +3,8 @@
 Covers greedy digit expansions of 1 in base lambda, location of the nearest
 {0,±1}-polynomial zero above a given parameter, numerical root finding with
 margin reporting, Pisot/Garsia classification, forbidden digit blocks, word
-counts of the subshift avoiding a block, and exact reduction of digit
-polynomials modulo a defining polynomial.
+counts of the subshift avoiding a block, and ``defining_poly``, the
+normalized defining polynomial the exact backend reduces modulo.
 
 Polynomials are coefficient tuples in *constant-first* order throughout:
 ``(c0, c1, ..., cd)`` represents ``c0 + c1*x + ... + cd*x**d``.
@@ -15,7 +15,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 import numpy as np
 
@@ -30,7 +29,6 @@ __all__ = [
     "parse_poly",
     "poly_to_string",
     "poly_eval",
-    "poly_degree",
     "poly_roots",
     "classify",
     "greedy_expansion",
@@ -38,7 +36,6 @@ __all__ = [
     "forbidden_block",
     "sft_growth_rate",
     "defining_poly",
-    "reduce_mod_minpoly",
 ]
 
 # Certification margin for root moduli: verdicts closer than this to the unit
@@ -57,10 +54,6 @@ def _trim(coeffs):
     while d > 0 and coeffs[d] == 0:
         d -= 1
     return coeffs[: d + 1]
-
-
-def poly_degree(coeffs) -> int:
-    return len(_trim(coeffs)) - 1
 
 
 def poly_eval(coeffs, x):
@@ -140,13 +133,6 @@ class SignedPoly:
         if any(c not in (-1, 0, 1) for c in self.coeffs):
             raise DomainError("coefficients must lie in {-1, 0, 1}")
 
-    @property
-    def degree(self) -> int:
-        return poly_degree(self.coeffs)
-
-    def __call__(self, x):
-        return poly_eval(self.coeffs, x)
-
 
 @dataclass(frozen=True)
 class GreedyExpansion:
@@ -193,7 +179,6 @@ class GrowthReport:
     """Growth data for binary words avoiding one forbidden block."""
 
     forbidden_block: str
-    automaton_size: int
     rho: float  # spectral radius of the transfer matrix, in [1, 2]
     word_counts: tuple[int, ...]  # word_counts[n] = #length-n words, n = 0..cap
     degenerate: bool = False
@@ -274,7 +259,8 @@ def poly_roots(coeffs) -> tuple[complex, ...]:
 
     Companion-matrix eigenvalues seed a few Newton steps with the exact
     integer coefficients; conjugate pairs are symmetrized exactly.  Raises
-    if any residual stays above ``1e-10`` relative to the coefficient scale.
+    :class:`DomainError` if any residual stays above ``1e-10`` relative to
+    the coefficient scale, as it does for high-order repeated roots.
     """
     coeffs = _trim(tuple(int(c) for c in coeffs))
     if len(coeffs) < 2:
@@ -309,9 +295,9 @@ def poly_roots(coeffs) -> tuple[complex, ...]:
     roots.sort(key=lambda z: (z.real, z.imag))
     scale = sum(abs(c) for c in coeffs)
     for z in roots:
-        bound = scale * max(1.0, abs(z)) ** poly_degree(coeffs)
+        bound = scale * max(1.0, abs(z)) ** (len(coeffs) - 1)
         if abs(poly_eval(coeffs, z)) > 1e-10 * bound:
-            raise ArithmeticError(f"root residual too large for {coeffs}")
+            raise DomainError(f"root residual too large for {coeffs}")
     return tuple(roots)
 
 
@@ -489,11 +475,11 @@ def sft_growth_rate(block: str, count_cap: int = 30) -> GrowthReport:
         if abs(ratio - rho) > 1e-6 * rho:
             raise ArithmeticError(
                 f"word-count growth {ratio} disagrees with spectral radius {rho}")
-    return GrowthReport(block, m, rho, tuple(counts[: count_cap + 1]), degenerate)
+    return GrowthReport(block, rho, tuple(counts[: count_cap + 1]), degenerate)
 
 
 # ---------------------------------------------------------------------------
-# exact reduction modulo a defining polynomial
+# the defining polynomial of the exact backend
 
 
 def defining_poly(minpoly) -> tuple[int, ...]:
@@ -504,26 +490,3 @@ def defining_poly(minpoly) -> tuple[int, ...]:
     if p[-1] < 0:
         p = tuple(-c for c in p)
     return p
-
-
-def reduce_mod_minpoly(digits, minpoly) -> tuple[Fraction, ...]:
-    """Canonical representative of ``sum digits[n] * x**n`` modulo ``minpoly``.
-
-    The result is a rational vector of length ``deg(minpoly)``; two digit
-    strings reduce to the same vector exactly when their difference is
-    divisible by the polynomial.
-    """
-    p = defining_poly(minpoly)
-    if any(d not in (0, 1) for d in digits):
-        raise DomainError("digits must lie in {0, 1}")
-    lead = p[-1]
-    res = (0,) * (len(p) - 1)
-    scale = 1
-    for a in reversed(tuple(digits)):
-        # x * res / scale at the integral scale lead * scale:
-        # lead * (0, res[:-1]) - res[-1] * p[:-1]
-        res = tuple(lead * b - res[-1] * c for b, c in zip((0,) + res[:-1], p))
-        scale *= lead
-        if a:
-            res = (res[0] + scale,) + res[1:]
-    return tuple(Fraction(c, scale) for c in res)

@@ -56,7 +56,7 @@ def _parse_poly_arg(text: str):
         except json.JSONDecodeError as exc:
             raise DomainError(f"bad JSON coefficient list: {exc}")
         if (not isinstance(coeffs, list) or not coeffs
-                or not all(isinstance(c, int) for c in coeffs)):
+                or not all(type(c) is int for c in coeffs)):
             raise DomainError("coefficient list must be nonempty integers")
         return tuple(coeffs)
     return parse_poly(stripped)
@@ -181,10 +181,10 @@ def cmd_paircorr(args) -> int:
 def cmd_exact(args) -> int:
     run = _Run(args, "exact")
     coeffs = _parse_poly_arg(args.minpoly)
+    verdict = classify(coeffs)  # refuse a bad polynomial before the tally
     distinct_counts = []
     for eps in exact_levels(coeffs, args.n):
         distinct_counts.append(distinct_count(eps))
-    verdict = classify(coeffs)
     report = {
         "minpoly": poly_to_string(coeffs, descending=True),
         "coefficients": list(coeffs),

@@ -46,7 +46,6 @@ __all__ = [
     "distinct_count_profile",
     "write_binary",
     "read_binary",
-    "write_csv",
     "MAX_FLOAT_LEVELS",
     "MAX_EXACT_LEVELS",
     "DISTINCT_REL_TOL",
@@ -57,8 +56,6 @@ MAX_EXACT_LEVELS = 24
 # Doubles accumulate O(N) ulp through the iterated map, so values closer than
 # this (relative to the support width) are treated as one point.
 DISTINCT_REL_TOL = 2.0**-44
-
-_RANGE_NOTE = "lambda outside the interesting range (1/2, 1)"
 
 
 class Form(Enum):
@@ -75,7 +72,6 @@ class PointSet:
     levels: int
     form: Form
     values: np.ndarray  # sorted ascending, length 2**levels, repeats kept
-    range_note: str | None = None
 
     @property
     def point_count(self) -> int:
@@ -107,7 +103,9 @@ class ExactPointSet:
 
     @cached_property
     def residues(self) -> Mapping[tuple, int]:
-        """The same tally as a read-only mapping from key tuples to multiplicities."""
+        """The same tally as a read-only mapping from key tuples to multiplicities.
+
+        Only ``bench/tracing.py`` reads it; it stays until the benchmark changes."""
         # Zipping the column lists builds the key tuples without per-row lists.
         return MappingProxyType(dict(zip(zip(*self.keys.T.tolist()),
                                          self.multiplicities.tolist())))
@@ -141,8 +139,7 @@ def generate(lam: float, levels: int, form: Form = Form.STANDARD) -> PointSet:
     if form is Form.STANDARD:
         values *= 1.0 - lam
     values.flags.writeable = False
-    note = _RANGE_NOTE if lam <= 0.5 else None
-    return PointSet(lam, levels, form, values, note)
+    return PointSet(lam, levels, form, values)
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -384,13 +381,4 @@ def read_binary(path) -> PointSet:
     _check_sorted_finite(values)
     values = values.astype(np.float64, copy=False)
     values.flags.writeable = False
-    note = _RANGE_NOTE if lam <= 0.5 else None
-    return PointSet(lam, levels, _CODE_FORM[code], values, note)
-
-
-def write_csv(ps: PointSet, path) -> None:
-    """One value per line, 17 significant digits (lossless for doubles)."""
-    with open(path, "w") as f:
-        for v in ps.values:
-            f.write(format(v, ".17g"))
-            f.write("\n")
+    return PointSet(lam, levels, _CODE_FORM[code], values)

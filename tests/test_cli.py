@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,9 +31,21 @@ def test_usage_error_exit_code(tmp_path, capsys):
     assert main(["no-such-command"]) == 2
 
 
-def test_domain_error_exit_code(tmp_path):
+# (x-1)^4 and (x-1)^6: the root polish cannot certify these repeated roots.
+REPEATED_ROOT_POLYS = ("x^4-4x^3+6x^2-4x+1", "x^6-6x^5+15x^4-20x^3+15x^2-6x+1")
+
+
+def test_domain_error_exit_code(tmp_path, monkeypatch):
     rc, _ = run(tmp_path, "spacings", "--lambda", "1.5", "--n", "4")
     assert rc == 4
+
+    def no_tally(*args):
+        raise AssertionError("exact tallied a polynomial classify refuses")
+
+    monkeypatch.setattr(pointset, "_merge_level", no_tally)
+    for i, poly in enumerate(REPEATED_ROOT_POLYS):
+        assert run(tmp_path / f"c{i}", "classify", "--poly", poly)[0] == 4
+        assert run(tmp_path / f"e{i}", "exact", "--minpoly", poly, "--n", "10")[0] == 4
 
 
 def test_resource_cap_exit_code(tmp_path):
@@ -311,6 +327,8 @@ def test_classify_accepts_json_coefficient_list(tmp_path):
     assert read_json(out / "classify_report.json")["verdict"] == "pisot"
     rc, _ = run(tmp_path / "bad", "classify", "--poly", "[1.5, 2]")
     assert rc == 4
+    rc, _ = run(tmp_path / "bool", "classify", "--poly", "[true, 1]")
+    assert rc == 4
 
 
 def test_greedy_subcommand(tmp_path):
@@ -380,3 +398,25 @@ def test_sweep_one_value_interval_errors(tmp_path):
     rc, _ = run(tmp_path, "sweep", "--interval", "0.55", "--n", "6",
                 "--s-grid", "1", "--samples", "2")
     assert rc == 4
+
+
+# ---------------------------------------------------------------------------
+# demos
+
+REPO = Path(__file__).resolve().parents[1]
+# sha256 of each demo's stdout; spacing_histograms.py prints a path relative
+# to its working directory, so every demo runs in a fresh one.
+DEMO_DIGESTS = {
+    "exact_coincidences.py": "334707839ef69fdf5e55653f2f5b9d5645e01d8537ab5946e4ffc868842e58cb",
+    "gap_laws.py": "26e5b365b936e6e19e29c017b17bddc9568115d08ea005f5c90bcfc166af9afd",
+    "parameter_sweeps.py": "a403862e9f905dc677bc04accdab10354b0b5e2b65b5fcb7d6fe6777b8405677",
+    "spacing_histograms.py": "d58dd87d292feebf9f8cc447ddcab90715307306fdcc633f7e076fbce6254e25",
+}
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (REPO / "demos").glob("*.py")))
+def test_demo_stdout_digests(tmp_path, demo):
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    done = subprocess.run([sys.executable, str(REPO / "demos" / demo)], cwd=tmp_path,
+                          env=env, capture_output=True, check=True, timeout=300)
+    assert hashlib.sha256(done.stdout).hexdigest() == DEMO_DIGESTS[demo]

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from bcvlab import (DomainError, Form, SizeCapError, distinct_count,
                     distinct_count_profile, exact_levels, generate, generate_exact,
-                    pointset, read_binary, write_binary, write_csv)
+                    pointset, read_binary, write_binary)
 from oracles import (digit_poly, exact_tally_dict, horner_values, merge_levels,
                      poly_mod)
 
@@ -267,7 +267,7 @@ def test_values_sorted_and_sized():
     assert np.all(np.diff(ps.values) >= 0)
 
 
-def test_generate_errors_and_range_note():
+def test_generate_errors():
     with pytest.raises(DomainError):
         generate(0.0, 4)
     with pytest.raises(DomainError):
@@ -276,9 +276,6 @@ def test_generate_errors_and_range_note():
         generate(0.6, 0)
     with pytest.raises(SizeCapError):
         generate(0.6, 29)
-    assert generate(0.4, 3).range_note is not None
-    assert generate(0.5, 3).range_note is not None
-    assert generate(0.51, 3).range_note is None
 
 
 def test_generate_exact_errors():
@@ -371,13 +368,3 @@ def test_binary_fuzzed_dump(tmp_path_factory, edit):
     assert back.values.size == 1 << back.levels
     assert np.all(np.isfinite(back.values))
     assert np.all(back.values[1:] >= back.values[:-1])
-
-
-def test_csv_round_trip(tmp_path):
-    ps = generate(0.70880447, 7)
-    path = tmp_path / "vals.csv"
-    write_csv(ps, path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 1 << 7
-    back = np.array([float(x) for x in lines])
-    assert np.array_equal(back, ps.values)
