@@ -178,7 +178,6 @@ class AlgebraicClass:
 class GrowthReport:
     """Growth data for binary words avoiding one forbidden block."""
 
-    forbidden_block: str
     rho: float  # spectral radius of the transfer matrix, in [1, 2]
     word_counts: tuple[int, ...]  # word_counts[n] = #length-n words, n = 0..cap
     degenerate: bool = False
@@ -312,11 +311,7 @@ def classify(coeffs) -> AlgebraicClass:
     value as the defining polynomial; reducible input can only lose a
     verdict, never fabricate one.
     """
-    coeffs = _trim(tuple(int(c) for c in coeffs))
-    if len(coeffs) < 2:
-        raise DomainError("classification needs a nonconstant polynomial")
-    if coeffs[-1] < 0:
-        coeffs = tuple(-c for c in coeffs)
+    coeffs = defining_poly(coeffs)
     roots = poly_roots(coeffs)
     margin = min(abs(abs(z) - 1.0) for z in roots)
     monic = coeffs[-1] == 1
@@ -373,27 +368,14 @@ def forbidden_block(relation_coeffs) -> str:
 
 
 def _pattern_transitions(block: str) -> list[list[int]]:
-    """KMP-automaton transitions over {0,1}; state len(block) is the dead state."""
-    m = len(block)
-    lps = [0] * m
-    length = 0
-    for i in range(1, m):
-        while length and block[i] != block[length]:
-            length = lps[length - 1]
-        if block[i] == block[length]:
-            length += 1
-        lps[i] = length
-    delta = [[0, 0] for _ in range(m)]
-    for q in range(m):
-        for a in (0, 1):
-            ch = "01"[a]
-            if block[q] == ch:
-                delta[q][a] = q + 1
-            elif q == 0:
-                delta[q][a] = 0
-            else:
-                delta[q][a] = delta[lps[q - 1]][a]
-    return delta
+    """Pattern-automaton transitions over {0,1}; state len(block) is the dead state.
+
+    State q means the digits read so far end in ``block[:q]`` and in no longer
+    prefix of the block; digit a leads to the longest prefix of the block that
+    ends ``block[:q] + a``.
+    """
+    return [[max(k for k in range(q + 2) if (block[:q] + a).endswith(block[:k]))
+             for a in "01"] for q in range(len(block))]
 
 
 def _spectral_radius(T: np.ndarray) -> float:
@@ -421,8 +403,8 @@ def sft_growth_rate(block: str, count_cap: int = 30) -> GrowthReport:
     (matched) state, and returns the transfer-matrix spectral radius together
     with exact dynamic-programming counts of surviving words for lengths up
     to ``count_cap``.  For non-degenerate blocks the count ratio is required
-    to agree with the spectral radius to 1e-6 (extending the horizon
-    internally as needed); disagreement raises.
+    to agree with the spectral radius to 1e-6 (counting past ``count_cap``
+    as needed); disagreement at length 400 raises :class:`DomainError`.
 
     A block that only leaves polynomially many words (e.g. ``"1"``, which
     leaves just 0^n) is returned with ``rho = 1`` and flagged degenerate.
@@ -434,9 +416,8 @@ def sft_growth_rate(block: str, count_cap: int = 30) -> GrowthReport:
     m = len(block)
     delta = _pattern_transitions(block)
     T = np.zeros((m, m), dtype=np.int64)
-    for q in range(m):
-        for a in (0, 1):
-            q2 = delta[q][a]
+    for q, row in enumerate(delta):
+        for q2 in row:
             if q2 < m:
                 T[q, q2] += 1
 
@@ -446,36 +427,26 @@ def sft_growth_rate(block: str, count_cap: int = 30) -> GrowthReport:
     if degenerate:
         rho = 1.0
 
-    # Exact integer word counts; counts[n] = number of length-n words.
+    # Exact integer word counts; counts[n] = number of length-n words.  Past
+    # count_cap, a non-degenerate block counts on until the ratio of the last
+    # two counts agrees with rho.
     counts = [1]
-    state = [0] * m
-    state[0] = 1
-    horizon = count_cap if degenerate else max(count_cap, 60)
-    n = 0
+    state = [1] + [0] * (m - 1)
     while True:
-        nxt = [0] * m
-        for q, w in enumerate(state):
-            if w:
-                for a in (0, 1):
-                    q2 = delta[q][a]
-                    if q2 < m:
-                        nxt[q2] += w
-        state = nxt
+        nxt = [0] * (m + 1)  # entry m collects the dead state
+        for w, row in zip(state, delta):
+            for q2 in row:
+                nxt[q2] += w
+        state = nxt[:m]
         counts.append(sum(state))
-        n += 1
-        if n >= horizon:
-            if degenerate:
-                break
-            ratio = counts[-1] / counts[-2]
-            if abs(ratio - rho) <= 1e-6 * rho or n >= 400:
-                break
-            horizon += 40
-    if not degenerate:
-        ratio = counts[-1] / counts[-2]
-        if abs(ratio - rho) > 1e-6 * rho:
-            raise ArithmeticError(
-                f"word-count growth {ratio} disagrees with spectral radius {rho}")
-    return GrowthReport(block, rho, tuple(counts[: count_cap + 1]), degenerate)
+        if len(counts) <= count_cap:
+            continue
+        if degenerate or abs(counts[-1] / counts[-2] - rho) <= 1e-6 * rho:
+            break
+        if len(counts) > 400:
+            raise DomainError(f"word-count growth {counts[-1] / counts[-2]} "
+                              f"disagrees with spectral radius {rho}")
+    return GrowthReport(rho, tuple(counts[: count_cap + 1]), degenerate)
 
 
 # ---------------------------------------------------------------------------

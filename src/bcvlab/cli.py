@@ -4,8 +4,8 @@ Every subcommand writes its data files (CSV/JSON) plus a run manifest listing
 them, and is deterministic given its flags and seed.  Plot output is emitted
 as standalone gnuplot scripts referencing the CSV files, not rendered images.
 
-Exit codes: 0 success, 2 usage error, 3 resource-cap error, 4 numeric-domain
-error.
+Exit codes: 0 success, 2 usage error, 3 resource-cap error (including an
+allocation the system refuses), 4 numeric-domain error.
 """
 
 from __future__ import annotations
@@ -205,7 +205,7 @@ def cmd_exact(args) -> int:
     if abs(coeffs[0]) == 1 and all(abs(c) <= 1 for c in coeffs):
         relation = tuple(c * coeffs[0] for c in coeffs[1:])
         block = forbidden_block(relation)
-        growth = sft_growth_rate(block, count_cap=max(args.n, 14))
+        growth = sft_growth_rate(block, count_cap=args.n)
         report["growth"] = {
             "forbidden_block": block,
             "rho": growth.rho,
@@ -359,7 +359,7 @@ def main(argv=None) -> int:
     args._argv = argv
     try:
         return args.func(args)
-    except SizeCapError as exc:
+    except (SizeCapError, MemoryError) as exc:
         print(f"error (resource cap): {exc}", file=sys.stderr)
         return 3
     except DomainError as exc:

@@ -26,9 +26,6 @@ import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
@@ -92,23 +89,13 @@ class ExactPointSet:
     the residue ``R / lead**levels`` (``R`` is the residue itself when
     ``minpoly`` is monic), and ``multiplicities[i]`` counts the digit strings
     that reduce to it.  Distinct rows are distinct residues, and the
-    multiplicities sum to 2**N.  Both arrays are read-only; ``residues``
-    is derived from them on first access.
+    multiplicities sum to 2**N.  Both arrays are read-only.
     """
 
     minpoly: tuple[int, ...]
     levels: int
     keys: np.ndarray
     multiplicities: np.ndarray
-
-    @cached_property
-    def residues(self) -> Mapping[tuple, int]:
-        """The same tally as a read-only mapping from key tuples to multiplicities.
-
-        Only ``bench/tracing.py`` reads it; it stays until the benchmark changes."""
-        # Zipping the column lists builds the key tuples without per-row lists.
-        return MappingProxyType(dict(zip(zip(*self.keys.T.tolist()),
-                                         self.multiplicities.tolist())))
 
 
 def generate(lam: float, levels: int, form: Form = Form.STANDARD) -> PointSet:
@@ -340,14 +327,18 @@ _FORM_CODE = {Form.STANDARD: 0, Form.PRIMED: 1}
 _CODE_FORM = {v: k for k, v in _FORM_CODE.items()}
 
 
-def _check_sorted_finite(values: np.ndarray) -> None:
-    """Raise :class:`DomainError` unless a 1-D array is finite and ascending.
+def _sorted_finite(values) -> np.ndarray:
+    """``values`` as a contiguous 1-D float64 array that is finite and ascending.
 
-    NaN fails every comparison, so ascending values with finite ends are all
-    finite."""
+    Raises :class:`DomainError` otherwise.  NaN fails every comparison, so
+    ascending values with finite ends are all finite."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if values.ndim != 1:
+        raise DomainError("expected a 1-D sequence of values")
     if values.size and not (np.all(values[1:] >= values[:-1])
                             and np.all(np.isfinite(values[[0, -1]]))):
         raise DomainError("values must be finite and ascending")
+    return values
 
 
 def write_binary(ps: PointSet, path) -> None:
@@ -378,7 +369,6 @@ def read_binary(path) -> PointSet:
             raise DomainError("truncated point-set dump")
         if f.read(1):
             raise DomainError("trailing bytes after the point-set values")
-    _check_sorted_finite(values)
-    values = values.astype(np.float64, copy=False)
+    values = _sorted_finite(values)
     values.flags.writeable = False
     return PointSet(lam, levels, _CODE_FORM[code], values)

@@ -99,11 +99,7 @@ def _window_count(values: np.ndarray, thr: float) -> int:
 def _as_sorted_values(source) -> np.ndarray:
     if isinstance(source, PointSet):
         return source.values
-    values = np.ascontiguousarray(source, dtype=np.float64)
-    if values.ndim != 1:
-        raise DomainError("expected a 1-D sequence of values")
-    _pointset._check_sorted_finite(values)
-    return values
+    return _pointset._sorted_finite(source)
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +251,7 @@ def rescale(ps: PointSet, model: CdfModel) -> np.ndarray:
             "rescaling a point set by its own empirical CDF degenerates to the "
             "uniform lattice; build the CDF at a different level",
             UserWarning, stacklevel=2)
-    out = model(ps.values)
-    _pointset._check_sorted_finite(out)
-    return out
+    return _pointset._sorted_finite(model(ps.values))
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +262,6 @@ def rescale(ps: PointSet, model: CdfModel) -> np.ndarray:
 class Histogram:
     """50-bin spacing histogram on [0, 5*ell] with a Poisson overlay."""
 
-    ell: int
     bin_edges: np.ndarray  # length 51
     counts: np.ndarray  # int64, length 50
     overlay: np.ndarray  # expected Poisson count per bin, length 50
@@ -367,7 +360,7 @@ def histogram(sp: SpacingSet) -> Histogram:
     edges = np.linspace(0.0, width_units, HIST_BIN_COUNT + 1)
     centers = (np.arange(HIST_BIN_COUNT) + 0.5) * (0.1 * ell)
     overlay = 0.1 * ell * sp.point_count * poisson_reference(ell, centers)
-    return Histogram(ell, edges, counts, overlay, overflow)
+    return Histogram(edges, counts, overlay, overflow)
 
 
 @dataclass(frozen=True)
@@ -557,14 +550,13 @@ def _ejk_match(ps: PointSet, diffs: np.ndarray, interior_max: float) -> bool:
     # Gaps are differences of values up to the support maximum, so their
     # rounding error scales with the ulp of the values, not of the gap.
     tol_gap = 8.0 * n * np.spacing(float(ps.values[-1]))
-    tol_left = tol_gap
     if abs(interior_max - expected_gap) > tol_gap:
         return False
     # The mirror gap ties the maximum (the set is symmetric), so accept any
     # maximal interior gap whose left endpoint sits at the predicted spot.
     candidates = np.nonzero(diffs[1:-1] >= interior_max - tol_gap)[0] + 1
     lefts = ps.values[candidates]
-    return bool(np.any(np.abs(lefts - expected_left) <= tol_left))
+    return bool(np.any(np.abs(lefts - expected_left) <= tol_gap))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ in fixed sample order so results are bit-identical for any worker count.
 from __future__ import annotations
 
 import math
+import os
 import secrets
 import sys
 import time
@@ -128,8 +129,8 @@ def averaged_pair_correlation(cfg: SweepConfig, progress: bool = False) -> Sweep
     """Average R2(s, lambda, 2**levels) over sampled lambdas, per grid point.
 
     Parameter samples are independent work items dispatched to a pool of
-    ``worker_count`` threads, but gathered and reduced in sample order, so
-    the report is identical for any worker count.
+    ``worker_count`` threads (at most one per CPU), but gathered and reduced
+    in sample order, so the report is identical for any worker count.
     """
     a, b = cfg.interval
     n = cfg.sample_count
@@ -145,7 +146,8 @@ def averaged_pair_correlation(cfg: SweepConfig, progress: bool = False) -> Sweep
     rows = []
     step = max(1, len(lambdas) // 10)
     t0 = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=cfg.worker_count) as pool:
+    # pool.map submits every sample at once, so the pool size bounds the threads.
+    with ThreadPoolExecutor(max_workers=min(cfg.worker_count, os.cpu_count() or 1)) as pool:
         for i, row in enumerate(pool.map(one, lambdas), 1):
             rows.append(row)
             if progress and i % step == 0:

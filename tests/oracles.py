@@ -167,6 +167,11 @@ def exact_tally_dict(minpoly, levels: int) -> list[dict]:
     return out
 
 
+def tally_of(eps) -> dict:
+    """An exact point set's tally as a dict from key tuples to multiplicities."""
+    return dict(zip(map(tuple, eps.keys.tolist()), eps.multiplicities.tolist()))
+
+
 def digit_poly(bits) -> tuple:
     return tuple(Fraction(b) for b in bits)
 

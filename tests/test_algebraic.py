@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from dataclasses import asdict
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 from bcvlab import (DomainError, Verdict, classify, forbidden_block,
                     greedy_expansion, nearest_zero_above, parse_poly,
                     poly_eval, poly_roots, poly_to_string, sft_growth_rate)
+from bcvlab import algebraic
 from bcvlab.algebraic import SignedPoly
+from bcvlab.cli import main
 from oracles import bisect_root, words_avoiding
 
 # ---------------------------------------------------------------------------
@@ -269,6 +272,28 @@ def test_growth_properties_random_blocks():
         assert all(counts[n + 1] <= 2 * counts[n] for n in range(len(counts) - 1))
         if not g.degenerate:
             assert counts[-1] / counts[-2] == pytest.approx(g.rho, rel=1e-4)
+
+
+def test_growth_reports_pinned():
+    # sha256 over every block of length <= 10 of its rho (hex), word counts up
+    # to length 24 and degenerate flag; a rewrite of the automaton or the
+    # counting loop must not move a bit of them.
+    digest = hashlib.sha256()
+    for m in range(1, 11):
+        for bits in itertools.product("01", repeat=m - 1):
+            block = "1" + "".join(bits)
+            g = sft_growth_rate(block, count_cap=24)
+            digest.update(repr((block, g.rho.hex(), g.word_counts, g.degenerate)).encode())
+    assert digest.hexdigest() == (
+        "e2a10dc0d96a446a73893b5bec0f803dca9e7aafae7f9183c5657b59a9827d96")
+
+
+def test_growth_rate_disagreeing_radius_is_domain_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(algebraic, "_spectral_radius", lambda T: 1.5)
+    with pytest.raises(DomainError):
+        sft_growth_rate("100")
+    argv = ["exact", "--minpoly", "x^2+x-1", "--n", "6", "--out-dir", str(tmp_path)]
+    assert main(argv) == 4
 
 
 def test_growth_rate_validation():

@@ -51,6 +51,33 @@ def test_domain_error_exit_code(tmp_path, monkeypatch):
 def test_resource_cap_exit_code(tmp_path):
     rc, _ = run(tmp_path, "spacings", "--lambda", "0.6", "--n", "40")
     assert rc == 3
+    # 10**15 samples: a 7 PiB array, beyond the address space, so the
+    # allocation is refused without touching memory.
+    rc, _ = run(tmp_path, "sweep", "--interval", "0.6,0.7", "--n", "8",
+                "--s-grid", "1", "--samples", "1000000000000000")
+    assert rc == 3
+
+
+# Arguments each subcommand refuses, and the exit code it refuses them with.
+REFUSED_ARGS = {
+    "paircorr-unparsable-s": (("paircorr", "--lambda", "0.6", "--n", "6",
+                               "--s-grid", "1,abc"), 4),
+    "classify-truncated-json": (("classify", "--poly", "[1,"), 4),
+    "classify-constant": (("classify", "--poly", "5"), 4),
+    "spacings-empirical-over-cap": (("spacings", "--lambda", "0.6", "--n", "6",
+                                     "--rescale", "empirical:25"), 3),
+    "sweep-no-workers": (("sweep", "--interval", "0.6,0.7", "--n", "6", "--s-grid", "1",
+                          "--samples", "2", "--workers", "0"), 4),
+    "greedy-zero-length": (("greedy", "--lambda", "0.75", "--k", "0"), 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_ARGS))
+def test_refused_argument_exit_code(tmp_path, case):
+    argv, code = REFUSED_ARGS[case]
+    rc, out = run(tmp_path, *argv)
+    assert rc == code
+    assert not (out / "run_manifest.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from bcvlab import (DomainError, Form, SizeCapError, distinct_count,
                     distinct_count_profile, exact_levels, generate, generate_exact,
                     pointset, read_binary, write_binary)
 from oracles import (digit_poly, exact_tally_dict, horner_values, merge_levels,
-                     poly_mod)
+                     poly_mod, tally_of)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_MINPOLY = (-1, 1, 1)  # x^2 + x - 1
@@ -42,7 +42,7 @@ def test_golden_level3_coincidence():
     assert near_one.sum() == 2
     # The exact backend certifies the coincidence.
     eps = generate_exact(GOLDEN_MINPOLY, 3)
-    assert sorted(eps.residues.values()) == [1, 1, 1, 1, 1, 1, 2]
+    assert sorted(tally_of(eps).values()) == [1, 1, 1, 1, 1, 1, 2]
 
 
 @pytest.mark.parametrize("levels,expected", [(1, 2), (2, 4), (3, 7), (4, 12)])
@@ -53,7 +53,7 @@ def test_golden_distinct_counts(levels, expected):
 def test_garsia_sqrt2_no_coincidences():
     eps = generate_exact((-2, 0, 1), 8)
     assert distinct_count(eps) == 256
-    assert all(m == 1 for m in eps.residues.values())
+    assert all(m == 1 for m in tally_of(eps).values())
 
 
 def test_distinct_count_profile_matches_individual_runs():
@@ -66,7 +66,7 @@ def test_multiplicity_conservation():
     for minpoly in [GOLDEN_MINPOLY, (-2, 0, 1), (-1, 0, 2), (-2, -2, 0, 1)]:
         for n in (1, 4, 9):
             eps = generate_exact(minpoly, n)
-            assert sum(eps.residues.values()) == 1 << n
+            assert sum(tally_of(eps).values()) == 1 << n
 
 
 def test_merge_equals_horner_brute_force():
@@ -102,11 +102,11 @@ def test_exact_tally_matches_poly_mod_grouping(minpoly, levels):
                       for bits in itertools.product((0, 1), repeat=n))
               for n in range(1, levels + 1)]
     eps = generate_exact(minpoly, levels)
-    assert sorted(eps.residues.values()) == sorted(groups[-1].values())
+    assert sorted(tally_of(eps).values()) == sorted(groups[-1].values())
     # A key R stands for the residue R / lead**levels.
     scale = eps.minpoly[-1] ** levels
     assert {tuple(Fraction(c, scale) for c in key): m
-            for key, m in eps.residues.items()} == groups[-1]
+            for key, m in tally_of(eps).items()} == groups[-1]
     assert distinct_count_profile(minpoly, levels) == [len(g) for g in groups]
 
 
@@ -154,7 +154,7 @@ def check_level_against_oracle(eps, levels, tally):
     assert eps.multiplicities.tolist() == [tally[key] for key in want]
     assert int(eps.multiplicities.sum()) == 1 << levels
     assert not eps.keys.flags.writeable and not eps.multiplicities.flags.writeable
-    assert dict(eps.residues) == tally
+    assert tally_of(eps) == tally
 
 
 def test_exact_int64_guard():
@@ -177,7 +177,7 @@ def test_exact_int64_guard():
             except SizeCapError:
                 refused += 1
                 continue
-            assert dict(eps.residues) == tallies[n - 1]
+            assert tally_of(eps) == tallies[n - 1]
         assert 0 < refused < 8
 
 

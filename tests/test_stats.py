@@ -438,6 +438,13 @@ def test_pair_correlation_lattice():
     assert curve.r_values[3] == 3.625
 
 
+def test_pair_correlation_scalar_grid():
+    # Lattice k/16: each point's two neighbours lie at 1/16, the s = 1 radius.
+    curve = pair_correlation(generate(0.5, 4), 1.0)
+    assert curve.s_grid.tolist() == [1.0]
+    assert curve.r_values.tolist() == [1.875]
+
+
 def test_pair_correlation_zero_s_binary_rationals():
     curve = pair_correlation(generate(0.5, 8), [0.0])
     assert curve.r_values[0] == 0.0
@@ -629,6 +636,11 @@ def test_gaps_min_excludes_coincidence_shadow():
     report = gaps(ps)
     assert report.min_gap > 100 * ps.distinct_tolerance()
     assert report.min_gap == pytest.approx(GOLDEN**12, rel=1e-9)
+
+
+def test_gaps_tolerance_above_every_gap():
+    # No gap exceeds the tolerance, so the minimum over the rest is empty: 0.
+    assert gaps(generate(0.6, 6), distinct_tol=10.0).min_gap == 0.0
 
 
 def test_garsia_separation_stability():

@@ -75,6 +75,35 @@ def test_worker_count_does_not_change_bits():
     assert np.array_equal(r1.max, r4.max)
 
 
+def test_pool_bounded_by_cpu_count(monkeypatch):
+    sizes = []
+
+    class RecordingExecutor:
+        """Runs the work inline and records the pool size it was asked for."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(sweep, "ThreadPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
+    for workers in (1, 64):
+        cfg = SweepConfig(interval=(0.6, 0.7), levels=6, s_grid=(1.0,),
+                          sample_count=64, worker_count=workers)
+        assert averaged_pair_correlation(cfg).config.worker_count == workers
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: None)
+    averaged_pair_correlation(cfg)
+    assert sizes == [1, 2, 1]
+
+
 def test_monte_carlo_seed_reproducible():
     cfg = SweepConfig(interval=(0.51, 0.66), levels=9, s_grid=(1.0,),
                       sample_count=8, quadrature="montecarlo", seed=2024)
