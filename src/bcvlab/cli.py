@@ -125,8 +125,9 @@ def cmd_spacings(args) -> int:
     ps = generate(args.lam, args.n, Form.STANDARD)
     model = _build_rescaler(args.rescale, args.lam)
     seq = rescale(ps, model) if model is not None else ps
+    del ps  # from here on only the rescaled copy (or the set itself) is read
     sp = spacings(seq, args.ell)
-    del ps, seq  # the statistics need only the spacings
+    del seq  # the statistics need only the spacings
     hist = histogram(sp)
     gof = gof_statistics(sp)
 

@@ -14,6 +14,11 @@ Conventions fixed across the module:
   spacings (``SpacingSet.ordered``): bin counts come from searching the 51
   bin starts in it, and the ECDF is read at the ends of its runs of tied
   values.
+* Passes over a whole set stream it in blocks of ``_BLOCK`` (2**15) values
+  (the pair counter, the KS, mean and variance pass, and the gap scan), so
+  no temporary grows with the set.  Mean and variance add their per-block
+  partial sums along numpy's own pairwise-summation split, so they equal
+  ``np.mean`` and ``np.var(ddof=1)`` bit for bit.
 """
 
 from __future__ import annotations
@@ -57,11 +62,11 @@ GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
 
 HIST_BIN_COUNT = 50
 
+_BLOCK = 1 << 15  # values per block of every streamed pass; bounds the temporaries
+
 
 # ---------------------------------------------------------------------------
 # sliding-window pair counter
-
-_COUNT_BLOCK = 1 << 15  # values per searchsorted call; bounds the temporaries
 
 
 def _window_count(values: np.ndarray, thr: float) -> int:
@@ -76,8 +81,8 @@ def _window_count(values: np.ndarray, thr: float) -> int:
     """
     n = values.size
     total = 0
-    for start in range(0, n, _COUNT_BLOCK):
-        v = values[start:start + _COUNT_BLOCK]
+    for start in range(0, n, _BLOCK):
+        v = values[start:start + _BLOCK]
         j = np.searchsorted(values, v + thr, side="right") - 1
         k = np.arange(v.size)
         while True:
@@ -380,22 +385,58 @@ def gof_statistics(sp: SpacingSet) -> GofReport:
     the ECDF value at the end of their run in ``sp.ordered``, so only run
     ends are evaluated.  ``chi2`` is Pearson's statistic of the 50 histogram
     bins against the overlay; ``mean`` and ``variance`` are taken over
-    ``sp.values`` in their own order.  Non-finite spacings and
-    ``ell >= 114`` raise :class:`DomainError`, as in :func:`histogram`.
+    ``sp.values`` in their own order and equal ``np.mean`` and
+    ``np.var(ddof=1)``.  Non-finite spacings and ``ell >= 114`` raise
+    :class:`DomainError`, as in :func:`histogram`, and so does a mean or
+    variance that overflows a double.
     """
-    n = sp.values.size
+    values = sp.values
+    n = values.size
     if n < 100:
         raise DomainError(f"need at least 100 spacings for fit statistics, got {n}")
     ordered = _finite_ordered(sp)
-    ends = np.append(np.flatnonzero(ordered[1:] != ordered[:-1]), n - 1)
-    ecdf = (ends + 1) / n
-    ks = float(np.max(np.abs(ecdf - poisson_cdf(sp.ell, ordered[ends]))))
+    ks = 0.0
+    for start in range(0, n, _BLOCK):
+        block = ordered[start:start + _BLOCK + 1]  # one value of look-ahead
+        ends = np.flatnonzero(block[1:] != block[:-1])
+        if start + _BLOCK >= n:  # no look-ahead: the last value ends a run
+            ends = np.append(ends, block.size - 1)
+        ecdf = (start + ends + 1) / n
+        ks = max(ks, float(np.max(np.abs(ecdf - poisson_cdf(sp.ell, block[ends])),
+                                  initial=0.0)))
     hist = histogram(sp)
     live = hist.overlay > 0
     chi2 = float(np.sum((hist.counts[live] - hist.overlay[live]) ** 2
                         / hist.overlay[live]))
-    return GofReport(ks, chi2, float(np.mean(sp.values)),
-                     float(np.var(sp.values, ddof=1)), n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(_pairwise_sum(values) / n)
+        variance = float(_pairwise_sum(values, mean) / (n - 1))
+    if not (math.isfinite(mean) and math.isfinite(variance)):
+        raise DomainError("the mean or variance of the spacings overflows a double")
+    return GofReport(ks, chi2, mean, variance, n)
+
+
+def _pairwise_sum(values: np.ndarray, center: float | None = None,
+                  lo: int = 0, hi: int | None = None):
+    """Sum of ``values[lo:hi]``, or of their squared deviations from
+    ``center``, added in the order ``np.add.reduce`` adds them.
+
+    numpy halves a run of more than 128 values at its midpoint rounded down
+    to a multiple of 8 and adds the two halves' sums.  This follows that
+    halving down to segments of at most ``_BLOCK`` values and sums each with
+    numpy, so the total is numpy's bit for bit.
+    """
+    hi = values.size if hi is None else hi
+    if hi - lo > max(_BLOCK, 128):
+        half = (hi - lo) // 2
+        half -= half % 8
+        return (_pairwise_sum(values, center, lo, lo + half)
+                + _pairwise_sum(values, center, lo + half, hi))
+    part = values[lo:hi]
+    if center is not None:
+        part = part - center
+        part *= part
+    return np.add.reduce(part)
 
 
 # ---------------------------------------------------------------------------
@@ -509,32 +550,53 @@ def gaps(ps: PointSet, distinct_tol: float | None = None) -> GapReport:
     ``lam**(N-1)`` (the set starts 0, lam^(N-1)).  For STANDARD form the
     reference quantities are scaled by ``(1 - lam)``.  ``distinct_tol``
     defaults to :meth:`PointSet.distinct_tolerance`; a negative or
-    non-finite one raises :class:`DomainError`.
+    non-finite one raises :class:`DomainError`, as does a set of fewer than
+    two points.  Maximal gaps are located at their first occurrence; the
+    interior ones exclude the first and last gap.
     """
+    values = ps.values
+    if values.size < 2:
+        raise DomainError(f"gaps need at least two points, got {values.size}")
     if distinct_tol is None:
         distinct_tol = ps.distinct_tolerance()
     if not 0 <= distinct_tol < math.inf:
         raise DomainError(f"distinct_tol must be finite and >= 0, got {distinct_tol}")
-    diffs = np.diff(ps.values)
-    min_gap = float(np.min(diffs, where=diffs > distinct_tol, initial=np.inf))
-    if min_gap == np.inf:
-        min_gap = 0.0
-    max_idx = int(np.argmax(diffs))
-    max_gap = float(diffs[max_idx])
-
+    min_gap, max_gap = math.inf, -math.inf
+    max_idx = 0
     interior_max = interior_left = None
-    ejk = False
-    if diffs.size >= 3:
-        interior = diffs[1:-1]
-        k = int(np.argmax(interior))
-        interior_max = float(interior[k])
-        interior_left = float(ps.values[1 + k])
-        ejk = _ejk_match(ps, diffs, interior_max)
+    for start, diffs, lefts, interior in _gap_blocks(values):
+        min_gap = min(min_gap, float(np.min(diffs, where=diffs > distinct_tol,
+                                            initial=np.inf)))
+        k = int(np.argmax(diffs))
+        if diffs[k] > max_gap:
+            max_gap, max_idx = float(diffs[k]), start + k
+        inner = diffs[interior]
+        if inner.size:
+            k = int(np.argmax(inner))
+            if interior_max is None or inner[k] > interior_max:
+                interior_max = float(inner[k])
+                interior_left = float(lefts[interior][k])
+    if min_gap == math.inf:
+        min_gap = 0.0
+    ejk = interior_max is not None and _ejk_match(ps, interior_max)
     return GapReport(float(distinct_tol), min_gap, max_gap, max_idx,
-                     float(ps.values[max_idx]), interior_max, interior_left, ejk)
+                     float(values[max_idx]), interior_max, interior_left, ejk)
 
 
-def _ejk_match(ps: PointSet, diffs: np.ndarray, interior_max: float) -> bool:
+def _gap_blocks(values: np.ndarray):
+    """``(start, diffs, lefts, interior)`` per block of at most ``_BLOCK`` gaps.
+
+    ``diffs`` are the gaps ``values[i+1] - values[i]`` for i from ``start``,
+    ``lefts`` their left endpoints, and the slice ``interior`` picks those
+    that are neither the first nor the last gap of the set.
+    """
+    last = values.size - 2  # index of the last gap
+    for start in range(0, values.size - 1, _BLOCK):
+        block = values[start:start + _BLOCK + 1]  # one value of look-ahead
+        yield start, np.diff(block), block[:-1], slice(int(start == 0), last - start)
+
+
+def _ejk_match(ps: PointSet, interior_max: float) -> bool:
     lam, n = ps.lam, ps.levels
     if n < 3 or n % 2 == 0 or not lam < GOLDEN_RATIO:
         return False
@@ -554,9 +616,12 @@ def _ejk_match(ps: PointSet, diffs: np.ndarray, interior_max: float) -> bool:
         return False
     # The mirror gap ties the maximum (the set is symmetric), so accept any
     # maximal interior gap whose left endpoint sits at the predicted spot.
-    candidates = np.nonzero(diffs[1:-1] >= interior_max - tol_gap)[0] + 1
-    lefts = ps.values[candidates]
-    return bool(np.any(np.abs(lefts - expected_left) <= tol_gap))
+    floor = interior_max - tol_gap
+    for _, diffs, lefts, interior in _gap_blocks(ps.values):
+        hits = lefts[interior][diffs[interior] >= floor]
+        if np.any(np.abs(hits - expected_left) <= tol_gap):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

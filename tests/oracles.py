@@ -6,9 +6,10 @@ mask-and-scatter merge, pair counts by quadratic all-pairs scans and
 a scalar two-pointer loop, word counts by exhaustive enumeration,
 polynomial remainders by long division over exact rationals, residue
 tallies by a dict of Python-integer tuples, spacing histograms by a per-value
-bin index and ``bincount``, the KS statistic by the ECDF at every sample, and
-the closed-form CDF at 2**-0.5 by clipping and selecting among all three
-pieces for every value.
+bin index and ``bincount``, the KS statistic by the ECDF at every sample, gap
+statistics from the full array of consecutive differences, and the
+closed-form CDF at 2**-0.5 by clipping and selecting among all three pieces
+for every value.
 """
 
 import itertools
@@ -90,6 +91,43 @@ def ks_searchsorted(values: np.ndarray, cdf) -> float:
     ordered = np.sort(values)
     ecdf = np.searchsorted(ordered, ordered, side="right") / values.size
     return float(np.max(np.abs(ecdf - cdf(ordered))))
+
+
+def gaps_full(values: np.ndarray, lam: float, levels: int, standard: bool,
+              distinct_tol: float) -> dict:
+    """The fields of ``stats.GapReport``, in order, from one ``np.diff`` of the
+    whole sorted array, a mask of it and first-occurrence ``argmax`` calls."""
+    diffs = np.diff(values)
+    min_gap = float(np.min(diffs, where=diffs > distinct_tol, initial=np.inf))
+    if min_gap == np.inf:
+        min_gap = 0.0
+    max_idx = int(np.argmax(diffs))
+    interior_max = interior_left = None
+    ejk = False
+    if diffs.size >= 3:
+        interior = diffs[1:-1]
+        k = int(np.argmax(interior))
+        interior_max = float(interior[k])
+        interior_left = float(values[1 + k])
+        golden = (math.sqrt(5.0) - 1.0) / 2.0
+        if levels >= 3 and levels % 2 == 1 and lam < golden:
+            expected_left = 1.0
+            power = 1.0
+            for _ in range((levels - 3) // 2):
+                power *= lam * lam
+                expected_left += power
+            expected_gap = lam ** (levels - 1)
+            scale = (1.0 - lam) if standard else 1.0
+            expected_left *= scale
+            expected_gap *= scale
+            tol_gap = 8.0 * levels * np.spacing(float(values[-1]))
+            if abs(interior_max - expected_gap) <= tol_gap:
+                candidates = np.nonzero(interior >= interior_max - tol_gap)[0] + 1
+                ejk = bool(np.any(np.abs(values[candidates] - expected_left) <= tol_gap))
+    return {"distinct_tol": float(distinct_tol), "min_gap": min_gap,
+            "max_gap": float(diffs[max_idx]), "max_gap_index": max_idx,
+            "max_gap_left": float(values[max_idx]), "interior_max_gap": interior_max,
+            "interior_max_left": interior_left, "ejk_prediction_match": ejk}
 
 
 def cdf_sqrt_half_where(x):

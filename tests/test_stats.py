@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -7,17 +9,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcvlab import stats
-from bcvlab import (CdfModel, DomainError, Form, SpacingSet, cdf_empirical,
-                    cdf_sqrt_half, coincidence_rate, gaps, generate,
-                    generate_exact, gof_statistics, histogram,
+from bcvlab import (CdfModel, DomainError, Form, PointSet, SpacingSet,
+                    cdf_empirical, cdf_sqrt_half, coincidence_rate, gaps,
+                    generate, generate_exact, gof_statistics, histogram,
                     pair_correlation, pair_correlation_interval,
                     poisson_cdf, poisson_reference, rescale, spacings)
 from bcvlab.stats import write_curve_csv, write_histogram_csv
 from oracles import (all_pairs_ordered_count, cdf_sqrt_half_where, gamma_cdf_int,
-                     histogram_bincount, ks_searchsorted, window_count_loop)
+                     gaps_full, histogram_bincount, ks_searchsorted, window_count_loop)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SQRT_HALF = 2.0**-0.5
+# Block sizes for stats._BLOCK that put block boundaries inside small inputs;
+# 128 is also numpy's largest unsplit pairwise-summation run.
+SMALL_BLOCKS = [7, 128]
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak traced allocation, in bytes, while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------
@@ -347,28 +362,38 @@ def test_non_finite_spacings_raise(bad):
         gof_statistics(sp)
 
 
+def test_gof_overflowing_variance_raises():
+    values = np.linspace(0.0, 3.0, 200)
+    values[57] = 1e200  # its squared deviation overflows a double
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            gof_statistics(SpacingSet(3, values, values.size))
+
+
 def test_gof_huge_spacing_gives_finite_ks():
     values = np.linspace(0.0, 3.0, 200)
-    values[57] = 1e200
+    values[57] = 1e150
     sp = SpacingSet(3, values, values.size)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the variance overflows
-        report = gof_statistics(sp)
-    assert math.isfinite(report.ks)
+    report = gof_statistics(sp)
+    assert math.isfinite(report.ks) and math.isfinite(report.variance)
     assert report.ks == ks_searchsorted(values, lambda s: poisson_cdf(3, s))
     assert histogram(sp).overflow == 1
 
 
-def _assert_stats_match_oracles(values, ell):
-    """Exact (==) agreement with the bincount histogram and searchsorted KS."""
+def _assert_stats_match_oracles(values, ell, block=stats._BLOCK):
+    """Exact (==) agreement with the bincount histogram, searchsorted KS and
+    numpy's mean and variance, with ``stats._BLOCK`` set to ``block``."""
     sp = SpacingSet(ell, values, values.size)
-    h = histogram(sp)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stats, "_BLOCK", block)
+        h = histogram(sp)
+        report = gof_statistics(sp) if values.size >= 100 else None
     counts, overflow = histogram_bincount(values, ell)
     assert np.array_equal(h.counts, counts) and h.counts.dtype == np.int64
     assert h.overflow == overflow
-    if values.size < 100:
+    if report is None:
         return
-    report = gof_statistics(sp)
     assert report.ks == ks_searchsorted(values, lambda s: poisson_cdf(ell, s))
     live = h.overlay > 0
     assert report.chi2 == float(np.sum((counts[live] - h.overlay[live]) ** 2
@@ -406,10 +431,10 @@ def spacing_samples(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(spacing_samples())
-def test_spacing_stats_match_oracles(case):
+@given(spacing_samples(), st.sampled_from(SMALL_BLOCKS + [stats._BLOCK]))
+def test_spacing_stats_match_oracles(case, block):
     ell, values = case
-    _assert_stats_match_oracles(values, ell)
+    _assert_stats_match_oracles(values, ell, block)
 
 
 @pytest.mark.parametrize("lam", [0.5, GOLDEN, 0.70880447, SQRT_HALF])
@@ -417,7 +442,27 @@ def test_spacing_stats_match_oracles_on_point_sets(lam):
     ps = generate(lam, 12)
     for seq in (ps, rescale(ps, cdf_sqrt_half())):
         for ell in (1, 2, 3, 7):
-            _assert_stats_match_oracles(spacings(seq, ell).values, ell)
+            for block in SMALL_BLOCKS + [stats._BLOCK]:
+                _assert_stats_match_oracles(spacings(seq, ell).values, ell, block)
+
+
+@pytest.mark.parametrize("block", SMALL_BLOCKS)
+def test_gof_blocks_match_oracles_across_boundaries(block):
+    # A run of 3*block tied spacings spans two block boundaries once sorted,
+    # and 205 + 3*block values (never a multiple of 8, above 128) make the
+    # mean and variance follow numpy's pairwise halving across blocks.
+    rng = np.random.default_rng(5)
+    values = rng.permutation(np.concatenate([np.full(3 * block, 1.0),
+                                             rng.exponential(size=205)]))
+    for ell in (1, 3):
+        _assert_stats_match_oracles(values, ell, block)
+
+
+def test_gof_peak_memory():
+    # The fit statistics stream the sorted copy, which exists before tracing.
+    sp = spacings(rescale(generate(SQRT_HALF, 20), cdf_sqrt_half()), 1)
+    assert sp.ordered.size == sp.values.size
+    assert traced_peak(gof_statistics, sp) <= 0.5 * sp.values.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +575,7 @@ def sorted_values_with_ties(draw):
 def test_window_count_matches_loop_and_all_pairs(case):
     values, thr = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stats, "_COUNT_BLOCK", 3)  # exercise block boundaries
+        mp.setattr(stats, "_BLOCK", 3)  # exercise block boundaries
         got = stats._window_count(values, thr)
     assert got == window_count_loop(values, thr)
     assert 2 * got == all_pairs_ordered_count(values, thr)
@@ -661,9 +706,49 @@ def test_pisot_separation_stability():
     assert max(ratios) / min(ratios) < 4.0
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([0.5, 0.55, 0.6, GOLDEN, SQRT_HALF, 0.72, 0.85]) | st.floats(0.5, 0.95),
+       st.integers(1, 14), st.sampled_from(list(Form)),
+       st.sampled_from([None, 0.0]) | st.floats(0.0, 0.05),
+       st.sampled_from(SMALL_BLOCKS + [stats._BLOCK]))
+def test_gaps_match_full_array_oracle(lam, levels, form, tol, block):
+    ps = generate(lam, levels, form)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stats, "_BLOCK", block)
+        report = gaps(ps, tol)
+    tol = ps.distinct_tolerance() if tol is None else tol
+    want = gaps_full(ps.values, ps.lam, levels, form is Form.STANDARD, tol)
+    assert repr(asdict(report)) == repr(want)
+
+
+@pytest.mark.parametrize("block", SMALL_BLOCKS)
+def test_gaps_blocks_keep_first_maxima_and_ejk(block):
+    lattice = generate(0.5, 10, Form.PRIMED)
+    odd = generate(0.6, 11, Form.PRIMED)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stats, "_BLOCK", block)
+        tied, ejk = gaps(lattice), gaps(odd)
+    # Every lattice gap ties, so the first gap is the largest and the first
+    # interior gap the largest interior one, whatever block holds them.
+    assert tied.max_gap_index == 0
+    assert tied.interior_max_left == lattice.values[1]
+    # The predicted gap's left end 1 + lam^2 + ... + lam^8 lies past the first block.
+    assert ejk.ejk_prediction_match
+    assert np.searchsorted(odd.values, sum(0.36 ** k for k in range(5)) - 1e-9) > block
+
+
+@pytest.mark.parametrize("lam,levels", [(0.7, 20), (0.6, 19)])
+def test_gaps_peak_memory(lam, levels):
+    # (0.6, 19) also runs the second, EJK pass over the gaps.
+    ps = generate(lam, levels, Form.PRIMED)
+    assert traced_peak(gaps, ps) <= 0.25 * ps.values.nbytes
+
+
 def test_gaps_validation():
     with pytest.raises(DomainError):
         gaps(generate(0.6, 5), distinct_tol=-1.0)
+    with pytest.raises(DomainError):  # a hand-built set with no gap
+        gaps(PointSet(0.5, 1, Form.PRIMED, np.zeros(1)))
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf])
