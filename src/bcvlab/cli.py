@@ -164,8 +164,7 @@ def cmd_spacings(args) -> int:
 
 def cmd_paircorr(args) -> int:
     run = _Run(args, "paircorr")
-    form = Form.PRIMED if args.primed else Form.STANDARD
-    ps = generate(args.lam, args.n, form)
+    ps = generate(args.lam, args.n, Form.STANDARD)
     grid = _parse_floats(args.s_grid)
     if any(s == 0 for s in grid):
         print("note: s=0 counts exact float coincidences only; "
@@ -306,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s-grid", required=True, help="comma-separated s values")
     p.add_argument("--interval", default=None, help="restrict to a,b in [0,1]")
-    p.add_argument("--primed", action="store_true")
     add_common(p)
     p.set_defaults(func=cmd_paircorr)
 

@@ -15,10 +15,12 @@ Conventions fixed across the module:
   bin starts in it, and the ECDF is read at the ends of its runs of tied
   values.
 * Passes over a whole set stream it in blocks of ``_BLOCK`` (2**15) values
-  (the pair counter, the KS, mean and variance pass, and the gap scan), so
-  no temporary grows with the set.  Mean and variance add their per-block
-  partial sums along numpy's own pairwise-summation split, so they equal
-  ``np.mean`` and ``np.var(ddof=1)`` bit for bit.
+  (the pair counter, the CDF evaluation of :func:`rescale`, the KS and
+  variance pass, and the gap scan), so no temporary grows with the set.  The
+  variance adds its per-block partial sums along numpy's own
+  pairwise-summation split, so it equals ``np.var(ddof=1)`` bit for bit.
+  The Erdos-Joo-Komornik check of :func:`gaps` reads only a search window
+  around the predicted gap.
 """
 
 from __future__ import annotations
@@ -116,8 +118,9 @@ class SpacingSet:
     """Point-count-normalized order-ell spacings of a sorted sequence.
 
     ``ordered`` is a read-only sorted copy of ``values``, built on first
-    access and kept; ``values`` must not change after that.  :func:`spacings`
-    returns read-only values.
+    access and kept; ``values`` must not change after that.  Building it
+    raises :class:`DomainError` if the spacings are not finite.
+    :func:`spacings` returns read-only values.
     """
 
     ell: int
@@ -128,6 +131,9 @@ class SpacingSet:
     def ordered(self) -> np.ndarray:
         """``values`` sorted ascending (read-only)."""
         ordered = np.sort(self.values)
+        # Sorting puts -inf first and +inf and NaN last, so the ends decide.
+        if ordered.size and not np.all(np.isfinite(ordered[[0, -1]])):
+            raise DomainError("spacings must be finite")
         ordered.flags.writeable = False
         return ordered
 
@@ -184,19 +190,28 @@ class CdfModel:
         return self.evaluate(x)[0]
 
     def evaluate(self, x):
-        """``(F(x), count of x outside the support)``; the support ends and the
-        closed form's two joins split the sorted ``x`` into one slice per piece."""
+        """``(F(x), count of x outside the support)``, filled one ``_BLOCK``
+        slice of the sorted ``x`` at a time."""
         x = np.asarray(x, dtype=np.float64)
         v = _as_sorted_values(np.atleast_1d(x))
+        y = np.empty_like(v)
+        clamped = 0
+        for start in range(0, v.size, _BLOCK):
+            clamped += self._evaluate_block(v[start:start + _BLOCK], y[start:start + _BLOCK])
+        return y.reshape(x.shape), clamped
+
+    def _evaluate_block(self, v: np.ndarray, y: np.ndarray) -> int:
+        """Write F(v) into ``y`` and return the count of ``v`` outside the
+        support; the support ends and the closed form's two joins split the
+        sorted ``v`` into one slice per piece."""
         lo, hi = self.support
         below = int(np.searchsorted(v, lo, side="left"))
         inside = int(np.searchsorted(v, hi, side="right"))
         if self.knots_x is not None:
-            y = np.interp(v, self.knots_x, self.knots_y)
+            y[:] = np.interp(v, self.knots_x, self.knots_y)
         else:
             left = int(np.searchsorted(v, _CDF_B, side="right"))
             right = int(np.searchsorted(v, 1.0 - _CDF_B, side="left"))
-            y = np.empty_like(v)
             y[:below] = 0.0
             t = v[below:left]
             y[below:left] = _CDF_A * t * t / 2.0
@@ -205,7 +220,7 @@ class CdfModel:
             t = v[right:inside]
             y[right:inside] = 1.0 - _CDF_A * (1.0 - t) ** 2 / 2.0
             y[inside:] = 1.0
-        return y.reshape(x.shape), below + v.size - inside
+        return below + v.size - inside
 
 
 def cdf_sqrt_half() -> CdfModel:
@@ -312,17 +327,6 @@ def poisson_cdf(ell: int, s):
     return float(out) if out.ndim == 0 else out
 
 
-def _finite_ordered(sp: SpacingSet) -> np.ndarray:
-    """``sp.ordered``, after checking that the spacings are finite.
-
-    Sorting puts -inf first and +inf and NaN last, so the two ends decide.
-    """
-    ordered = sp.ordered
-    if ordered.size and not np.all(np.isfinite(ordered[[0, -1]])):
-        raise DomainError("spacings must be finite")
-    return ordered
-
-
 def _bin_start(k: int, width_units: float) -> float:
     """Least double ``v`` with ``floor(v * HIST_BIN_COUNT / width_units) >= k``.
 
@@ -358,7 +362,7 @@ def histogram(sp: SpacingSet) -> Histogram:
     """
     ell = sp.ell
     width_units = 5.0 * ell
-    ordered = _finite_ordered(sp)
+    ordered = sp.ordered
     starts = [_bin_start(k, width_units) for k in range(HIST_BIN_COUNT + 1)]
     counts = np.diff(np.searchsorted(ordered, starts, side="left")).astype(np.int64)
     overflow = int(ordered.size - counts.sum())
@@ -394,7 +398,7 @@ def gof_statistics(sp: SpacingSet) -> GofReport:
     n = values.size
     if n < 100:
         raise DomainError(f"need at least 100 spacings for fit statistics, got {n}")
-    ordered = _finite_ordered(sp)
+    ordered = sp.ordered
     ks = 0.0
     for start in range(0, n, _BLOCK):
         block = ordered[start:start + _BLOCK + 1]  # one value of look-ahead
@@ -409,17 +413,16 @@ def gof_statistics(sp: SpacingSet) -> GofReport:
     chi2 = float(np.sum((hist.counts[live] - hist.overlay[live]) ** 2
                         / hist.overlay[live]))
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = float(_pairwise_sum(values) / n)
+        mean = float(np.add.reduce(values) / n)
         variance = float(_pairwise_sum(values, mean) / (n - 1))
     if not (math.isfinite(mean) and math.isfinite(variance)):
         raise DomainError("the mean or variance of the spacings overflows a double")
     return GofReport(ks, chi2, mean, variance, n)
 
 
-def _pairwise_sum(values: np.ndarray, center: float | None = None,
-                  lo: int = 0, hi: int | None = None):
-    """Sum of ``values[lo:hi]``, or of their squared deviations from
-    ``center``, added in the order ``np.add.reduce`` adds them.
+def _pairwise_sum(values: np.ndarray, center: float, lo: int = 0, hi: int | None = None):
+    """Sum of the squared deviations of ``values[lo:hi]`` from ``center``,
+    added in the order ``np.add.reduce`` adds them.
 
     numpy halves a run of more than 128 values at its midpoint rounded down
     to a multiple of 8 and adds the two halves' sums.  This follows that
@@ -432,10 +435,8 @@ def _pairwise_sum(values: np.ndarray, center: float | None = None,
         half -= half % 8
         return (_pairwise_sum(values, center, lo, lo + half)
                 + _pairwise_sum(values, center, lo + half, hi))
-    part = values[lo:hi]
-    if center is not None:
-        part = part - center
-        part *= part
+    part = values[lo:hi] - center
+    part *= part
     return np.add.reduce(part)
 
 
@@ -564,36 +565,27 @@ def gaps(ps: PointSet, distinct_tol: float | None = None) -> GapReport:
     min_gap, max_gap = math.inf, -math.inf
     max_idx = 0
     interior_max = interior_left = None
-    for start, diffs, lefts, interior in _gap_blocks(values):
+    last = values.size - 2  # index of the last gap
+    for start in range(0, values.size - 1, _BLOCK):
+        block = values[start:start + _BLOCK + 1]  # one value of look-ahead
+        diffs = np.diff(block)
         min_gap = min(min_gap, float(np.min(diffs, where=diffs > distinct_tol,
                                             initial=np.inf)))
         k = int(np.argmax(diffs))
         if diffs[k] > max_gap:
             max_gap, max_idx = float(diffs[k]), start + k
-        inner = diffs[interior]
+        first = int(start == 0)  # the first and last gaps are not interior
+        inner = diffs[first:last - start]
         if inner.size:
             k = int(np.argmax(inner))
             if interior_max is None or inner[k] > interior_max:
                 interior_max = float(inner[k])
-                interior_left = float(lefts[interior][k])
+                interior_left = float(block[first + k])
     if min_gap == math.inf:
         min_gap = 0.0
     ejk = interior_max is not None and _ejk_match(ps, interior_max)
     return GapReport(float(distinct_tol), min_gap, max_gap, max_idx,
                      float(values[max_idx]), interior_max, interior_left, ejk)
-
-
-def _gap_blocks(values: np.ndarray):
-    """``(start, diffs, lefts, interior)`` per block of at most ``_BLOCK`` gaps.
-
-    ``diffs`` are the gaps ``values[i+1] - values[i]`` for i from ``start``,
-    ``lefts`` their left endpoints, and the slice ``interior`` picks those
-    that are neither the first nor the last gap of the set.
-    """
-    last = values.size - 2  # index of the last gap
-    for start in range(0, values.size - 1, _BLOCK):
-        block = values[start:start + _BLOCK + 1]  # one value of look-ahead
-        yield start, np.diff(block), block[:-1], slice(int(start == 0), last - start)
 
 
 def _ejk_match(ps: PointSet, interior_max: float) -> bool:
@@ -616,12 +608,15 @@ def _ejk_match(ps: PointSet, interior_max: float) -> bool:
         return False
     # The mirror gap ties the maximum (the set is symmetric), so accept any
     # maximal interior gap whose left endpoint sits at the predicted spot.
-    floor = interior_max - tol_gap
-    for _, diffs, lefts, interior in _gap_blocks(ps.values):
-        hits = lefts[interior][diffs[interior] >= floor]
-        if np.any(np.abs(hits - expected_left) <= tol_gap):
-            return True
-    return False
+    # Only left endpoints within 2*tol_gap of it can qualify; tol_gap is far
+    # wider than the rounding of the window ends.
+    values = ps.values
+    lo, hi = np.searchsorted(values, [expected_left - 2.0 * tol_gap,
+                                      expected_left + 2.0 * tol_gap])
+    lo, hi = max(int(lo), 1), min(int(hi), values.size - 2)  # interior gaps only
+    lefts = values[lo:hi]
+    maximal = values[lo + 1:hi + 1] - lefts >= interior_max - tol_gap
+    return bool(np.any(maximal & (np.abs(lefts - expected_left) <= tol_gap)))
 
 
 # ---------------------------------------------------------------------------

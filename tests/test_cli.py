@@ -149,9 +149,11 @@ def test_spacings_empirical_rescale_mode(tmp_path):
     assert gof["sample_count"] == (1 << 12) - 2
 
 
-# sha256 of the spacings outputs for three fixed runs; a change to the
+# sha256 of the spacings outputs for fixed runs; a change to the
 # histogram or fit statistics must not move a single byte of them.
 SPACINGS_DIGESTS = {
+    ("1", "none"): ("d35e63e9384c7118d7a96bf785e9217cb9ee5fac10fb7ff026e83202c0b59566",
+                    "197a2824fb18fe9fd4c973a4fe79dd49d947edc0a4fdaaa98f66a997a9b874d2"),
     ("1", "sqrt-half"): ("317a83ce5087ca8a2d0b1b163eaf79e50191ec10a34a55c22fc7aed22254acd4",
                          "c051d408ed11ef71094003258b2d2ed618206c7a9dc0be434d84a9162da75435"),
     ("3", "sqrt-half"): ("ec4bcaaa6511bf65fb8d753d9a2dd847d6b746d298363cb3405466b141d4ae2e",
@@ -219,6 +221,8 @@ def test_sweep_montecarlo_output_digest(tmp_path):
 REPORT_DIGESTS = {
     ("gaps", "--lambda", "0.6", "--n", "5", "--primed"):
         "ac186f19df48ca51054be34a8f47a0e8e28c005101a6106f01abbab687662af0",
+    ("gaps", "--lambda", "0.6", "--n", "17", "--primed"):
+        "6cb1bf3060341602ea2fc24f8e282dc2e3508f7b02f5db8a01f057eb188ee9db",
     ("gaps", "--lambda", "0.6", "--n", "9", "--distinct-tol", "1e-9"):
         "0904f9b1ca7845b59b9d8caab1b2720e783cb42a02228154a5ffeaca13eb4c0a",
     ("classify", "--poly", "x^3-2x-2"):
@@ -272,6 +276,13 @@ def test_paircorr_one_value_interval_errors(tmp_path):
     rc, _ = run(tmp_path, "paircorr", "--lambda", "0.6", "--n", "6",
                 "--s-grid", "1", "--interval", "0.2")
     assert rc == 4
+
+
+def test_paircorr_has_no_primed_flag(tmp_path):
+    # A PRIMED curve is the STANDARD curve at s * (1 - lambda); scale --s-grid.
+    rc, _ = run(tmp_path, "paircorr", "--lambda", "0.6", "--n", "6",
+                "--s-grid", "1", "--primed")
+    assert rc == 2
 
 
 def test_exact_golden_growth_comparison(tmp_path):

@@ -151,15 +151,18 @@ def cdf_inputs(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(cdf_inputs())
-def test_cdf_models_match_oracles(x):
-    y, clamped = cdf_sqrt_half().evaluate(x)
+@given(cdf_inputs(), st.sampled_from(SMALL_BLOCKS + [stats._BLOCK]))
+def test_cdf_models_match_oracles(x, block):
+    F = EMPIRICAL_06
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stats, "_BLOCK", block)
+        closed, empirical = cdf_sqrt_half().evaluate(x), F.evaluate(x)
+    y, clamped = closed
     y_ref, clamped_ref = cdf_sqrt_half_where(x)
     assert y.shape == x.shape and y.tobytes() == y_ref.tobytes()
     assert clamped == clamped_ref
-    F = EMPIRICAL_06
     lo, hi = F.support
-    y, clamped = F.evaluate(x)
+    y, clamped = empirical
     assert y.tobytes() == np.interp(x, F.knots_x, F.knots_y).tobytes()
     assert clamped == int(np.count_nonzero((x < lo) | (x > hi)))
 
@@ -220,6 +223,15 @@ def test_rescale_warns_on_self_cdf():
     F = cdf_empirical(0.6429, 10)
     with pytest.warns(UserWarning):
         rescale(ps, F)
+
+
+@pytest.mark.parametrize("model", [cdf_sqrt_half(), cdf_empirical(SQRT_HALF, 16)],
+                         ids=["sqrt-half", "empirical:16"])
+def test_rescale_peak_memory(model):
+    # The output is the only full-size allocation; the CDF is evaluated one
+    # block at a time into it.
+    ps = generate(0.7, 20)
+    assert traced_peak(rescale, ps, model) <= 1.25 * ps.values.nbytes
 
 
 def test_rescaled_spacings_near_poisson_smoke():
@@ -737,9 +749,22 @@ def test_gaps_blocks_keep_first_maxima_and_ejk(block):
     assert np.searchsorted(odd.values, sum(0.36 ** k for k in range(5)) - 1e-9) > block
 
 
+@pytest.mark.parametrize("lam", [0.55, 0.58, 0.6, 0.61])
+@pytest.mark.parametrize("levels", [15, 17, 19])
+@pytest.mark.parametrize("form", list(Form))
+def test_gaps_ejk_matches_full_array_oracle(lam, levels, form):
+    # Sets of several blocks where the EJK law holds, so the search window
+    # around the predicted gap is what decides the match.
+    ps = generate(lam, levels, form)
+    report = gaps(ps)
+    want = gaps_full(ps.values, lam, levels, form is Form.STANDARD, ps.distinct_tolerance())
+    assert repr(asdict(report)) == repr(want)
+    assert report.ejk_prediction_match
+
+
 @pytest.mark.parametrize("lam,levels", [(0.7, 20), (0.6, 19)])
 def test_gaps_peak_memory(lam, levels):
-    # (0.6, 19) also runs the second, EJK pass over the gaps.
+    # At (0.6, 19) the EJK law holds, so its search window is read as well.
     ps = generate(lam, levels, Form.PRIMED)
     assert traced_peak(gaps, ps) <= 0.25 * ps.values.nbytes
 
