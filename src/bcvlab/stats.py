@@ -21,6 +21,9 @@ Conventions fixed across the module:
   pairwise-summation split, so it equals ``np.var(ddof=1)`` bit for bit.
   The Erdos-Joo-Komornik check of :func:`gaps` reads only a search window
   around the predicted gap.
+* The pair counter counts the whole s grid in one pass: each block compares
+  the differences at index offsets 1 .. ``_DEPTH`` (16) with every threshold,
+  and only rows whose window reaches past that depth are searched.
 """
 
 from __future__ import annotations
@@ -65,42 +68,80 @@ GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
 HIST_BIN_COUNT = 50
 
 _BLOCK = 1 << 15  # values per block of every streamed pass; bounds the temporaries
+_DEPTH = 16  # index offsets the pair counter scans before it searches
 
 
 # ---------------------------------------------------------------------------
-# sliding-window pair counter
+# whole-grid pair counter
 
 
-def _window_count(values: np.ndarray, thr: float) -> int:
-    """Index pairs i < j of a sorted finite array with ``values[j] - values[i] <= thr``.
+def _grid_counts(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Index pairs i < j of a sorted finite array with ``values[j] - values[i]
+    <= t``, for each t of the ascending, nonnegative ``thresholds``.
 
-    For each i, ``searchsorted`` finds the last j with ``values[j] <=
-    values[i] + thr``.  Rounding of that sum can leave j one value, or one run
-    of tied values, off the exact predicate, so j is then stepped back and
-    forward until the predicate holds for j and fails for j + 1.  The
-    predicate is monotone in j because float subtraction is, and it holds at
-    j = i since ``thr >= 0``.
+    Each ``_BLOCK`` of rows compares the contiguous slice ``values[i + d] -
+    values[i]`` with every live threshold, for d = 1 .. ``_DEPTH``.  The
+    predicate is exact and monotone in d (float subtraction is), so offset d
+    counts the rows whose last partner j(i) is at least i + d, and the
+    offsets add up to ``min(j(i) - i, _DEPTH)``.  A threshold that counts no
+    row at some offset counts none further out, nor does any smaller one, so
+    it stops.  Rows still within a threshold at offset ``_DEPTH`` add ``j(i)
+    - i - _DEPTH``, with j(i) from :func:`_window_ends`.
     """
     n = values.size
-    total = 0
+    counts = np.zeros(thresholds.size, dtype=np.int64)
     for start in range(0, n, _BLOCK):
-        v = values[start:start + _BLOCK]
-        j = np.searchsorted(values, v + thr, side="right") - 1
-        k = np.arange(v.size)
-        while True:
-            k = k[values[j[k]] - v[k] > thr]
-            if not k.size:
+        stop = min(start + _BLOCK, n)
+        live = 0  # thresholds[live:] still count rows of this block
+        for d in range(1, _DEPTH + 1):
+            hi = max(min(stop, n - d), start)  # rows with a value d further on
+            diff = values[start + d:hi + d] - values[start:hi]
+            for k in range(live, thresholds.size):
+                c = np.count_nonzero(diff <= thresholds[k])
+                counts[k] += c
+                if not c:
+                    live = k + 1
+            if live == thresholds.size:
                 break
-            j[k] -= 1
-        k = np.arange(v.size)
-        while True:
-            k = k[j[k] < n - 1]
-            k = k[values[j[k] + 1] - v[k] <= thr]
-            if not k.size:
-                break
-            j[k] += 1
-        total += int((j - np.arange(start, start + v.size)).sum())
-    return total
+        else:
+            for k in range(live, thresholds.size):
+                rows = start + np.flatnonzero(diff <= thresholds[k])
+                ends = _window_ends(values, rows, thresholds[k])
+                counts[k] += int((ends - rows).sum()) - _DEPTH * rows.size
+    return counts
+
+
+def _window_ends(values: np.ndarray, rows: np.ndarray, thr: float) -> np.ndarray:
+    """The last j with ``values[j] - values[i] <= thr``, for each i in the
+    non-empty, ascending ``rows``.
+
+    ``searchsorted`` finds the last j with ``values[j] <= values[i] + thr``.
+    The ascending ``rows`` and their sums bound every such j, so only that
+    window of ``values`` is searched.  Rounding of the sum can leave j one
+    value, or one run of tied values, off the exact predicate, so j is then
+    stepped back and forward until the predicate holds for j and fails for
+    j + 1.  The predicate is monotone in j because float subtraction is, and
+    it holds at j = i since ``thr >= 0``.
+    """
+    n = values.size
+    v = values[rows]
+    lo, hi = rows[0], np.searchsorted(values, v[-1] + thr, side="right")
+    j = np.searchsorted(values[lo:hi], v + thr, side="right")
+    j += lo - 1
+    k = np.arange(v.size)
+    while True:
+        k = k[values[j[k]] - v[k] > thr]
+        if not k.size:
+            break
+        j[k] -= 1
+    k = np.arange(v.size)
+    while True:
+        k = k[j[k] < n - 1]
+        k = k[values[j[k] + 1] - v[k] <= thr]
+        if not k.size:
+            break
+        j[k] += 1
+    return j
 
 
 def _as_sorted_values(source) -> np.ndarray:
@@ -469,13 +510,16 @@ def _validate_grid(s_grid) -> np.ndarray:
 def _r2(window: np.ndarray, grid: np.ndarray, width: float) -> np.ndarray:
     """R2 over ``grid``: ordered pairs within ``s * width / m`` per point."""
     m = window.size
-    return np.array([2.0 * _window_count(window, s * width / m) / m for s in grid])
+    return 2.0 * _grid_counts(window, grid * width / m) / m
 
 
 def pair_correlation(source, s_grid) -> CorrelationCurve:
     """R2(s): ordered pairs within ``s / n_points``, divided by ``n_points``.
 
-    One blocked ``searchsorted`` pass over the sorted values per grid point.
+    One blocked pass over the sorted values counts every grid point at once:
+    it compares the differences of values up to 16 indices apart with each
+    threshold, and searches only for the rows whose window reaches further.
+    A pair counts when its float difference is at most ``s / n_points``.
     At s = 0 only exact float coincidences count; certified coincidence
     analysis for algebraic parameters belongs to :func:`coincidence_rate` on
     the exact backend.

@@ -2,8 +2,10 @@
 
 Everything here deliberately avoids the library's own code paths: digit sums
 are evaluated string by string or merged level by level with an explicit
-mask-and-scatter merge, pair counts by quadratic all-pairs scans and
-a scalar two-pointer loop, word counts by exhaustive enumeration,
+mask-and-scatter merge, pair counts by quadratic all-pairs scans, a scalar
+two-pointer loop and one blocked ``searchsorted`` pass per threshold (the
+per-threshold counter the library used before it counted a whole grid in one
+offset scan), word counts by exhaustive enumeration,
 polynomial remainders by long division over exact rationals, residue
 tallies by a dict of Python-integer tuples, spacing histograms by a per-value
 bin index and ``bincount``, the KS statistic by the ECDF at every sample, gap
@@ -68,6 +70,36 @@ def window_count_loop(values: np.ndarray, thr: float) -> int:
         while j + 1 < n and values[j + 1] - values[i] <= thr:
             j += 1
         total += j - i
+    return total
+
+
+def window_count_searchsorted(values: np.ndarray, thr: float, block: int = 1 << 15) -> int:
+    """Pairs i < j with values[j] - values[i] <= thr, one ``block`` of i at a time.
+
+    For each i, ``searchsorted`` finds the last j with ``values[j] <=
+    values[i] + thr``.  Rounding of that sum can leave j one value, or one run
+    of tied values, off the exact predicate, so j is then stepped back and
+    forward until the predicate holds for j and fails for j + 1.
+    """
+    n = values.size
+    total = 0
+    for start in range(0, n, block):
+        v = values[start:start + block]
+        j = np.searchsorted(values, v + thr, side="right") - 1
+        k = np.arange(v.size)
+        while True:
+            k = k[values[j[k]] - v[k] > thr]
+            if not k.size:
+                break
+            j[k] -= 1
+        k = np.arange(v.size)
+        while True:
+            k = k[j[k] < n - 1]
+            k = k[values[j[k] + 1] - v[k] <= thr]
+            if not k.size:
+                break
+            j[k] += 1
+        total += int((j - np.arange(start, start + v.size)).sum())
     return total
 
 

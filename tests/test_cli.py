@@ -190,13 +190,17 @@ def test_spacings_overflowing_poisson_overlay_exit_code(tmp_path, ell):
 
 
 # sha256 of paircorr_curve.csv and sweep_report.json for fixed runs; a change
-# to the pair counter or the sweep must not move a single byte of them.
+# to the pair counter or the sweep must not move a single byte of them.  The
+# extra options follow PAIRCORR_ARGS, so a repeated option overrides it.
 PAIRCORR_ARGS = ("paircorr", "--lambda", "0.70880447", "--n", "14",
                  "--s-grid", "0,0.5,1,2")
 PAIRCORR_DIGESTS = {
     (): "eef82a3ee28a2421f00c512cb0250deee0a12067df1450365cd9f6b4c79836dd",
     ("--interval", "0.25,0.75"):
         "98aedb9e8564d3ba810d31ec72f6b14362f69c90f84b38df3fec0965ca577272",
+    # Four blocks, most of whose rows reach past the pair counter's scan depth.
+    ("--lambda", "0.7548776662466927", "--n", "17", "--s-grid", "0,0.5,1,2,4"):
+        "821909423fc9bf66690049b5a69c99d9d4905d74e6f47a167572f278d7068c1e",
 }
 
 

@@ -16,7 +16,8 @@ from bcvlab import (CdfModel, DomainError, Form, PointSet, SpacingSet,
                     poisson_cdf, poisson_reference, rescale, spacings)
 from bcvlab.stats import write_curve_csv, write_histogram_csv
 from oracles import (all_pairs_ordered_count, cdf_sqrt_half_where, gamma_cdf_int,
-                     gaps_full, histogram_bincount, ks_searchsorted, window_count_loop)
+                     gaps_full, histogram_bincount, ks_searchsorted, window_count_loop,
+                     window_count_searchsorted)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SQRT_HALF = 2.0**-0.5
@@ -566,31 +567,66 @@ def test_pair_correlation_rejects_empty_and_non_finite_values():
 
 
 @st.composite
-def sorted_values_with_ties(draw):
-    """A sorted array in which some values repeat, and a threshold that is 0,
-    arbitrary, or within one ulp of a difference of two of its values (where
+def sorted_values_and_grid(draw):
+    """A sorted array in which some values repeat, and an ascending grid of
+    thresholds holding 0, repeated values, arbitrary values, and differences
+    of two of the array's values with their ``nextafter`` neighbours (where
     ``values[i] + thr`` and ``values[j] - values[i]`` can round apart)."""
     base = draw(st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=40))
     copies = draw(st.lists(st.sampled_from(base), max_size=20))
     values = np.sort(np.array(base + copies, dtype=np.float64))
-    i, j = sorted(draw(st.lists(st.integers(0, values.size - 1),
-                                min_size=2, max_size=2)))
-    diff = values[j] - values[i]
-    near = [float(diff), float(np.nextafter(diff, -1.0)), float(np.nextafter(diff, 10.0))]
-    thr = draw(st.sampled_from([0.0] + [t for t in near if t >= 0.0])
-               | st.floats(0.0, 10.0))
-    return values, thr
+    index = st.integers(0, values.size - 1)
+    near = [0.0]
+    for i, j in draw(st.lists(st.tuples(index, index), min_size=1, max_size=3)):
+        diff = abs(values[j] - values[i])
+        near += [float(diff), float(np.nextafter(diff, -1.0)), float(np.nextafter(diff, 10.0))]
+    picks = draw(st.lists(st.sampled_from(near) | st.floats(0.0, 10.0), max_size=6))
+    grid = np.sort(np.array([0.0] + [t for t in picks if t >= 0.0]))
+    return values, grid
 
 
 @settings(max_examples=300, deadline=None)
-@given(sorted_values_with_ties())
-def test_window_count_matches_loop_and_all_pairs(case):
-    values, thr = case
+@given(sorted_values_and_grid(), st.sampled_from([3, 7]), st.sampled_from([1, 2, 16]))
+def test_window_count_matches_loop_and_all_pairs(case, block, depth):
+    # Small blocks and depths put block ends inside the array and send rows
+    # down the search path past the depth.
+    values, grid = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stats, "_BLOCK", 3)  # exercise block boundaries
-        got = stats._window_count(values, thr)
-    assert got == window_count_loop(values, thr)
-    assert 2 * got == all_pairs_ordered_count(values, thr)
+        mp.setattr(stats, "_BLOCK", block)
+        mp.setattr(stats, "_DEPTH", depth)
+        got = stats._grid_counts(values, grid).tolist()
+    for count, thr in zip(got, grid):
+        assert count == window_count_loop(values, thr)
+        assert count == window_count_searchsorted(values, thr, block)
+        assert 2 * count == all_pairs_ordered_count(values, thr)
+
+
+# Reciprocals of Pisot numbers: the real roots of x^2+x-1, x^3+x^2-1 and
+# x^3+x^2+x-1.
+CLUSTERED = [GOLDEN, 0.7548776662466927, 0.5436890126920764]
+
+
+@pytest.mark.parametrize("levels", range(10, 15))
+@pytest.mark.parametrize("lam", CLUSTERED)
+def test_pair_correlation_clustered_matches_loop(lam, levels):
+    # Many points coincide or nearly do at these parameters, so windows run
+    # far past the scan depth.
+    ps = generate(lam, levels)
+    n = ps.point_count
+    grid = np.array([0.0, 0.5, 1.0, 2.0, 4.0])
+    want = [2.0 * window_count_loop(ps.values, s * 1.0 / n) / n for s in grid]
+    for depth in (stats._DEPTH, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stats, "_DEPTH", depth)
+            assert pair_correlation(ps, grid).r_values.tolist() == want
+
+
+@pytest.mark.parametrize("lam", [0.7, 0.7548776662466927])
+def test_pair_correlation_peak_memory(lam):
+    # The scan and the search both work one block of rows at a time; at
+    # 0.7548... most rows reach past the scan depth.
+    ps = generate(lam, 20)
+    assert traced_peak(pair_correlation, ps, [0, 0.5, 1, 2, 4]) <= 0.3 * ps.values.nbytes
 
 
 def test_pair_correlation_interval_full_matches_plain():
