@@ -1,11 +1,13 @@
 """Finite Bernoulli convolution point sets.
 
 ``generate`` builds the 2**N partial-sum values for a parameter lambda from
-the iterated affine map x -> lambda*x (+1): each level writes both images of
-the sorted values into the front of one 2**N buffer and stable-sorts that
-prefix, keeping repeated values
+the iterated affine map x -> lambda*x (+1), keeping repeated values
 (multiplicity matters: repeats are exactly the coincidences between digit
-strings).  ``generate_exact`` tallies the same 2**N digit strings as residues
+strings).  Each level merges both images of the sorted values into the
+front of one 2**N buffer: a small level by one stable sort of that prefix,
+a large one in place, block by block from the top down, each block
+locating its share of the two images by bisection.  ``generate_exact``
+tallies the same 2**N digit strings as residues
 modulo a defining integer polynomial, in integer arithmetic on the scale
 ``lead**N``, so coincidence structure at an algebraic parameter is certified
 exactly instead of read off floats.  Each level of that tally is one int64
@@ -98,14 +100,19 @@ class ExactPointSet:
     multiplicities: np.ndarray
 
 
+_MERGE_BLOCK = 1 << 16  # values per output block of a large level's merge
+
+
 def generate(lam: float, levels: int, form: Form = Form.STANDARD) -> PointSet:
     """All 2**levels values ``sum a_n lam^n`` (a_n in {0,1}), sorted, repeats kept.
 
-    Built by iterating ``A -> sort(lam*A, lam*A + 1)`` from {0} inside one
-    2**levels buffer: at level t the first 2**t values are scaled in place,
-    their images plus 1 fill the next 2**t, and numpy's stable sort merges
-    the two sorted runs of that prefix in O(2**(t+1)).  No level allocates
-    a new buffer.  Every digit string is evaluated by
+    Built by iterating ``A -> merge(lam*A, lam*A + 1)`` from {0} inside one
+    2**levels buffer: at level t the first 2**t values are scaled in place
+    to the low run ``L``, and the merge of ``L`` with ``L + 1`` fills the
+    first 2**(t+1).  A level of at most ``_MERGE_BLOCK`` values writes
+    ``L + 1`` behind ``L`` and stable-sorts that prefix; a larger one is
+    merged by ``_merge_blocks`` in place, so no level allocates more than
+    one block.  Every digit string is evaluated by
     the same Horner scheme a direct evaluation would use.  STANDARD form
     scales the result in place by ``(1 - lam)`` so the support is inside
     [0, 1].
@@ -117,16 +124,65 @@ def generate(lam: float, levels: int, form: Form = Form.STANDARD) -> PointSet:
         raise SizeCapError(
             f"levels must lie in 1..{MAX_FLOAT_LEVELS} (2**{MAX_FLOAT_LEVELS} floats), got {levels}")
     values = np.zeros(1 << levels, dtype=np.float64)
+    block = np.empty(min(values.size, _MERGE_BLOCK), dtype=np.float64)
     for t in range(levels):
         m = 1 << t
         low = values[:m]
         low *= lam
-        np.add(low, 1.0, out=values[m:2 * m])
-        values[:2 * m].sort(kind="stable")
+        if 2 * m <= block.size:
+            np.add(low, 1.0, out=values[m:2 * m])
+            values[:2 * m].sort(kind="stable")
+        else:
+            _merge_blocks(values[:2 * m], block)
     if form is Form.STANDARD:
         values *= 1.0 - lam
     values.flags.writeable = False
     return PointSet(lam, levels, form, values)
+
+
+def _merge_blocks(out: np.ndarray, block: np.ndarray) -> None:
+    """Overwrite ``out`` with the sorted merge of its low half ``L`` and ``L + 1``.
+
+    The output is cut into blocks of ``block.size`` values, written from the
+    top down.  Block ``[p0, p1)`` takes ``L[x0:x1]`` and ``(L + 1)[y0:y1]``,
+    where ``x(p)`` is the co-rank of ``p`` (see ``_co_rank``) and
+    ``y(p) = p - x(p)``.  A block with one part only is copied or written by
+    ``np.add``; a mixed one is filled into ``block`` and stable-sorted there,
+    in cache.  Since ``x0, y0 <= p0``, no lower block reads what a block
+    writes.  Equal values are equal doubles, so the bytes are those of one
+    stable sort of ``L, L + 1``.
+    """
+    low = out[:out.size // 2]
+    x1 = low.size
+    for p0 in range(out.size - block.size, -1, -block.size):
+        p1 = p0 + block.size
+        x0 = _co_rank(low, p0)
+        y0, y1 = p0 - x0, p1 - x1
+        if y0 == y1:
+            if y0:
+                out[p0:p1] = low[x0:x1]
+        elif x0 == x1:
+            np.add(low[y0:y1], 1.0, out=out[p0:p1])
+        else:
+            block[:x1 - x0] = low[x0:x1]
+            np.add(low[y0:y1], 1.0, out=block[x1 - x0:])
+            block.sort(kind="stable")
+            out[p0:p1] = block
+        x1 = x0
+
+
+def _co_rank(low: np.ndarray, p: int) -> int:
+    """How many of ``low``'s values are among the ``p`` smallest of the merge
+    of ``low`` and ``low + 1`` (ties go to ``low + 1``), by bisection.  It
+    reads ``low`` below index ``p`` only."""
+    lo, hi = max(0, p - low.size), min(p, low.size)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if low[mid] < low[p - mid - 1] + 1.0:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)

@@ -3,8 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see criterion lines and
 timings.  Expected values follow independent oracles (closed-form lattice
 counts, exhaustive enumeration, quadratic all-pairs scans); runtime budgets
-are asserted, with the JIT warmup kept outside the clock by the session
-fixture.
+are asserted.
 """
 
 import json

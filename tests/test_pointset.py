@@ -1,9 +1,14 @@
+import hashlib
 import itertools
 import math
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +23,10 @@ from oracles import (digit_poly, exact_tally_dict, horner_values, merge_levels,
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_MINPOLY = (-1, 1, 1)  # x^2 + x - 1
+SQRT_HALF = 2.0**-0.5
+# Pisot parameters whose float sets hold long runs of equal values.
+PLASTIC = 0.7548776662466927  # real root of x^3 + x^2 - 1
+TRIBONACCI = 0.5436890126920764  # real root of x^3 + x^2 + x - 1
 
 
 def test_primed_two_levels_explicit():
@@ -80,15 +89,118 @@ def test_merge_equals_horner_brute_force():
                 assert np.all(np.abs(got - want) <= tol)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.floats(0.5, 1.0, exclude_min=True, exclude_max=True)
-       | st.sampled_from([GOLDEN, 2.0**-0.5]),
-       st.integers(1, 14), st.sampled_from(list(Form)))
-def test_generate_bytes_match_merge_oracle(lam, levels, form):
+def merge_oracle_bytes(lam, levels, form):
     want = merge_levels(lam, levels)
     if form is Form.STANDARD:
         want = (1.0 - lam) * want
-    assert generate(lam, levels, form).values.tobytes() == want.tobytes()
+    return want.tobytes()
+
+
+# Blocks of 2, 8 and 64 values send every level past the first few through
+# the blocked merge; the default block reaches it only above level 16.
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.5, 1.0, exclude_min=True, exclude_max=True)
+       | st.sampled_from([GOLDEN, SQRT_HALF, PLASTIC, TRIBONACCI]),
+       st.integers(1, 14), st.sampled_from(list(Form)),
+       st.sampled_from([2, 8, 64, pointset._MERGE_BLOCK]))
+def test_generate_bytes_match_merge_oracle(lam, levels, form, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pointset, "_MERGE_BLOCK", block)
+        got = generate(lam, levels, form).values.tobytes()
+    assert got == merge_oracle_bytes(lam, levels, form)
+
+
+@pytest.mark.parametrize("lam", [0.58, 0.83, GOLDEN, PLASTIC, TRIBONACCI])
+@pytest.mark.parametrize("levels", [17, 20])
+def test_generate_blocked_levels_match_merge_oracle(lam, levels):
+    for form in Form:
+        got = generate(lam, levels, form).values.tobytes()
+        assert got == merge_oracle_bytes(lam, levels, form)
+
+
+# sha256 of generate(lam, levels, form).values, STANDARD then PRIMED, pinned
+# as one whole-prefix stable sort per level gives them.
+GENERATE_DIGESTS = {
+    (0.58, 16): ("e4167d93b520440f2de913b9c8e0965a3f65462926da5b85075cf9423452eb41",
+                 "d3f9ba19338d9cf8b6ec4a21139e394c146d7ef9325b6ea8e49dad73a817cb99"),
+    (0.58, 17): ("5a60a40dd88c99a7777e2ed4950e05d222d5fa4b2a1150ddd36b56492ee2a2ce",
+                 "ef034b0db1932ac63e7206b603b3858a6d553f686d343f2fae5f07f5ea0e4176"),
+    (0.58, 20): ("65e07e7c1a0090bcdece75dacf1c9faaf03ad3fde82ac4e9f94bf30046f09a4e",
+                 "9776c68c197bb72e7da71ec603e2ad82a8355316c80809129cb0222e54ffb4aa"),
+    (0.7, 16): ("1a309efe4888db8cdb4e3cb8ee94b5e95dc54cc444af5ea93d02ac80a7e473ca",
+                "7b6c5464f7a609075ab4715e5ed397b523d7498661655047b75f1bf8101b17a1"),
+    (0.7, 17): ("dd3e9d11f5524f5dae8781e14feba2dc50dc9e703346013c337ffd32af34470e",
+                "4fc474bd6872c86100e5f2fc49a9e728afe691abf9bff1115cc48b6b23eacf9f"),
+    (0.7, 20): ("c179d132320b12daa8aa7520162dd52e88b2f8ea067e55986319c380842720bc",
+                "12414f58f1d03ba5c08587a219c94455ab093c3c71839c46144a8f68948d48fc"),
+    (0.83, 16): ("cbaf7e4e1f55dd186af4dce8c2f57067e152f2887c33724f51c565aaa93539f2",
+                 "c6cfa033686fa51fc8a44915b1ff14c3c3516a6f3e702664ce2ca51006ee6b67"),
+    (0.83, 17): ("d81ff8dad3cde09f64b78c0a4463f1e707d72fe1f482129cbad99be9de238e76",
+                 "614f17c7438b5d2ab5d9bf95f0edd303c0282db80b7f6d662e4de05409be1db2"),
+    (0.83, 20): ("3ead07c08f4bc4b1c47adb40a5e175befc7591e8c60ce4e25571152836e7b1d4",
+                 "28a12ed0d100a9c6536a316f6d61835d6ceefeea385e256e2bb69b466edb9b44"),
+    (SQRT_HALF, 16): ("d5e3794fe0663d61edb4fd6216b06ddcf15b2e75ff92e786b3a10e8c60c1428b",
+                      "d0307daa71ab6b38a0e7bf13e9408fb3a51479da49ae89dcb1fb806c7f4fa078"),
+    (SQRT_HALF, 17): ("9609f4ed4e220e9c137c48fbf1460f05463b1276953210e8972a2074a60fc227",
+                      "8910c92a04024a9a2141ea0aa31b7e271980dbf25751cfb76286c3820c482d13"),
+    (SQRT_HALF, 20): ("7d03ac72b57e6c994bf9ab11966de000c11816e6b81bb07834044643e95a7d2f",
+                      "63da86f93d2663453a470b99f0bc26fb50edaa760d0a7c6c84984df742498973"),
+    (GOLDEN, 16): ("e3ba22b4ada2158d5f33f585ba45b01a8f0c757022f24ff2091b9b0fe79b132c",
+                   "a2eea7e9244f08b4e56381cc70e153ce4d202bb49eb2926f082a156e09c726c9"),
+    (GOLDEN, 17): ("03abef7f0d3bd4a659337b2f25356fc8833e11a82ae00497ba6b4e1d5e138b1b",
+                   "9a4053ee82195b9a99c73fdcc7e24b1f3b0eac32d8684caaa6cdeabe69990843"),
+    (GOLDEN, 20): ("7f713ec71ac80909d7da47d10bb65b17df31c69daf3b2c5e4639cb05794ba545",
+                   "15fcef70987b8fbb1685e955ff32eedb9b533f0720f678c54c74eb71bd68c320"),
+    (PLASTIC, 16): ("2de727db164d8f81e921488ffba1752ea9f4d0d88c10be44809f5be57d4c54fb",
+                    "99fa9b60a477ef4a82ced430121267987c826df2e9f7328298da7daee6ed9e02"),
+    (PLASTIC, 17): ("fc5de971d364face965fbbf099e98eaaa7ee29b1fbc6a367bc434c05558717ff",
+                    "9bdd7f864ede02648ec6a9cead904d32b3c942cd460699a4b5a9f3b3e765d2a1"),
+    (PLASTIC, 20): ("1f1a3a28fd160c87804a9e604e484cbb4f611402593a892642146d1771fed83c",
+                    "0419bce809ed7f290ad273c872af2e727b441aed8534828bf35450e48e3e12ea"),
+    (TRIBONACCI, 16): ("b6e580624809cfa54c1705ae9cde30c2ecdb868828cb1f31bb53a1d30f193636",
+                       "0b6abb82a9b89d196dd2b53778fa66b85b83f3d150ccadc08233a545bb1c5f64"),
+    (TRIBONACCI, 17): ("9dd71c9e9b522cea111aeb6526fd3aa3087f1e6c18dacb8788d5b8f17cbcd271",
+                       "f56ffab8048db395f421338f21bd26130d2c91d0dd0582b95d26691eb48888e9"),
+    (TRIBONACCI, 20): ("e5c28eaea52bbb8ccc549f7595040bbeba675f146427e8b321df6c68794b61c6",
+                       "e5f325c6acde87680374ffaf57cd2984589d3ff088f894a998c2c0acab151834"),
+    (0.5, 16): ("020497d7c83e3071a3031ab11fc3cf67e73a7b7954b05020614d1d00ae7207e4",
+                "3f35c1f6c6da1b10b0fd226f646fbb71147928f5e139ad04eecd78a70a358a4b"),
+    (0.5, 17): ("62f5f9a347136ea414ad14a3e1a50c32d7ab9b5aa87e0b9893ea429a30951fb8",
+                "8806cc9872ab230af4f137605a1d34c7d29b445f11b7ccea83e51334bc2155f0"),
+    (0.5, 20): ("f0f5a09658ec73bb4e75a9fa76e2e23c90f5365e27975510256345f93dd58e77",
+                "a3f2ddd017277ea9c642883588191c6a2d4ac9b59a4be4ec98b5fbb125bf19a5"),
+}
+
+
+@pytest.mark.parametrize("lam,levels", sorted(GENERATE_DIGESTS))
+def test_generate_digests(lam, levels):
+    got = tuple(hashlib.sha256(generate(lam, levels, form).values.tobytes()).hexdigest()
+                for form in (Form.STANDARD, Form.PRIMED))
+    assert got == GENERATE_DIGESTS[lam, levels]
+
+
+# ru_maxrss would start at the spawning process's peak, which exec carries
+# over, so the child reads the high-water mark of its own memory map.
+PEAK_SCRIPT = """
+import sys
+from bcvlab import generate
+def hwm_kb():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+before = hwm_kb()
+values = generate(float(sys.argv[1]), 22).values
+print((hwm_kb() - before) * 1024 / values.nbytes)
+"""
+
+
+@pytest.mark.parametrize("lam", [0.7, 0.83])
+def test_generate_peak_memory(lam):
+    # tracemalloc does not see numpy's sort buffers, so read the rise of the
+    # peak RSS in a fresh process, in units of the output.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", PEAK_SCRIPT, repr(lam)], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert float(done.stdout) <= 1.15
 
 
 # golden, Garsia x^2-2, non-monic 2x^2-1, Garsia x^3-2x-2, golden negated
