@@ -124,34 +124,35 @@ def generate(lam: float, levels: int, form: Form = Form.STANDARD) -> PointSet:
         raise SizeCapError(
             f"levels must lie in 1..{MAX_FLOAT_LEVELS} (2**{MAX_FLOAT_LEVELS} floats), got {levels}")
     values = np.zeros(1 << levels, dtype=np.float64)
-    block = np.empty(min(values.size, _MERGE_BLOCK), dtype=np.float64)
     for t in range(levels):
         m = 1 << t
         low = values[:m]
         low *= lam
-        if 2 * m <= block.size:
+        if 2 * m <= _MERGE_BLOCK:
             np.add(low, 1.0, out=values[m:2 * m])
             values[:2 * m].sort(kind="stable")
         else:
-            _merge_blocks(values[:2 * m], block)
+            _merge_blocks(values[:2 * m])
     if form is Form.STANDARD:
         values *= 1.0 - lam
     values.flags.writeable = False
     return PointSet(lam, levels, form, values)
 
 
-def _merge_blocks(out: np.ndarray, block: np.ndarray) -> None:
+def _merge_blocks(out: np.ndarray) -> None:
     """Overwrite ``out`` with the sorted merge of its low half ``L`` and ``L + 1``.
 
-    The output is cut into blocks of ``block.size`` values, written from the
+    The output is cut into blocks of ``_MERGE_BLOCK`` values, written from the
     top down.  Block ``[p0, p1)`` takes ``L[x0:x1]`` and ``(L + 1)[y0:y1]``,
     where ``x(p)`` is the co-rank of ``p`` (see ``_co_rank``) and
     ``y(p) = p - x(p)``.  A block with one part only is copied or written by
-    ``np.add``; a mixed one is filled into ``block`` and stable-sorted there,
-    in cache.  Since ``x0, y0 <= p0``, no lower block reads what a block
-    writes.  Equal values are equal doubles, so the bytes are those of one
-    stable sort of ``L, L + 1``.
+    ``np.add``; a mixed one is filled into one reused block buffer and
+    stable-sorted there, in cache.  The buffer is allocated here, so a set
+    with no large level allocates none.  Since ``x0, y0 <= p0``, no lower
+    block reads what a block writes.  Equal values are equal doubles, so the
+    bytes are those of one stable sort of ``L, L + 1``.
     """
+    block = np.empty(_MERGE_BLOCK, dtype=np.float64)
     low = out[:out.size // 2]
     x1 = low.size
     for p0 in range(out.size - block.size, -1, -block.size):

@@ -203,6 +203,19 @@ def test_generate_peak_memory(lam):
     assert float(done.stdout) <= 1.15
 
 
+@pytest.mark.parametrize("levels", [12, 16])
+def test_generate_small_sets_allocate_only_output(levels):
+    # A set with no level above _MERGE_BLOCK values allocates no merge block;
+    # an unused one costs a small set's calls their warm heap pages.
+    tracemalloc.start()
+    try:
+        ps = generate(0.7, levels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ps.values.nbytes + 4096
+
+
 # golden, Garsia x^2-2, non-monic 2x^2-1, Garsia x^3-2x-2, golden negated
 EXACT_POLYS = [GOLDEN_MINPOLY, (-2, 0, 1), (-1, 0, 2), (-2, -2, 0, 1), (1, -1, -1)]
 
