@@ -12,19 +12,19 @@ modulo a defining integer polynomial, in integer arithmetic on the scale
 ``lead**N``, so coincidence structure at an algebraic parameter is certified
 exactly instead of read off floats.  Each level of that tally is one int64
 matrix of distinct residue vectors.  Each vector and its multiplicity are
-packed into a mixed-radix uint64 word whose numeric order is the
-lexicographic order of the vectors, so one value sort of the words
-deduplicates the level.  A level whose entries could leave int64 is
-refused with ``SizeCapError`` before it is computed.  ``exact_levels`` walks
-the tally, yielding each level 1..N in turn as a read-only
-``ExactPointSet`` built from the one before; ``generate_exact`` keeps the
-last level and ``distinct_count_profile`` the size of each, so a caller
-that needs several levels tallies every level once.
+packed as bit fields, each as wide as its entry's span on the level, into a
+uint64 word whose numeric order is the lexicographic order of the vectors,
+so one value sort of the words deduplicates the level.  A level whose
+entries could leave int64 is refused with ``SizeCapError`` before it is
+computed.  ``exact_levels`` walks the tally, yielding each level 1..N in
+turn as a read-only ``ExactPointSet`` built from the one before;
+``generate_exact`` keeps the last level and ``distinct_count_profile`` the
+size of each, so a caller that needs several levels tallies every level
+once.
 """
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -187,42 +187,32 @@ def _co_rank(low: np.ndarray, p: int) -> int:
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
-_WORD_CAPACITY = 1 << 64  # radix product one uint64 word can hold
+_WORD_BITS = 64  # bits of fields one uint64 word holds
 
 
-def _pack(radices) -> list[list[int]]:
-    """Split digit indices, most significant first, greedily into words whose
-    radix product stays within ``_WORD_CAPACITY``; a digit too wide to share
-    a word gets one of its own."""
-    words, size = [[]], 1
-    for i, radix in enumerate(radices):
-        if words[-1] and size * radix > _WORD_CAPACITY:
+def _pack(widths) -> list[list[int]]:
+    """Split field indices, most significant first, greedily into words whose
+    widths sum to at most ``_WORD_BITS``; a field too wide to share a word
+    gets one of its own."""
+    words, size = [[]], 0
+    for i, width in enumerate(widths):
+        if words[-1] and size + width > _WORD_BITS:
             words.append([])
-            size = 1
+            size = 0
         words[-1].append(i)
-        size *= radix
+        size += width
     return words
 
 
-def _split_low_digit(word: np.ndarray, radix: np.uint64, out: np.ndarray) -> None:
-    """Write ``word % radix`` to ``out`` and leave ``word // radix`` in ``word``.
-
-    numpy's uint64 floor division by a scalar is several times faster than
-    its modulo, and this order needs no temporary."""
-    np.floor_divide(word, radix, out=out)
-    out *= radix
-    np.subtract(word, out, out=out)
-    word //= radix
-
-
-def _encode(digits, lows, radices, packing, bump_step: int) -> np.ndarray:
-    """Mixed-radix words of ``n`` digit vectors, then of their bumped copies.
+def _encode(digits, lows, widths, packing, bump: int) -> np.ndarray:
+    """Bit-field words of ``n`` digit vectors, then of their bumped copies.
 
     ``digits`` holds the uint64 views of the ``n`` vectors' entries, row by
-    row, then of their multiplicities.  The bumped copy of a vector differs
-    in digit 0 alone, which sits in word 0, so its word 0 is larger by
-    ``bump_step``.  Rows are reduced modulo 2**64, which is exact because
-    every radix is at most 2**64 - 1.
+    row, then of their multiplicities; each digit less its low is written to
+    a field ``widths[i]`` bits wide.  The bumped copy of a vector differs in
+    digit 0 alone, which sits in word 0, so its word 0 is larger by ``bump``
+    shifted past the lower fields of that word.  Rows are reduced modulo
+    2**64, which is exact because every word's fields fit in 64 bits.
     """
     n = digits[0].size
     words = np.empty((len(packing), 2 * n), dtype=np.uint64)
@@ -230,23 +220,25 @@ def _encode(digits, lows, radices, packing, bump_step: int) -> np.ndarray:
         head = word[:n]
         np.subtract(digits[group[0]], lows[group[0]], out=head)
         for i in group[1:]:
-            head *= radices[i]
+            head <<= widths[i]
             head += digits[i]
             head -= lows[i]
         word[n:] = head
-    words[0, n:] += np.uint64(bump_step)
+    words[0, n:] += np.uint64(bump << sum(widths[i] for i in packing[0][1:]))
     return words
 
 
-def _decode(words, lows, radices, packing) -> np.ndarray:
+def _decode(words, lows, widths, packing) -> np.ndarray:
     """The int64 vectors, one per column, held by ``words`` once their
-    multiplicity digit is split off; ``words`` is consumed."""
+    multiplicity field is shifted off; each field is masked off the low end
+    of its word and shifted out.  ``words`` is consumed."""
     deg = len(lows) - 1
     cols = np.empty((deg, words.shape[1]), dtype=np.uint64)
     for word, group in zip(words, packing):
         group = [i for i in group if i < deg]
         for i in reversed(group[1:]):
-            _split_low_digit(word, radices[i], out=cols[i])
+            np.bitwise_and(word, np.uint64((1 << widths[i]) - 1), out=cols[i])
+            word >>= widths[i]
         if group:
             cols[group[0]] = word
     cols += lows[:deg, None]
@@ -261,33 +253,32 @@ def _merge_level(shifted: np.ndarray, mult: np.ndarray, bump: int):
     both carrying the multiplicities ``mult``; no entry of either may leave
     int64.  ``cols`` (shape ``(deg, distinct)``) holds its distinct vectors
     in lexicographic order and the multiplicities are summed over equal
-    ones.  Each vector and its multiplicity are one mixed-radix integer:
-    entry 0 is the most significant digit, the multiplicity the least, and
-    each digit's radix is its span on the level (``max(mult) + 1`` for the
-    multiplicity), so the numeric order of the words is the lexicographic
-    order of the vectors.  One value sort of the uint64 words (a lexsort of
-    several words when the radix product exceeds 2**64) brings equal vectors
-    together, a comparison of neighbouring words without the multiplicity
-    digit marks the runs, ``np.add.reduceat`` sums their multiplicities, and
-    a division chain decodes the distinct vectors.
+    ones.  Each vector and its multiplicity are one string of bit fields:
+    entry 0 is the most significant field, the multiplicity the least, and
+    each field is as wide as its span on the level needs (``max(mult)`` for
+    the multiplicity), so the numeric order of the words is the
+    lexicographic order of the vectors.  One value sort of the uint64 words
+    (a lexsort of several words when the fields exceed 64 bits) brings equal
+    vectors together, a comparison of neighbouring words without the
+    multiplicity field marks the runs, ``np.add.reduceat`` sums their
+    multiplicities, and masks and shifts decode the distinct vectors.
     """
     n = shifted.shape[1]
     offsets = shifted.min(axis=1).tolist() + [0]
     tops = shifted.max(axis=1).tolist() + [int(mult.max())]
     tops[0] += bump
-    spans = [hi - lo + 1 for lo, hi in zip(offsets, tops)]
-    packing = _pack(spans)
+    widths = [(hi - lo).bit_length() for lo, hi in zip(offsets, tops)]
+    packing = _pack(widths)
     lows = np.array(offsets, dtype=np.int64).view(np.uint64)
-    radices = np.array(spans, dtype=np.uint64)
-    words = _encode([*shifted.view(np.uint64), mult.view(np.uint64)], lows, radices,
-                    packing, bump * math.prod(spans[i] for i in packing[0][1:]))
+    words = _encode([*shifted.view(np.uint64), mult.view(np.uint64)], lows, widths,
+                    packing, bump)
     del shifted  # callers pass a temporary, so this frees it before the sort
     if len(packing) == 1:
         words[0].sort()
     else:
         words = words[:, np.lexsort(words[::-1])]
-    mult = np.empty(2 * n, dtype=np.uint64)
-    _split_low_digit(words[-1], radices[-1], out=mult)
+    mult = words[-1] & np.uint64((1 << widths[-1]) - 1)
+    words[-1] >>= widths[-1]
     first = np.empty(2 * n, dtype=bool)  # vector starts a run of equal ones
     first[0] = True
     np.not_equal(words[0, 1:], words[0, :-1], out=first[1:])
@@ -299,7 +290,7 @@ def _merge_level(shifted: np.ndarray, mult: np.ndarray, bump: int):
         words = words[:, starts]
         mult = np.add.reduceat(mult, starts)
     del starts
-    return _decode(words, lows, radices, packing), mult.view(np.int64)
+    return _decode(words, lows, widths, packing), mult.view(np.int64)
 
 
 def _times_x(cols: np.ndarray, lead: int, low: np.ndarray) -> np.ndarray:

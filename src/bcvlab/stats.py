@@ -128,19 +128,14 @@ def _window_ends(values: np.ndarray, rows: np.ndarray, thr: float) -> np.ndarray
     lo, hi = rows[0], np.searchsorted(values, v[-1] + thr, side="right")
     j = np.searchsorted(values[lo:hi], v + thr, side="right")
     j += lo - 1
-    k = np.arange(v.size)
-    while True:
-        k = k[values[j[k]] - v[k] > thr]
-        if not k.size:
-            break
+    k = np.flatnonzero(values[j] - v > thr)
+    while k.size:
         j[k] -= 1
-    k = np.arange(v.size)
-    while True:
-        k = k[j[k] < n - 1]
-        k = k[values[j[k] + 1] - v[k] <= thr]
-        if not k.size:
-            break
+        k = k[values[j[k]] - v[k] > thr]
+    k = np.flatnonzero((j < n - 1) & (values.take(j + 1, mode="clip") - v <= thr))
+    while k.size:
         j[k] += 1
+        k = k[(j[k] < n - 1) & (values.take(j[k] + 1, mode="clip") - v[k] <= thr)]
     return j
 
 

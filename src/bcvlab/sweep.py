@@ -244,8 +244,24 @@ def _grid_size(rho: float, a: float, b: float) -> int:
     return max(_MIN_GRID, int(math.ceil((b - a) * 100.0 / rho)) + 1)
 
 
-def _measured_ratio(sizes: np.ndarray, rho: float, step: float) -> float:
-    return np.count_nonzero(sizes <= rho) * step / rho
+def _sublevel_ratios(coefficient_rows, rho_grid, interval) -> np.ndarray:
+    """:func:`sublevel_ratio` of each polynomial of ``coefficient_rows`` (one
+    row each) at each rho of ``rho_grid`` (one column each).  Each polynomial
+    is evaluated once per distinct grid, and every rho that shares the grid
+    is counted on those values."""
+    a, b = float(interval[0]), float(interval[1])
+    ratios = np.empty((len(coefficient_rows), len(rho_grid)), dtype=np.float64)
+    by_grid: dict[int, list[int]] = {}  # grid size -> columns of its rho values
+    for j, rho in enumerate(rho_grid):
+        by_grid.setdefault(_grid_size(rho, a, b), []).append(j)
+    for n_pts, columns in by_grid.items():
+        xs = np.linspace(a, b, n_pts)
+        step = (b - a) / (n_pts - 1)
+        for i, coeffs in enumerate(coefficient_rows):
+            sizes = np.abs(poly_eval(coeffs, xs))
+            for j in columns:
+                ratios[i, j] = np.count_nonzero(sizes <= rho_grid[j]) * step / rho_grid[j]
+    return ratios
 
 
 def sublevel_ratio(coeffs, rho: float, interval) -> float:
@@ -256,10 +272,7 @@ def sublevel_ratio(coeffs, rho: float, interval) -> float:
     polynomials are Lipschitz on the interval, so this resolves the sublevel
     set to ~1% of rho.
     """
-    a, b = float(interval[0]), float(interval[1])
-    n_pts = _grid_size(rho, a, b)
-    sizes = np.abs(poly_eval(coeffs, np.linspace(a, b, n_pts)))
-    return _measured_ratio(sizes, rho, (b - a) / (n_pts - 1))
+    return float(_sublevel_ratios([coeffs], [rho], interval)[0, 0])
 
 
 def transversality_check(degree: int, poly_samples: int, rho_grid, interval,
@@ -268,25 +281,11 @@ def transversality_check(degree: int, poly_samples: int, rho_grid, interval,
 
     Polynomials are ``1 + c_1 x + ... + c_D x^D`` with seeded uniform
     coefficients in {-1, 0, 1}; each ratio equals :func:`sublevel_ratio`.
-    Each polynomial is evaluated once per distinct grid, and every rho
-    that shares the grid is counted on those values.
     """
     rho_grid = tuple(float(r) for r in rho_grid)
-    a, b = float(interval[0]), float(interval[1])
     rng = np.random.default_rng(seed)
     rows = rng.integers(-1, 2, size=(poly_samples, degree))
-    ratios = np.empty((poly_samples, len(rho_grid)), dtype=np.float64)
-    by_grid: dict[int, list[int]] = {}  # grid size -> columns of its rho values
-    for j, rho in enumerate(rho_grid):
-        by_grid.setdefault(_grid_size(rho, a, b), []).append(j)
-    for n_pts, columns in by_grid.items():
-        xs = np.linspace(a, b, n_pts)
-        step = (b - a) / (n_pts - 1)
-        for i in range(poly_samples):
-            coeffs = np.concatenate(([1.0], rows[i].astype(np.float64)))
-            sizes = np.abs(poly_eval(coeffs, xs))
-            for j in columns:
-                ratios[i, j] = _measured_ratio(sizes, rho_grid[j], step)
+    ratios = _sublevel_ratios(np.hstack([np.ones((poly_samples, 1)), rows]), rho_grid, interval)
     max_per_rho = ratios.max(axis=0)
     return TransversalityReport(rho_grid, rows, ratios, max_per_rho,
                                 float(max_per_rho.max()))

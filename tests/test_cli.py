@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -394,6 +395,18 @@ def test_sweep_subcommand_deterministic(tmp_path):
     report = read_json(out1 / "sweep_report.json")
     assert report["seed"] == 99
     assert read_json(out1 / "run_manifest.json")["seed"] == 99
+
+
+@pytest.mark.parametrize("samples,shown", [(15, []), (16, list(range(1, 17))),
+                                           (25, [2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24])])
+def test_sweep_progress_lines(tmp_path, capsys, samples, shown):
+    # From 16 samples on, every tenth of them (at least one) is reported.
+    rc, _ = run(tmp_path, "sweep", "--interval", "0.6,0.7", "--n", "6",
+                "--s-grid", "1", "--samples", str(samples))
+    assert rc == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split()[1] for line in lines] == [f"{i}/{samples}" for i in shown]
+    assert all(re.fullmatch(r"sweep: \d+/\d+ samples \(\d+\.\ds\)", line) for line in lines)
 
 
 def _reject_constant(name):

@@ -248,14 +248,13 @@ def test_exact_arrays_match_dict_oracle(minpoly, levels):
     check_exact_against_oracle(minpoly, levels)
 
 
-# Capacity 2 or 3 sends every level to the several-word path: row 0 and the
-# multiplicity each have radix >= 2.  Larger capacities pack some digits.
+# 1 or 2 bits send every level to the several-word path: row 0 and the
+# multiplicity are each at least 1 bit wide.  Wider words pack some fields.
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(ORACLE_POLYS), st.integers(1, 12),
-       st.sampled_from([2, 3, 2**5, 2**12]))
-def test_exact_several_words_match_dict_oracle(minpoly, levels, capacity):
+@given(st.sampled_from(ORACLE_POLYS), st.integers(1, 12), st.sampled_from([1, 2, 5, 12]))
+def test_exact_several_words_match_dict_oracle(minpoly, levels, word_bits):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pointset, "_WORD_CAPACITY", capacity)
+        mp.setattr(pointset, "_WORD_BITS", word_bits)
         check_exact_against_oracle(minpoly, levels)
 
 
@@ -317,21 +316,27 @@ def test_exact_int64_guard_bounds_real_entries():
 
 def test_merge_level_row_spans_beyond_2_63():
     # The int64 guard keeps every entry within 2**63 - 1, so a row may span
-    # up to 2**64 - 2; entries this wide are taken modulo 2**64.
+    # up to 2**64 - 2 and need a 64-bit field; entries this wide are taken
+    # modulo 2**64.  In the second input a constant row's 0-bit field shares
+    # a word with each 64-bit one; in the third the 1-bit multiplicity field
+    # does not fit beside the 64-bit row.
     top = 2**63 - 1
-    shifted = np.array([[-top, top - 5, -top, 3, top - 5],
-                        [top, -top, top, 0, -top]], dtype=np.int64)
-    mult = np.array([1, 2, 3, 4, 5], dtype=np.int64)
-    bump = 5
-    want = Counter()
-    for col, m in zip(shifted.T.tolist(), mult.tolist()):
-        want[tuple(col)] += m
-        want[(col[0] + bump, col[1])] += m
-    cols, got = pointset._merge_level(shifted, mult, bump)
-    keys = sorted(want)
-    assert cols.T.tolist() == [list(key) for key in keys]
-    assert got.tolist() == [want[key] for key in keys]
-    assert cols.dtype == got.dtype == np.int64
+    wide = [[-top, top - 5, -top, 3, top - 5], [top, -top, top, 0, -top]]
+    for rows, mult in [(wide, [1, 2, 3, 4, 5]),
+                       ([wide[0], [7] * 5, wide[1], [-top] * 5], [1, 2, 3, 4, 5]),
+                       ([wide[0]], [1] * 5)]:
+        shifted = np.array(rows, dtype=np.int64)
+        mult = np.array(mult, dtype=np.int64)
+        bump = 5
+        want = Counter()
+        for col, m in zip(shifted.T.tolist(), mult.tolist()):
+            want[tuple(col)] += m
+            want[(col[0] + bump, *col[1:])] += m
+        cols, got = pointset._merge_level(shifted, mult, bump)
+        keys = sorted(want)
+        assert cols.T.tolist() == [list(key) for key in keys]
+        assert got.tolist() == [want[key] for key in keys]
+        assert cols.dtype == got.dtype == np.int64
 
 
 @pytest.mark.parametrize("minpoly,levels", [((-2, -2, 0, 1), 16), ((-1, 0, 2), 16),

@@ -601,6 +601,18 @@ def test_window_count_matches_loop_and_all_pairs(case, block, depth):
         assert 2 * count == all_pairs_ordered_count(values, thr)
 
 
+def test_window_ends_steps_back_from_rounded_sum():
+    # 1 + 0.6 ulp rounds up to 1 + 1 ulp, so the search lands on the last
+    # value, whose difference 1 ulp exceeds the threshold: j steps back to 1.
+    values = np.array([1.0, 1.0, 1.0 + 2.0**-52])
+    thr = 0.6 * 2.0**-52
+    assert 1.0 + thr == values[2]
+    assert stats._window_ends(values, np.array([0, 1]), thr).tolist() == [1, 1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stats, "_DEPTH", 1)
+        assert stats._grid_counts(values, np.array([thr])).tolist() == [1]
+
+
 # Reciprocals of Pisot numbers: the real roots of x^2+x-1, x^3+x^2-1 and
 # x^3+x^2+x-1.
 CLUSTERED = [GOLDEN, 0.7548776662466927, 0.5436890126920764]
@@ -698,6 +710,21 @@ def test_gaps_ejk_point_six():
 def test_gaps_ejk_requires_odd_and_small_lambda():
     assert not gaps(generate(0.6, 6, Form.PRIMED)).ejk_prediction_match  # even N
     assert not gaps(generate(0.65, 5, Form.PRIMED)).ejk_prediction_match  # above golden
+
+
+@pytest.mark.parametrize("left,size,match", [
+    (1.3025, 1.0, True),  # lam^4 at 1 + lam^2, as predicted
+    (1.3025, 1.5, False),  # the right place, a gap 1.5 lam^4 wide
+    (0.04, 1.0, False),  # a gap lam^4 wide at the wrong place
+])
+def test_gaps_ejk_needs_predicted_size_and_place(left, size, match):
+    # Hand-built sets whose interior gaps are 0.02, size * lam^4, 0.02.
+    lam = 0.55
+    gap = size * lam**4
+    values = np.array([0.0, left - 0.02, left, left + gap, left + gap + 0.02, 2.0])
+    report = gaps(PointSet(lam, 5, Form.PRIMED, values))
+    assert report.interior_max_gap == pytest.approx(gap) and report.interior_max_left == left
+    assert report.ejk_prediction_match is match
 
 
 def test_gaps_largest_is_lambda_power():
