@@ -56,6 +56,19 @@ def _trim(coeffs):
     return coeffs[: d + 1]
 
 
+def _integer_coeffs(coeffs) -> tuple[int, ...]:
+    """``coeffs`` as trimmed Python ints.  A coefficient that is not an
+    integer value raises :class:`DomainError` instead of being truncated."""
+    try:
+        coeffs = tuple(coeffs)
+        ints = tuple(int(c) for c in coeffs)
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints is None or any(i != c for i, c in zip(ints, coeffs)):
+        raise DomainError(f"polynomial coefficients must be integers, got {coeffs!r}")
+    return _trim(ints)
+
+
 def poly_eval(coeffs, x):
     """Evaluate a constant-first coefficient sequence at ``x`` by Horner."""
     acc = 0 * x
@@ -261,7 +274,7 @@ def poly_roots(coeffs) -> tuple[complex, ...]:
     :class:`DomainError` if any residual stays above ``1e-10`` relative to
     the coefficient scale, as it does for high-order repeated roots.
     """
-    coeffs = _trim(tuple(int(c) for c in coeffs))
+    coeffs = _integer_coeffs(coeffs)
     if len(coeffs) < 2:
         raise DomainError("root finding needs a nonconstant polynomial")
     raw = np.roots(np.array(coeffs[::-1], dtype=float))
@@ -454,8 +467,10 @@ def sft_growth_rate(block: str, count_cap: int = 30) -> GrowthReport:
 
 
 def defining_poly(minpoly) -> tuple[int, ...]:
-    """Trimmed integer coefficients of ``minpoly`` with positive leading term."""
-    p = _trim(tuple(int(c) for c in minpoly))
+    """Trimmed integer coefficients of ``minpoly`` with positive leading term.
+
+    Raises :class:`DomainError` for a coefficient that is not an integer."""
+    p = _integer_coeffs(minpoly)
     if len(p) < 2:
         raise DomainError("defining polynomial must be nonconstant")
     if p[-1] < 0:

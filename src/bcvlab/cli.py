@@ -4,7 +4,8 @@ Every subcommand writes its data files (CSV/JSON) plus a run manifest listing
 them, and is deterministic given its flags and seed.  Plot output is emitted
 as standalone gnuplot scripts referencing the CSV files, not rendered images.
 
-Exit codes: 0 success, 2 usage error, 3 resource-cap error (including an
+Exit codes: 0 success, 2 usage error (including an output directory or file
+that cannot be created or written), 3 resource-cap error (including an
 allocation the system refuses), 4 numeric-domain error.
 """
 
@@ -221,6 +222,7 @@ def cmd_exact(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    run = _Run(args, "sweep")  # an unusable --out-dir fails before the sweep
     cfg = SweepConfig(
         interval=_parse_interval(args.interval),
         levels=args.n,
@@ -231,7 +233,7 @@ def cmd_sweep(args) -> int:
         worker_count=args.workers,
     )
     report = averaged_pair_correlation(cfg, progress=args.samples >= 16)
-    run = _Run(args, "sweep", seed=report.seed)
+    run.seed = report.seed
     _json_dump(report.to_json_dict(), run.path("sweep_report.json"))
     return run.finish()
 
@@ -364,6 +366,9 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error (domain): {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:
+        print(f"error (output): {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

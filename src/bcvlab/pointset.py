@@ -10,14 +10,17 @@ locating its share of the two images by bisection.  ``generate_exact``
 tallies the same 2**N digit strings as residues
 modulo a defining integer polynomial, in integer arithmetic on the scale
 ``lead**N``, so coincidence structure at an algebraic parameter is certified
-exactly instead of read off floats.  Each level of that tally is one int64
-matrix of distinct residue vectors.  Each vector and its multiplicity are
-packed as bit fields, each as wide as its entry's span on the level, into a
-uint64 word whose numeric order is the lexicographic order of the vectors,
-so one value sort of the words deduplicates the level.  A level whose
-entries could leave int64 is refused with ``SizeCapError`` before it is
-computed.  ``exact_levels`` walks the tally, yielding each level 1..N in
-turn as a read-only ``ExactPointSet`` built from the one before;
+exactly instead of read off floats.  Each level of that tally is kept
+packed: each distinct residue vector is a string of bit fields, one per
+entry and each about as wide as the entry's range on the level, in a uint64
+word (several when the fields exceed 64 bits) whose numeric order is the
+lexicographic order of the vectors, beside an int64 array of
+multiplicities.  The next level is encoded from the current one in one pass
+over cache-sized blocks of columns, and one value sort of its words
+deduplicates it.  A level whose entries could leave int64 is refused with
+``SizeCapError`` before it is computed.  ``exact_levels`` walks the tally,
+yielding each level 1..N in turn as a read-only ``ExactPointSet`` built
+from the one before; its int64 ``keys`` are decoded only when first read.
 ``generate_exact`` keeps the last level and ``distinct_count_profile`` the
 size of each, so a caller that needs several levels tallies every level
 once.
@@ -26,13 +29,14 @@ once.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
 from .algebraic import defining_poly
-from .errors import DomainError, SizeCapError
+from .errors import DomainError, SizeCapError, integer_arg
 
 __all__ = [
     "Form",
@@ -92,12 +96,28 @@ class ExactPointSet:
     ``minpoly`` is monic), and ``multiplicities[i]`` counts the digit strings
     that reduce to it.  Distinct rows are distinct residues, and the
     multiplicities sum to 2**N.  Both arrays are read-only.
+
+    The level is held as it was tallied: each distinct vector is a string of
+    bit fields in the sorted uint64 words ``_words`` (one column per
+    vector), which ``_layout`` decodes (per word: its first entry and its
+    entries' shifts, masks and lows), and ``_ranges[i]`` is entry i's exact
+    (min, max).  ``keys`` is decoded from the words on first access and
+    cached, so a caller that reads only the multiplicities never decodes.
     """
 
     minpoly: tuple[int, ...]
     levels: int
-    keys: np.ndarray
     multiplicities: np.ndarray
+    _words: np.ndarray = field(repr=False)
+    _layout: tuple = field(repr=False)
+    _ranges: tuple[tuple[int, int], ...] = field(repr=False)
+
+    @cached_property
+    def keys(self) -> np.ndarray:
+        cols = np.empty((len(self._ranges), self.multiplicities.size), dtype=np.int64)
+        _unpack(self._words, self._layout, cols)
+        cols.flags.writeable = False
+        return cols.T
 
 
 _MERGE_BLOCK = 1 << 16  # values per output block of a large level's merge
@@ -120,6 +140,7 @@ def generate(lam: float, levels: int, form: Form = Form.STANDARD) -> PointSet:
     lam = float(lam)
     if not 0.0 < lam < 1.0:
         raise DomainError(f"lambda must lie in (0, 1), got {lam}")
+    levels = integer_arg(levels, "levels")
     if not 1 <= levels <= MAX_FLOAT_LEVELS:
         raise SizeCapError(
             f"levels must lie in 1..{MAX_FLOAT_LEVELS} (2**{MAX_FLOAT_LEVELS} floats), got {levels}")
@@ -188,6 +209,7 @@ def _co_rank(low: np.ndarray, p: int) -> int:
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 _WORD_BITS = 64  # bits of fields one uint64 word holds
+_TALLY_BLOCK = 1 << 20  # bytes of int64 entries per column block of a level's pass
 
 
 def _pack(widths) -> list[list[int]]:
@@ -204,102 +226,173 @@ def _pack(widths) -> list[list[int]]:
     return words
 
 
-def _encode(digits, lows, widths, packing, bump: int) -> np.ndarray:
-    """Bit-field words of ``n`` digit vectors, then of their bumped copies.
-
-    ``digits`` holds the uint64 views of the ``n`` vectors' entries, row by
-    row, then of their multiplicities; each digit less its low is written to
-    a field ``widths[i]`` bits wide.  The bumped copy of a vector differs in
-    digit 0 alone, which sits in word 0, so its word 0 is larger by ``bump``
-    shifted past the lower fields of that word.  Rows are reduced modulo
-    2**64, which is exact because every word's fields fit in 64 bits.
-    """
-    n = digits[0].size
-    words = np.empty((len(packing), 2 * n), dtype=np.uint64)
-    for word, group in zip(words, packing):
-        head = word[:n]
-        np.subtract(digits[group[0]], lows[group[0]], out=head)
-        for i in group[1:]:
-            head <<= widths[i]
-            head += digits[i]
-            head -= lows[i]
-        word[n:] = head
-    words[0, n:] += np.uint64(bump << sum(widths[i] for i in packing[0][1:]))
-    return words
+def _shifts(group, widths) -> list[int]:
+    """Bit offsets of the fields ``group`` of one word, most significant first."""
+    shifts, shift = [], 0
+    for i in reversed(group):
+        shifts.append(shift)
+        shift += widths[i]
+    return shifts[::-1]
 
 
-def _decode(words, lows, widths, packing) -> np.ndarray:
-    """The int64 vectors, one per column, held by ``words`` once their
-    multiplicity field is shifted off; each field is masked off the low end
-    of its word and shifted out.  ``words`` is consumed."""
-    deg = len(lows) - 1
-    cols = np.empty((deg, words.shape[1]), dtype=np.uint64)
-    for word, group in zip(words, packing):
+def _column(values) -> np.ndarray:
+    """``values`` modulo 2**64 as a uint64 column, to broadcast over a word's fields."""
+    return np.array([v % (1 << 64) for v in values], dtype=np.uint64)[:, None]
+
+
+def _layout(packing, widths, lows, deg) -> tuple:
+    """How to decode entries 0..deg-1 from words packed by ``packing`` once
+    the multiplicity field (index ``deg``, the least significant) is shifted
+    off: for each word that holds an entry, its first entry and the shifts,
+    masks and lows of its entries."""
+    layout = []
+    for group in packing:
         group = [i for i in group if i < deg]
-        for i in reversed(group[1:]):
-            np.bitwise_and(word, np.uint64((1 << widths[i]) - 1), out=cols[i])
-            word >>= widths[i]
         if group:
-            cols[group[0]] = word
-    cols += lows[:deg, None]
-    return cols.view(np.int64)
+            layout.append((group[0], _column(_shifts(group, widths)),
+                           _column([(1 << widths[i]) - 1 for i in group]),
+                           _column([lows[i] for i in group])))
+    return tuple(layout)
 
 
-def _merge_level(shifted: np.ndarray, mult: np.ndarray, bump: int):
-    """Tally one level: return ``(cols, multiplicities)``.
+def _unpack(words, layout, out) -> None:
+    """Decode the vectors packed in ``words``, one per column, into the int64
+    rows of ``out``, one per entry.  All fields of a word are shifted to its
+    low end, masked, and their lows added back at once."""
+    for word, (first, shifts, masks, lows) in zip(words, layout):
+        rows = out[first:first + shifts.shape[0]].view(np.uint64)
+        np.right_shift(word, shifts, out=rows)
+        rows &= masks
+        rows += lows
 
-    The level holds the int64 vectors ``shifted`` (shape ``(deg, n)``, one
-    per column) and the same vectors with ``bump > 0`` added to entry 0,
-    both carrying the multiplicities ``mult``; no entry of either may leave
-    int64.  ``cols`` (shape ``(deg, distinct)``) holds its distinct vectors
-    in lexicographic order and the multiplicities are summed over equal
-    ones.  Each vector and its multiplicity are one string of bit fields:
-    entry 0 is the most significant field, the multiplicity the least, and
-    each field is as wide as its span on the level needs (``max(mult)`` for
-    the multiplicity), so the numeric order of the words is the
-    lexicographic order of the vectors.  One value sort of the uint64 words
-    (a lexsort of several words when the fields exceed 64 bits) brings equal
-    vectors together, a comparison of neighbouring words without the
-    multiplicity field marks the runs, ``np.add.reduceat`` sums their
-    multiplicities, and masks and shifts decode the distinct vectors.
+
+def _times_x(words, layout, p, buf) -> np.ndarray:
+    """``x*R = lead*(0, R[:-1]) - R[-1]*p[:-1]`` for the vectors ``R`` packed
+    in ``words``, one per column, in the first ``deg`` of the ``deg + 1``
+    rows of ``buf``.  ``R`` is decoded into rows 1..deg, where entry i
+    already sits in its row of ``x*R``, so a zero coefficient costs nothing."""
+    deg = len(p) - 1
+    _unpack(words, layout, buf[1:])
+    last = buf[deg]
+    if p[-1] != 1:
+        buf[1:deg] *= p[-1]
+    for i in range(1, deg):
+        if p[i]:
+            buf[i] -= p[i] * last
+    np.multiply(last, -p[0], out=buf[0])
+    return buf[:deg]
+
+
+def _encode(words, start, cols, mult, plan, bump_word) -> None:
+    """Write the bit-field words of the vectors ``cols`` (one per column;
+    overwritten) and their multiplicities ``mult`` to ``words[:, start:]``,
+    and those of the same vectors bumped in entry 0 to
+    ``words[:, n + start:]``, where ``words`` has ``2 * n`` columns.
+
+    ``plan`` gives, per word, its first field, its entries' shifts, whether
+    it ends with the multiplicity, and its fields' lows shifted into place
+    and summed.  The fields are shifted into place and added modulo 2**64,
+    and the lows come off as that one sum; this is exact because every
+    word's fields fit in 64 bits.  The bumped copy differs in entry 0 alone,
+    which sits in word 0, so its word 0 is larger by ``bump_word``.
     """
-    n = shifted.shape[1]
-    offsets = shifted.min(axis=1).tolist() + [0]
-    tops = shifted.max(axis=1).tolist() + [int(mult.max())]
+    n = words.shape[1] // 2
+    stop = start + cols.shape[1]
+    bits = cols.view(np.uint64)
+    for row, (first, shifts, with_mult, offset) in zip(words, plan):
+        head = row[start:stop]
+        fields = bits[first:first + shifts.shape[0]]
+        np.left_shift(fields, shifts, out=fields)
+        np.add.reduce(fields, axis=0, out=head)
+        if with_mult:
+            head += mult.view(np.uint64)
+        head -= offset
+        row[n + start:n + stop] = head
+    words[0, n + start:n + stop] += bump_word
+
+
+def _next_level(eps: ExactPointSet, bump: int) -> ExactPointSet:
+    """Tally the level after ``eps``: ``x*R`` and ``x*R`` plus ``bump`` in
+    entry 0, for every vector ``R`` of ``eps``, both carrying R's
+    multiplicity.
+
+    Each new vector and its multiplicity are one string of bit fields:
+    entry 0 is the most significant field, the multiplicity the least.
+    Entry i's field holds it less the low of a range ``[lo, hi]`` bounded in
+    one step from the exact ranges of ``eps``'s entries, and is
+    ``(hi - lo).bit_length()`` bits wide; the multiplicity's field is as
+    wide as ``max(mult)`` needs.  So the numeric order of the words is the
+    lexicographic order of the vectors.  One pass over blocks of about
+    ``_TALLY_BLOCK`` bytes of entries decodes ``R``, forms ``x*R``, folds it
+    into the exact ranges of the new entries, and encodes it and its bumped
+    copy into the new words.  One value sort of the uint64 words (a lexsort
+    of several words when the fields exceed 64 bits) brings equal vectors
+    together, a comparison of neighbouring words with the multiplicity field
+    shifted off marks the runs, and ``np.add.reduceat`` sums their
+    multiplicities.
+    """
+    p, mult = eps.minpoly, eps.multiplicities
+    lead, deg, n = p[-1], len(p) - 1, mult.size
+    ranges = eps._ranges
+    lows, tops = [], []
+    for i, c in enumerate(p[:-1]):
+        lo, hi = sorted((-c * ranges[-1][0], -c * ranges[-1][1]))
+        if i:
+            lo += lead * ranges[i - 1][0]
+            hi += lead * ranges[i - 1][1]
+        lows.append(lo)
+        tops.append(hi)
     tops[0] += bump
-    widths = [(hi - lo).bit_length() for lo, hi in zip(offsets, tops)]
+    widths = [(hi - lo).bit_length() for lo, hi in zip(lows, tops)]
+    widths.append(int(mult.max()).bit_length())
+    lows.append(0)
     packing = _pack(widths)
-    lows = np.array(offsets, dtype=np.int64).view(np.uint64)
-    words = _encode([*shifted.view(np.uint64), mult.view(np.uint64)], lows, widths,
-                    packing, bump)
-    del shifted  # callers pass a temporary, so this frees it before the sort
+    plan = []
+    for group in packing:
+        shifts = _shifts(group, widths)
+        offset = sum(lows[i] << shift for i, shift in zip(group, shifts))
+        plan.append((group[0], _column([s for i, s in zip(group, shifts) if i < deg]),
+                     deg in group, np.uint64(offset % (1 << 64))))
+    bump_word = np.uint64(bump << _shifts(packing[0], widths)[0])
+
+    words = np.empty((len(packing), 2 * n), dtype=np.uint64)
+    step = max(1, _TALLY_BLOCK // (8 * (deg + 1)))
+    buf = np.empty((deg + 1, min(step, n)), dtype=np.int64)
+    mins = np.full(deg, _INT64_MAX, dtype=np.int64)
+    maxs = np.full(deg, -_INT64_MAX - 1, dtype=np.int64)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        cols = _times_x(eps._words[:, start:stop], eps._layout, p, buf[:, :stop - start])
+        np.minimum(mins, cols.min(axis=1), out=mins)
+        np.maximum(maxs, cols.max(axis=1), out=maxs)
+        _encode(words, start, cols, mult[start:stop], plan, bump_word)
+    del buf, cols
+    ranges = list(zip(mins.tolist(), maxs.tolist()))
+    ranges[0] = (ranges[0][0], ranges[0][1] + bump)
+
     if len(packing) == 1:
         words[0].sort()
     else:
         words = words[:, np.lexsort(words[::-1])]
     mult = words[-1] & np.uint64((1 << widths[-1]) - 1)
     words[-1] >>= widths[-1]
+    if packing[-1] == [deg]:  # the multiplicity had a word of its own
+        words = words[:-1]
     first = np.empty(2 * n, dtype=bool)  # vector starts a run of equal ones
     first[0] = True
     np.not_equal(words[0, 1:], words[0, :-1], out=first[1:])
     for word in words[1:]:
         first[1:] |= word[1:] != word[:-1]
-    starts = np.flatnonzero(first)
-    del first
-    if starts.size < 2 * n:
+    if not first.all():
+        starts = np.flatnonzero(first)
+        del first
         words = words[:, starts]
         mult = np.add.reduceat(mult, starts)
-    del starts
-    return _decode(words, lows, widths, packing), mult.view(np.int64)
-
-
-def _times_x(cols: np.ndarray, lead: int, low: np.ndarray) -> np.ndarray:
-    """``x*R = lead*(0, R[:-1]) - R[-1]*p[:-1]`` for every column ``R``."""
-    shifted = np.empty_like(cols)
-    shifted[0] = 0
-    np.multiply(cols[:-1], lead, out=shifted[1:])
-    shifted -= low * cols[-1]
-    return shifted
+    mult = mult.view(np.int64)
+    words.flags.writeable = False
+    mult.flags.writeable = False
+    return ExactPointSet(p, eps.levels + 1, mult, words,
+                         _layout(packing, widths, lows, deg), tuple(ranges))
 
 
 def exact_levels(minpoly, levels: int):
@@ -308,7 +401,7 @@ def exact_levels(minpoly, levels: int):
     Each level is a read-only :class:`ExactPointSet` (see
     :func:`generate_exact`), built from the one before: level t+1 holds
     ``x*R`` and that vector plus ``lead**(t+1)`` in the constant slot for
-    every residue ``R`` of level t, merged by :func:`_merge_level`.  Every
+    every residue ``R`` of level t, tallied by :func:`_next_level`.  Every
     entry of ``x*R`` is at most ``growth * max|R|`` in absolute value, with
     ``growth = lead + max|c_i|``, and the bump adds to entry 0 alone, so
     the next level is checked in Python integers against the largest entry
@@ -316,6 +409,7 @@ def exact_levels(minpoly, levels: int):
     and every span is below 2**64.  Raises ``SizeCapError`` at the first
     level that could leave int64.
     """
+    levels = integer_arg(levels, "levels")
     if not 1 <= levels <= MAX_EXACT_LEVELS:
         raise SizeCapError(
             f"levels must lie in 1..{MAX_EXACT_LEVELS} for the exact backend, got {levels}")
@@ -324,22 +418,22 @@ def exact_levels(minpoly, levels: int):
     growth = lead + max(abs(c) for c in p[:-1])
     if growth > _INT64_MAX:
         raise SizeCapError("defining polynomial coefficients exceed the int64 exact backend")
-    low = np.array(p[:-1], dtype=np.int64)[:, None]
-    cols = np.zeros((deg, 1), dtype=np.int64)
-    mult = np.ones(1, dtype=np.int64)
+    # Level 0: the zero vector once, in one word of 0-bit fields.
+    eps = ExactPointSet(p, 0, np.ones(1, dtype=np.int64), np.zeros((1, 1), dtype=np.uint64),
+                        _layout([list(range(deg))], [0] * deg, [0] * deg, deg),
+                        ((0, 0),) * deg)
     bump = 1
     for t in range(1, levels + 1):
         bump *= lead  # the "+1" on the scale lead**t
         # No entry is -2**63, so max(max, -min) is the largest |entry|.
-        bound = growth * max(int(cols.max()), -int(cols.min())) + bump
+        largest = max(max(hi for _, hi in eps._ranges), -min(lo for lo, _ in eps._ranges))
+        bound = growth * largest + bump
         if bound > _INT64_MAX:
             raise SizeCapError(
                 f"level {t} residues may exceed int64 (bound {bound}); "
                 f"at most {t - 1} levels fit for this polynomial")
-        cols, mult = _merge_level(_times_x(cols, lead, low), mult, bump)
-        cols.flags.writeable = False
-        mult.flags.writeable = False
-        yield ExactPointSet(p, t, cols.T, mult)
+        eps = _next_level(eps, bump)
+        yield eps
 
 
 def generate_exact(minpoly, levels: int) -> ExactPointSet:

@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, SizeCapError
+from .errors import DomainError, SizeCapError, integer_arg
 from .pointset import ExactPointSet, Form, PointSet
 from . import pointset as _pointset
 
@@ -182,6 +182,7 @@ def spacings(source, ell: int) -> SpacingSet:
     """
     values = _as_sorted_values(source)
     n = values.size
+    ell = integer_arg(ell, "ell")
     if not 1 <= ell < n:
         raise DomainError(f"ell must lie in 1..{n - 1}, got {ell}")
     sp = (values[ell:] - values[:-ell]) * float(n)
@@ -329,6 +330,7 @@ def poisson_reference(ell: int, s):
 
     The density is at most 1, so a non-finite result (a factor overflowed)
     raises :class:`DomainError`."""
+    ell = integer_arg(ell, "ell")
     if not 1 <= ell <= 171:  # (ell-1)! must fit a double
         raise DomainError(f"ell must lie in 1..171, got {ell}")
     s = np.asarray(s, dtype=np.float64)
@@ -345,8 +347,11 @@ def poisson_cdf(ell: int, s):
     """CDF of the order-ell Poisson spacing law (a Gamma(ell, 1) variable).
 
     Exactly 1.0 where ``exp(-s)`` underflows and ``s >= 2*ell``, since the
-    upper tail there is below 1e-50; other non-finite results raise
-    :class:`DomainError`."""
+    upper tail there is below 1e-50; other non-finite results, and an
+    ``ell`` that is not a positive integer, raise :class:`DomainError`."""
+    ell = integer_arg(ell, "ell")
+    if ell < 1:
+        raise DomainError(f"ell must be a positive integer, got {ell}")
     s = np.asarray(s, dtype=np.float64)
     partial = np.zeros_like(s)
     term = np.ones_like(s)
@@ -488,9 +493,14 @@ class CorrelationCurve:
 
 
 def _validate_grid(s_grid) -> np.ndarray:
-    grid = np.asarray(s_grid, dtype=np.float64)
+    try:
+        grid = np.asarray(s_grid, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise DomainError(f"s grid must hold numbers, got {s_grid!r}") from None
     if grid.ndim == 0:
         grid = grid.reshape(1)
+    if grid.ndim != 1:
+        raise DomainError("s grid must be a scalar or a 1-D sequence")
     if grid.size == 0:
         raise DomainError("empty s grid")
     if not np.all(np.isfinite(grid)):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from bcvlab import (DomainError, Verdict, classify, forbidden_block,
                     greedy_expansion, nearest_zero_above, parse_poly,
                     poly_eval, poly_roots, poly_to_string, sft_growth_rate)
-from bcvlab import algebraic
+from bcvlab import algebraic, generate_exact
 from bcvlab.algebraic import SignedPoly
 from bcvlab.cli import main
 from oracles import bisect_root, words_avoiding
@@ -206,6 +206,24 @@ def test_classify_non_monic_is_neither():
 def test_classify_plain_integers():
     assert classify(parse_poly("x^2-x+1")).verdict is Verdict.NEITHER  # roots on unit circle
     assert classify(parse_poly("x^2-4x+1")).verdict is Verdict.PISOT  # 2 ± sqrt(3)
+
+
+def test_non_integer_coefficients_are_refused():
+    # Truncating would tally x^2+x-1 for -1.5 and classify x for 0.5.
+    with pytest.raises(DomainError):
+        generate_exact((-1.5, 1, 1), 3)
+    with pytest.raises(DomainError):
+        classify((0.5, 1))
+    for bad in [(1, float("nan"), 1), (1, float("inf")), ("-1", 1, 1), (1, 1j, 1)]:
+        with pytest.raises(DomainError):
+            algebraic.defining_poly(bad)
+    with pytest.raises(DomainError):
+        poly_roots((-2.5, 0, 1))
+    # Numpy integers and integer-valued floats are integers.
+    assert algebraic.defining_poly(np.array([-1, 1, 1])) == (-1, 1, 1)
+    assert algebraic.defining_poly((np.int64(1), -1.0, -1)) == (-1, 1, 1)
+    assert all(type(c) is int for c in algebraic.defining_poly(np.array([-2, 0, 1])))
+    assert classify(np.array([-2, -2, 0, 1])).verdict is Verdict.GARSIA
 
 
 def test_classify_soundness_margins():

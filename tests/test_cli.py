@@ -43,10 +43,27 @@ def test_domain_error_exit_code(tmp_path, monkeypatch):
     def no_tally(*args):
         raise AssertionError("exact tallied a polynomial classify refuses")
 
-    monkeypatch.setattr(pointset, "_merge_level", no_tally)
+    monkeypatch.setattr(pointset, "_next_level", no_tally)
     for i, poly in enumerate(REPEATED_ROOT_POLYS):
         assert run(tmp_path / f"c{i}", "classify", "--poly", poly)[0] == 4
         assert run(tmp_path / f"e{i}", "exact", "--minpoly", poly, "--n", "10")[0] == 4
+
+
+def test_output_error_exit_code(tmp_path, capsys):
+    # An --out-dir that is a file or lies under one, and an output path that
+    # is a directory, end in one line and exit code 2, not a traceback.
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    taken = tmp_path / "taken"
+    (taken / "classify_report.json").mkdir(parents=True)
+    for out in (blocker, blocker / "sub", taken):
+        assert main(["classify", "--poly", "x^2-2", "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error (output): ") and err.count("\n") == 1
+    # The sweep is refused before it draws a sample (16 samples report progress).
+    assert main(["sweep", "--interval", "0.55,0.7", "--n", "8", "--s-grid", "1",
+                 "--samples", "16", "--out-dir", str(blocker)]) == 2
+    assert capsys.readouterr().err.startswith("error (output): ")
 
 
 def test_resource_cap_exit_code(tmp_path):
@@ -303,17 +320,29 @@ def test_exact_golden_growth_comparison(tmp_path):
 
 
 def test_exact_tallies_each_level_once(tmp_path, monkeypatch):
-    real = pointset._merge_level
+    real = pointset._next_level
     merges = []
 
     def counting(*args):
-        merges.append(args[0].shape[1])
+        merges.append(args[0].multiplicities.size)
         return real(*args)
 
-    monkeypatch.setattr(pointset, "_merge_level", counting)
+    monkeypatch.setattr(pointset, "_next_level", counting)
     rc, _ = run(tmp_path, "exact", "--minpoly", "x^2+x-1", "--n", "12")
     assert rc == 0
     assert len(merges) == 12
+
+
+def test_exact_never_decodes_keys(tmp_path, monkeypatch):
+    # The report reads only the multiplicities, so no level is decoded.
+    def no_decode(self):
+        raise AssertionError("bcvlab exact decoded the keys")
+
+    monkeypatch.setattr(pointset.ExactPointSet, "keys", property(no_decode))
+    for i, poly in enumerate(("x^2+x-1", "2x^2-1")):  # with and without growth
+        rc, out = run(tmp_path / str(i), "exact", "--minpoly", poly, "--n", "12")
+        assert rc == 0
+        assert read_json(out / "exact_report.json")["total_strings"] == 4096
 
 
 def test_exact_garsia_no_growth_section(tmp_path):

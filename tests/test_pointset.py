@@ -258,6 +258,20 @@ def test_exact_several_words_match_dict_oracle(minpoly, levels, word_bits):
         check_exact_against_oracle(minpoly, levels)
 
 
+# Blocks of one column (1 and 3 bytes), of a few, and of a whole level: the
+# new entries' ranges and words are folded block by block.
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ORACLE_POLYS), st.integers(1, 10),
+       st.sampled_from([1, 3, 64, 4096, pointset._TALLY_BLOCK]),
+       st.sampled_from([None, 1, 5, 12]))
+def test_exact_blocks_match_dict_oracle(minpoly, levels, block, word_bits):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pointset, "_TALLY_BLOCK", block)
+        if word_bits is not None:
+            mp.setattr(pointset, "_WORD_BITS", word_bits)
+        check_exact_against_oracle(minpoly, levels)
+
+
 def check_exact_against_oracle(minpoly, levels):
     tallies = exact_tally_dict(minpoly, levels)
     check_level_against_oracle(generate_exact(minpoly, levels), levels, tallies[-1])
@@ -314,12 +328,31 @@ def test_exact_int64_guard_bounds_real_entries():
         check_exact_against_oracle(minpoly, levels)
 
 
-def test_merge_level_row_spans_beyond_2_63():
+@pytest.mark.parametrize("minpoly,fit", [
+    ((-1, 0, 1000), 6), ((-(2**40), 0, 1), 3), ((3, -(2**21), 5), 4), ((-(2**63), 0, 1), 0),
+    ((2**40, 0, 1), 3), ((2**30, 2**30, 1), 4), ((-(2**20), 3, 0, 7), 7),
+    ((5, -(2**25), 2), 4), ((2**62, 1), 2), ((-(2**61), 2**61, 1), 3)])
+def test_exact_int64_guard_refusal_levels(minpoly, fit):
+    # The guard reads the largest |entry| the level holds, negative ones
+    # included (x^2 + 2**40 and x + 2**62 overflow silently without them),
+    # and refuses the first level that could leave int64.
+    walked = []
+    with pytest.raises(SizeCapError):
+        for eps in exact_levels(minpoly, pointset.MAX_EXACT_LEVELS):
+            walked.append(eps.levels)
+    assert walked == list(range(1, fit + 1))
+    if fit:
+        assert tally_of(eps) == exact_tally_dict(minpoly, fit)[-1]
+
+
+def test_next_level_row_spans_beyond_2_63():
     # The int64 guard keeps every entry within 2**63 - 1, so a row may span
     # up to 2**64 - 2 and need a 64-bit field; entries this wide are taken
     # modulo 2**64.  In the second input a constant row's 0-bit field shares
     # a word with each 64-bit one; in the third the 1-bit multiplicity field
-    # does not fit beside the 64-bit row.
+    # does not fit beside the 64-bit row.  Each input is x*R for a level R
+    # packed by hand, one entry per 64-bit word, modulo x^deg - 1, where x*R
+    # rotates R's entries.
     top = 2**63 - 1
     wide = [[-top, top - 5, -top, 3, top - 5], [top, -top, top, 0, -top]]
     for rows, mult in [(wide, [1, 2, 3, 4, 5]),
@@ -332,24 +365,36 @@ def test_merge_level_row_spans_beyond_2_63():
         for col, m in zip(shifted.T.tolist(), mult.tolist()):
             want[tuple(col)] += m
             want[(col[0] + bump, *col[1:])] += m
-        cols, got = pointset._merge_level(shifted, mult, bump)
+        deg = len(rows)
+        held = np.roll(shifted, -1, axis=0)
+        layout = pointset._layout([[i] for i in range(deg)], [64] * deg, [0] * deg, deg)
+        eps = pointset.ExactPointSet((-1,) + (0,) * (deg - 1) + (1,), 1, mult,
+                                     held.view(np.uint64), layout,
+                                     tuple((int(r.min()), int(r.max())) for r in held))
+        got = pointset._next_level(eps, bump)
         keys = sorted(want)
-        assert cols.T.tolist() == [list(key) for key in keys]
-        assert got.tolist() == [want[key] for key in keys]
-        assert cols.dtype == got.dtype == np.int64
+        assert got.keys.tolist() == [list(key) for key in keys]
+        assert got.multiplicities.tolist() == [want[key] for key in keys]
+        assert got.keys.dtype == got.multiplicities.dtype == np.int64
+
+
+X20 = (-2,) + (0,) * 19 + (1,)  # x^20 - 2
 
 
 @pytest.mark.parametrize("minpoly,levels", [((-2, -2, 0, 1), 16), ((-1, 0, 2), 16),
-                                            (DEGREE_9, 16), (GOLDEN_MINPOLY, 20)])
+                                            (DEGREE_9, 16), (GOLDEN_MINPOLY, 20), (X20, 16)])
 def test_generate_exact_peak_memory(minpoly, levels):
-    # The tally's traced peak, in units of the arrays it returns.
+    # The tally's traced peak, in units of the arrays it returns once the
+    # keys are decoded.  x^20-2 holds every level in one word per vector,
+    # against 20 int64 entries per key, so its walk stays well below them.
     tracemalloc.start()
     try:
         eps = generate_exact(minpoly, levels)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.6 * (eps.keys.nbytes + eps.multiplicities.nbytes)
+    bound = 0.5 if minpoly == X20 else 2.2
+    assert peak <= bound * (eps.keys.nbytes + eps.multiplicities.nbytes)
 
 
 def test_golden_at_exact_cap():
@@ -415,6 +460,21 @@ def test_generate_exact_errors():
         generate_exact((0,), 4)  # zero
     with pytest.raises(SizeCapError):
         generate_exact(GOLDEN_MINPOLY, 25)
+
+
+def test_levels_must_be_integers():
+    # A float level is refused, not passed on to a shift or a range.
+    with pytest.raises(DomainError):
+        generate(0.7, 5.5)
+    with pytest.raises(DomainError):
+        generate(0.7, 5.0)
+    for call in (generate_exact, distinct_count_profile):
+        with pytest.raises(DomainError):
+            call(GOLDEN_MINPOLY, 3.0)
+    with pytest.raises(DomainError):
+        next(exact_levels(GOLDEN_MINPOLY, 2.5))
+    assert np.array_equal(generate(0.7, np.int64(5)).values, generate(0.7, 5).values)
+    assert distinct_count(generate_exact(GOLDEN_MINPOLY, np.int32(4))) == 12
 
 
 def test_values_are_read_only():

@@ -302,6 +302,19 @@ def test_poisson_cdf_matches_oracle(ell):
         assert poisson_cdf(ell, s) == pytest.approx(gamma_cdf_int(ell, s), abs=1e-14)
 
 
+def test_poisson_order_must_be_positive_integer():
+    # ell = 0 would make poisson_cdf an empty sum (1.0) and 1.5 a TypeError.
+    for ell in (0, -1, 1.5, 2.0):
+        with pytest.raises(DomainError):
+            poisson_cdf(ell, 1.0)
+        with pytest.raises(DomainError):
+            poisson_reference(ell, 1.0)
+    with pytest.raises(DomainError):
+        spacings(generate(0.6, 4), 1.5)
+    assert poisson_cdf(np.int64(2), 1.0) == poisson_cdf(2, 1.0)
+    assert poisson_reference(np.int64(2), 1.0) == poisson_reference(2, 1.0)
+
+
 def test_poisson_cdf_huge_s_is_one_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -555,6 +568,12 @@ def test_pair_correlation_grid_validation():
         pair_correlation(ps, [float("nan")])
     with pytest.raises(DomainError):
         pair_correlation(ps, [1.0, float("inf")])
+    # A 2-D grid, or one that is not numbers, would end in a numpy error.
+    for grid in ([[0.5, 1.0]], [[0.5], [1.0]], ["a"], [[0.5], [1.0, 2.0]]):
+        with pytest.raises(DomainError):
+            pair_correlation(ps, grid)
+        with pytest.raises(DomainError):
+            pair_correlation_interval(ps, (0.2, 0.8), grid)
 
 
 def test_pair_correlation_rejects_empty_and_non_finite_values():

@@ -295,18 +295,28 @@ def test_depth_two_result_pinned():
 def test_construction_walks_each_stage_once(monkeypatch, interval, walks):
     # Each stage walks the exact levels once, from level 1 (one input
     # vector) to the level that certifies or to the cap (18).
-    real = pointset._merge_level
+    real = pointset._next_level
     inputs = []
 
     def counting(*args):
-        inputs.append(args[0].shape[1])
+        inputs.append(args[0].multiplicities.size)
         return real(*args)
 
-    monkeypatch.setattr(pointset, "_merge_level", counting)
+    monkeypatch.setattr(pointset, "_next_level", counting)
     construct_attracting_parameter(interval, 2, 0.5)
     starts = [i for i, n in enumerate(inputs) if n == 1] + [len(inputs)]
     assert [b - a for a, b in zip(starts, starts[1:])] == walks
     assert starts[0] == 0
+
+
+def test_construction_never_decodes_keys(monkeypatch):
+    # Each certificate reads only the multiplicities of the levels it walks.
+    def no_decode(self):
+        raise AssertionError("the construction decoded the keys")
+
+    monkeypatch.setattr(pointset.ExactPointSet, "keys", property(no_decode))
+    res = construct_attracting_parameter((0.6, 0.63), 2, 0.5)
+    assert res.certificates == (Certificate(1, 0.5, 15, 15.1181640625),)
 
 
 def test_certificate_levels_monotone():
