@@ -17,10 +17,14 @@ word (several when the fields exceed 64 bits) whose numeric order is the
 lexicographic order of the vectors, beside an int64 array of
 multiplicities.  The next level is encoded from the current one in one pass
 over cache-sized blocks of columns, and one value sort of its words
-deduplicates it.  A level whose entries could leave int64 is refused with
-``SizeCapError`` before it is computed.  ``exact_levels`` walks the tally,
-yielding each level 1..N in turn as a read-only ``ExactPointSet`` built
-from the one before; its int64 ``keys`` are decoded only when first read.
+deduplicates it.  A level that an exact integer test proves to have no
+ties, as at Garsia parameters, where all 2**N strings stay apart, is
+neither sorted nor deduplicated: its words carry no multiplicity field and
+stay in the order they were made.  A level whose entries could leave int64
+is refused with ``SizeCapError`` before it is computed.  ``exact_levels``
+walks the tally, yielding each level 1..N in turn as a read-only
+``ExactPointSet`` built from the one before; its int64 ``keys`` are sorted
+and decoded only when first read.
 ``generate_exact`` keeps the last level and ``distinct_count_profile`` the
 size of each, so a caller that needs several levels tallies every level
 once.
@@ -98,11 +102,14 @@ class ExactPointSet:
     multiplicities sum to 2**N.  Both arrays are read-only.
 
     The level is held as it was tallied: each distinct vector is a string of
-    bit fields in the sorted uint64 words ``_words`` (one column per
-    vector), which ``_layout`` decodes (per word: its first entry and its
-    entries' shifts, masks and lows), and ``_ranges[i]`` is entry i's exact
-    (min, max).  ``keys`` is decoded from the words on first access and
-    cached, so a caller that reads only the multiplicities never decodes.
+    bit fields in the uint64 words ``_words`` (one column per vector), which
+    ``_layout`` decodes (per word: its first entry and its entries' shifts,
+    masks and lows), and ``_ranges[i]`` is entry i's exact (min, max).  The
+    words are sorted, except on a level proved to have no ties, whose words
+    stay in the order they were made and whose multiplicities are a
+    broadcast 1.  ``keys`` sorts the words and decodes them on first access,
+    and is cached, so a caller that reads only the multiplicities never
+    sorts or decodes.
     """
 
     minpoly: tuple[int, ...]
@@ -115,7 +122,7 @@ class ExactPointSet:
     @cached_property
     def keys(self) -> np.ndarray:
         cols = np.empty((len(self._ranges), self.multiplicities.size), dtype=np.int64)
-        _unpack(self._words, self._layout, cols)
+        _unpack(_sorted_words(self._words.copy()), self._layout, cols)
         cols.flags.writeable = False
         return cols.T
 
@@ -311,21 +318,71 @@ def _encode(words, start, cols, mult, plan, bump_word) -> None:
     words[0, n + start:n + stop] += bump_word
 
 
+def _tie_shift(p, bump):
+    """The difference ``D = R - R'`` of any two vectors of a level whose images
+    ``x*R`` and ``x*R' + bump*e0`` are equal, ``D_j = -bump * p[j+1] /
+    (p[0] * lead)`` (derived in ``exact_levels``), or None when it is not an
+    integer vector, so that no two images are equal.  Needs ``p[0] != 0``.
+    """
+    den = p[0] * p[-1]
+    shift = []
+    for c in p[1:]:
+        d, r = divmod(-bump * c, den)
+        if r:
+            return None
+        shift.append(d)
+    return shift
+
+
+def _tie_free(p, ranges, bump) -> bool:
+    """Whether the level after one with entry ranges ``ranges`` provably has no
+    two equal vectors, for a level of distinct vectors.
+
+    Within each half the images are distinct: ``x*R`` determines ``R[-1]``
+    from entry 0 when ``p[0] != 0``, and then ``R[:-1]`` from the rest.  A
+    vector of one half equals one of the other only if the level holds two
+    vectors ``R - R' = D`` (see ``_tie_shift``), which it cannot when ``D``
+    is not an integer vector or some ``|D_j|`` exceeds entry j's span.  When
+    ``p[0] == 0``, ``x*R`` forgets ``R[-1]`` and nothing is proved.
+    """
+    if not p[0]:
+        return False
+    shift = _tie_shift(p, bump)
+    return shift is None or any(abs(d) > hi - lo for d, (lo, hi) in zip(shift, ranges))
+
+
+def _sorted_words(words) -> np.ndarray:
+    """``words`` (one column per vector) in the numeric order of the vectors:
+    one word is value-sorted in place, several are lexsorted into a new
+    array."""
+    if len(words) == 1:
+        words[0].sort()
+        return words
+    return words[:, np.lexsort(words[::-1])]
+
+
 def _next_level(eps: ExactPointSet, bump: int) -> ExactPointSet:
     """Tally the level after ``eps``: ``x*R`` and ``x*R`` plus ``bump`` in
     entry 0, for every vector ``R`` of ``eps``, both carrying R's
     multiplicity.
 
-    Each new vector and its multiplicity are one string of bit fields:
-    entry 0 is the most significant field, the multiplicity the least.
-    Entry i's field holds it less the low of a range ``[lo, hi]`` bounded in
-    one step from the exact ranges of ``eps``'s entries, and is
-    ``(hi - lo).bit_length()`` bits wide; the multiplicity's field is as
-    wide as ``max(mult)`` needs.  So the numeric order of the words is the
-    lexicographic order of the vectors.  One pass over blocks of about
-    ``_TALLY_BLOCK`` bytes of entries decodes ``R``, forms ``x*R``, folds it
-    into the exact ranges of the new entries, and encodes it and its bumped
-    copy into the new words.  One value sort of the uint64 words (a lexsort
+    Each new vector is one string of bit fields, entry 0 the most
+    significant.  Entry i's field holds it less the low of a range
+    ``[lo, hi]`` bounded in one step from the exact ranges of ``eps``'s
+    entries, and is ``(hi - lo).bit_length()`` bits wide.  So the numeric
+    order of the words is the lexicographic order of the vectors.  One pass
+    over blocks of about ``_TALLY_BLOCK`` bytes of entries decodes ``R``,
+    forms ``x*R``, folds it into the exact ranges of the new entries, and
+    encodes it and its bumped copy into the new words.
+
+    Two images are equal only if ``R - R' = D`` with
+    ``D_j = -bump * p[j+1] / (p[0] * lead)`` (see ``_tie_free``).  When every
+    multiplicity of ``eps`` is 1 (it holds all ``2**levels`` strings apart)
+    and no two of its vectors differ by ``D``, every new multiplicity is 1
+    too: the words carry no multiplicity field and stay unsorted, in the
+    order they were made, and the multiplicities are a read-only broadcast
+    1.  Otherwise the least significant field is the multiplicity, as wide
+    as ``max(mult)`` needs.  One value sort of the uint64 words (a lexsort
     of several words when the fields exceed 64 bits) brings equal vectors
     together, a comparison of neighbouring words with the multiplicity field
     shifted off marks the runs, and ``np.add.reduceat`` sums their
@@ -334,6 +391,7 @@ def _next_level(eps: ExactPointSet, bump: int) -> ExactPointSet:
     p, mult = eps.minpoly, eps.multiplicities
     lead, deg, n = p[-1], len(p) - 1, mult.size
     ranges = eps._ranges
+    tie_free = n == 1 << eps.levels and _tie_free(p, ranges, bump)
     lows, tops = [], []
     for i, c in enumerate(p[:-1]):
         lo, hi = sorted((-c * ranges[-1][0], -c * ranges[-1][1]))
@@ -344,8 +402,9 @@ def _next_level(eps: ExactPointSet, bump: int) -> ExactPointSet:
         tops.append(hi)
     tops[0] += bump
     widths = [(hi - lo).bit_length() for lo, hi in zip(lows, tops)]
-    widths.append(int(mult.max()).bit_length())
-    lows.append(0)
+    if not tie_free:
+        widths.append(int(mult.max()).bit_length())
+        lows.append(0)
     packing = _pack(widths)
     plan = []
     for group in packing:
@@ -370,25 +429,25 @@ def _next_level(eps: ExactPointSet, bump: int) -> ExactPointSet:
     ranges = list(zip(mins.tolist(), maxs.tolist()))
     ranges[0] = (ranges[0][0], ranges[0][1] + bump)
 
-    if len(packing) == 1:
-        words[0].sort()
+    if tie_free:
+        mult = np.broadcast_to(np.int64(1), (2 * n,))
     else:
-        words = words[:, np.lexsort(words[::-1])]
-    mult = words[-1] & np.uint64((1 << widths[-1]) - 1)
-    words[-1] >>= widths[-1]
-    if packing[-1] == [deg]:  # the multiplicity had a word of its own
-        words = words[:-1]
-    first = np.empty(2 * n, dtype=bool)  # vector starts a run of equal ones
-    first[0] = True
-    np.not_equal(words[0, 1:], words[0, :-1], out=first[1:])
-    for word in words[1:]:
-        first[1:] |= word[1:] != word[:-1]
-    if not first.all():
-        starts = np.flatnonzero(first)
-        del first
-        words = words[:, starts]
-        mult = np.add.reduceat(mult, starts)
-    mult = mult.view(np.int64)
+        words = _sorted_words(words)
+        mult = words[-1] & np.uint64((1 << widths[-1]) - 1)
+        words[-1] >>= widths[-1]
+        if packing[-1] == [deg]:  # the multiplicity had a word of its own
+            words = words[:-1]
+        first = np.empty(2 * n, dtype=bool)  # vector starts a run of equal ones
+        first[0] = True
+        np.not_equal(words[0, 1:], words[0, :-1], out=first[1:])
+        for word in words[1:]:
+            first[1:] |= word[1:] != word[:-1]
+        if not first.all():
+            starts = np.flatnonzero(first)
+            del first
+            words = words[:, starts]
+            mult = np.add.reduceat(mult, starts)
+        mult = mult.view(np.int64)
     words.flags.writeable = False
     mult.flags.writeable = False
     return ExactPointSet(p, eps.levels + 1, mult, words,
@@ -401,7 +460,14 @@ def exact_levels(minpoly, levels: int):
     Each level is a read-only :class:`ExactPointSet` (see
     :func:`generate_exact`), built from the one before: level t+1 holds
     ``x*R`` and that vector plus ``lead**(t+1)`` in the constant slot for
-    every residue ``R`` of level t, tallied by :func:`_next_level`.  Every
+    every residue ``R`` of level t, tallied by :func:`_next_level`.  When
+    ``p[0] != 0`` two of these are equal only as ``x*R = x*R' + lead**(t+1) * e0``, which
+    forces ``R - R' = D`` with ``D_j = -lead**(t+1) * p[j+1] / (p[0] *
+    lead)``: entry 0 gives ``p[0] * (R'[-1] - R[-1]) = lead**(t+1)`` and
+    entry j+1 gives ``lead * (R[j] - R'[j]) = p[j+1] * (R[-1] - R'[-1])``.
+    So when every string of level t is its own residue and ``D`` is not an
+    integer vector, or some ``|D_j|`` exceeds the span of entry j on level
+    t, level t+1 has no ties and is left unsorted.  Every
     entry of ``x*R`` is at most ``growth * max|R|`` in absolute value, with
     ``growth = lead + max|c_i|``, and the bump adds to entry 0 alone, so
     the next level is checked in Python integers against the largest entry
@@ -488,7 +554,7 @@ def write_binary(ps: PointSet, path) -> None:
     with open(path, "wb") as f:
         f.write(_MAGIC)
         f.write(struct.pack("<dIB", ps.lam, ps.levels, _FORM_CODE[ps.form]))
-        ps.values.astype("<f8").tofile(f)
+        np.asarray(ps.values, dtype="<f8").tofile(f)
 
 
 def read_binary(path) -> PointSet:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import os
-import secrets
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -121,7 +120,7 @@ class SweepReport:
 
 def _seeded_uniform(a: float, b: float, n: int, seed: int | None):
     """``n`` uniform samples from [a, b) and their seed (a fresh 64-bit one if None)."""
-    seed = seed if seed is not None else secrets.randbits(64)
+    seed = seed if seed is not None else int.from_bytes(os.urandom(8), "little")
     return a + (b - a) * np.random.default_rng(seed).random(n), seed
 
 

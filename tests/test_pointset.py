@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from bcvlab import (DomainError, Form, SizeCapError, distinct_count,
                     distinct_count_profile, exact_levels, generate, generate_exact,
                     pointset, read_binary, write_binary)
+from bcvlab.algebraic import defining_poly
 from oracles import (digit_poly, exact_tally_dict, horner_values, merge_levels,
                      poly_mod, tally_of)
 
@@ -242,16 +243,25 @@ ORACLE_POLYS = [GOLDEN_MINPOLY, (-1, -1, -1, 1), (-2, 0, 1), (-2, -2, 0, 1), (-1
                 (1, -1, -1), DEGREE_9]
 
 
+# Small polynomials besides the named ones: degree 1-4, coefficients -3..3
+# and a positive lead, p_0 = 0 included, so that both the tie-free levels
+# and the sorted ones are drawn at every kind of parameter.
+SMALL_POLYS = st.integers(1, 4).flatmap(
+    lambda deg: st.tuples(*[st.integers(-3, 3)] * deg, st.integers(1, 3)))
+TALLY_POLYS = st.sampled_from(ORACLE_POLYS) | SMALL_POLYS
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(ORACLE_POLYS), st.integers(1, 12))
+@given(TALLY_POLYS, st.integers(1, 12))
 def test_exact_arrays_match_dict_oracle(minpoly, levels):
     check_exact_against_oracle(minpoly, levels)
 
 
-# 1 or 2 bits send every level to the several-word path: row 0 and the
-# multiplicity are each at least 1 bit wide.  Wider words pack some fields.
+# 1 or 2 bits send every level with ties to the several-word path: row 0
+# and the multiplicity are each at least 1 bit wide.  Wider words pack some
+# fields.
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(ORACLE_POLYS), st.integers(1, 12), st.sampled_from([1, 2, 5, 12]))
+@given(TALLY_POLYS, st.integers(1, 12), st.sampled_from([1, 2, 5, 12]))
 def test_exact_several_words_match_dict_oracle(minpoly, levels, word_bits):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pointset, "_WORD_BITS", word_bits)
@@ -261,7 +271,7 @@ def test_exact_several_words_match_dict_oracle(minpoly, levels, word_bits):
 # Blocks of one column (1 and 3 bytes), of a few, and of a whole level: the
 # new entries' ranges and words are folded block by block.
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(ORACLE_POLYS), st.integers(1, 10),
+@given(TALLY_POLYS, st.integers(1, 10),
        st.sampled_from([1, 3, 64, 4096, pointset._TALLY_BLOCK]),
        st.sampled_from([None, 1, 5, 12]))
 def test_exact_blocks_match_dict_oracle(minpoly, levels, block, word_bits):
@@ -293,6 +303,104 @@ def check_level_against_oracle(eps, levels, tally):
     assert int(eps.multiplicities.sum()) == 1 << levels
     assert not eps.keys.flags.writeable and not eps.multiplicities.flags.writeable
     assert tally_of(eps) == tally
+
+
+def sorted_levels(minpoly, levels):
+    """The levels 1..levels whose words ``exact_levels`` sorts."""
+    calls, out = [], []
+    real = pointset._sorted_words
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pointset, "_sorted_words", lambda words: calls.append(1) or real(words))
+        for eps in exact_levels(minpoly, levels):
+            if calls:
+                out.append(eps.levels)
+                calls.clear()
+    return out
+
+
+def images(res, p, bump):
+    """x*R and x*R + bump*e0 of one vector, as in the dict oracle."""
+    shifted = tuple(p[-1] * b - res[-1] * c for b, c in zip((0,) + res[:-1], p))
+    return shifted, (shifted[0] + bump,) + shifted[1:]
+
+
+def predicted_sorted_levels(minpoly, levels):
+    """Levels that may have ties, read off the dict oracle: level t is proved
+    tie-free when level t-1 holds 2**(t-1) vectors and no two of them can
+    differ by D_j = -lead**t * p[j+1] / (p[0] * lead) in every entry j."""
+    p = defining_poly(minpoly)
+    prev, out = {(0,) * (len(p) - 1): 1}, []
+    for t, tally in enumerate(exact_tally_dict(p, levels), start=1):
+        spans = [max(col) - min(col) for col in zip(*prev)]
+        shift = [Fraction(-p[-1] ** t * c, p[0] * p[-1]) if p[0] else 0 for c in p[1:]]
+        free = p[0] != 0 and (any(d.denominator != 1 for d in shift)
+                              or any(abs(d) > s for d, s in zip(shift, spans)))
+        if not (len(prev) == 1 << (t - 1) and free):
+            out.append(t)
+        prev = tally
+    return out
+
+
+@pytest.mark.parametrize("minpoly", [(-2, -2, 0, 1), (-2, 0, 1), (-1, 0, 2)])
+def test_garsia_levels_are_never_sorted(minpoly):
+    # All 2**N strings stay apart, and D is never an integer vector: x^3-2x-2
+    # and x^2-2 have D_2 = 1/2 and D_1 = 1/2, and 2x^2-1 has D_1 = 2**t above
+    # the span of entry 1, which is below 2**t.
+    assert sorted_levels(minpoly, 16) == []
+    eps = generate_exact(minpoly, 16)
+    assert eps.multiplicities.size == 1 << 16 and not eps.multiplicities.flags.writeable
+    assert set(eps.multiplicities.tolist()) == {1}
+    keys = eps.keys.tolist()
+    assert keys == sorted(keys) and len(set(map(tuple, keys))) == 1 << 16
+    assert tally_of(eps) == exact_tally_dict(minpoly, 16)[-1]
+
+
+@pytest.mark.parametrize("minpoly,levels,first", [
+    (GOLDEN_MINPOLY, 16, 3), (DEGREE_9, 14, 10), ((0, 1, 1), 8, 1), ((0, -1, 0, 1), 8, 1),
+    ((-2, 2, 2), 10, 3), ((-1, -1, -1, 1), 12, 4)])
+def test_sorted_levels_follow_tie_shift(minpoly, levels, first):
+    # A level is sorted unless D proves it tie-free; with p_0 = 0 every level
+    # is sorted.  D is computed here from the oracle's levels.
+    want = predicted_sorted_levels(minpoly, levels)
+    assert want[0] == first
+    assert sorted_levels(minpoly, levels) == want
+    check_exact_against_oracle(minpoly, levels)
+
+
+@pytest.mark.parametrize("minpoly", [GOLDEN_MINPOLY, (1, -1, -1), (-1, -1, -1, 1),
+                                     (-2, 2, 2), DEGREE_9])
+def test_tie_shift_is_the_difference_of_colliding_vectors(minpoly):
+    # Every pair of vectors of a level whose images collide differs by D.
+    p = defining_poly(minpoly)
+    prev, collisions = {(0,) * (len(p) - 1): 1}, 0
+    for t, tally in enumerate(exact_tally_dict(p, 10), start=1):
+        bump = p[-1] ** t
+        shift = pointset._tie_shift(p, bump)
+        low = {images(res, p, bump)[0]: res for res in prev}
+        for res in prev:
+            other = low.get(images(res, p, bump)[1])
+            if other is not None:
+                collisions += 1
+                assert [a - b for a, b in zip(other, res)] == shift
+        prev = tally
+    assert collisions
+
+
+def test_tie_free_needs_every_multiplicity_one():
+    # x^2 - 2 never has ties, but a level whose vectors carry multiplicities
+    # above 1 must keep them: this one holds 4 strings in 3 vectors.
+    rows = np.array([[0, 1, 0], [0, 0, 1]], dtype=np.int64)
+    mult = np.array([2, 1, 1], dtype=np.int64)
+    layout = pointset._layout([[0], [1]], [64, 64], [0, 0], 2)
+    eps = pointset.ExactPointSet((-2, 0, 1), 2, mult, rows.view(np.uint64), layout,
+                                 ((0, 1), (0, 1)))
+    got = pointset._next_level(eps, 1)
+    want = Counter()
+    for res, m in zip(map(tuple, rows.T.tolist()), mult.tolist()):
+        for key in images(res, (-2, 0, 1), 1):
+            want[key] += m
+    assert tally_of(got) == want
+    assert got.multiplicities.tolist() == [want[key] for key in sorted(want)]
 
 
 def test_exact_int64_guard():
@@ -382,18 +490,21 @@ X20 = (-2,) + (0,) * 19 + (1,)  # x^20 - 2
 
 
 @pytest.mark.parametrize("minpoly,levels", [((-2, -2, 0, 1), 16), ((-1, 0, 2), 16),
-                                            (DEGREE_9, 16), (GOLDEN_MINPOLY, 20), (X20, 16)])
+                                            (DEGREE_9, 16), (GOLDEN_MINPOLY, 20), (X20, 16),
+                                            ((-2, -2, 0, 1), 20)])
 def test_generate_exact_peak_memory(minpoly, levels):
     # The tally's traced peak, in units of the arrays it returns once the
     # keys are decoded.  x^20-2 holds every level in one word per vector,
     # against 20 int64 entries per key, so its walk stays well below them.
+    # So does x^3-2x-2 at N=20, whose tie-free levels hold no multiplicity
+    # array and are never sorted.
     tracemalloc.start()
     try:
         eps = generate_exact(minpoly, levels)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    bound = 0.5 if minpoly == X20 else 2.2
+    bound = 0.5 if (minpoly, levels) in [(X20, 16), ((-2, -2, 0, 1), 20)] else 2.2
     assert peak <= bound * (eps.keys.nbytes + eps.multiplicities.nbytes)
 
 
@@ -494,6 +605,20 @@ def test_binary_round_trip(tmp_path):
     assert back.lam == ps.lam and back.levels == ps.levels and back.form == ps.form
     assert back.values.tobytes() == ps.values.tobytes()
     assert back.values.dtype == np.float64 and not back.values.flags.writeable
+
+
+def test_write_binary_copies_nothing(tmp_path):
+    # The values are written from the set itself, not from a converted copy.
+    ps = generate(0.6429, 20)
+    path = tmp_path / "dump.bin"
+    tracemalloc.start()
+    try:
+        write_binary(ps, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.05 * ps.values.nbytes
+    assert path.read_bytes()[4 + 13:] == ps.values.astype("<f8").tobytes()
 
 
 def test_binary_bad_magic(tmp_path):

@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,11 +123,23 @@ def test_monte_carlo_without_seed_records_one():
     cfg = SweepConfig(interval=(0.51, 0.66), levels=8, s_grid=(1.0,),
                       sample_count=4, quadrature="montecarlo")
     report = averaged_pair_correlation(cfg)
-    assert report.seed is not None
+    assert isinstance(report.seed, int) and 0 <= report.seed < 2**64
     replay = averaged_pair_correlation(
         SweepConfig(interval=(0.51, 0.66), levels=8, s_grid=(1.0,),
                     sample_count=4, quadrature="montecarlo", seed=report.seed))
+    assert np.array_equal(report.lambdas, replay.lambdas)
     assert np.array_equal(report.mean, replay.mean)
+
+
+def test_cli_import_loads_no_hashing_modules():
+    # A fresh seed is read from os.urandom; the secrets module would bring
+    # hmac, hashlib and base64 into every CLI start.
+    code = ("import sys, bcvlab.cli; print(sorted({'secrets', 'hmac', 'hashlib', "
+            "'_hashlib', 'base64'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert done.stdout.strip() == "[]"
 
 
 def test_keep_curves():
