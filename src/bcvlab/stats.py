@@ -10,15 +10,18 @@ Conventions fixed across the module:
   coincidences.
 * Histograms use 50 left-closed bins on [0, 5*ell]; out-of-range samples land
   in an explicit overflow counter, never silently dropped.
-* The histogram and the KS statistic both read one sorted copy of the
-  spacings (``SpacingSet.ordered``): bin counts come from searching the 51
-  bin starts in it, and the ECDF is read at the ends of its runs of tied
-  values.
+* The histogram and the KS statistic share one blocked count of the
+  spacings into ``_BUCKETS_PER_BIN`` (512) fine buckets per bin, and no
+  full-size array is sorted.  Bin counts are sums of bucket counts.  The
+  cumulative counts and the CDF at the bucket edges bound each bucket's KS
+  deviation, and only the buckets that can hold the maximum are gathered,
+  sorted and evaluated at the ends of their runs of tied values.
 * Passes over a whole set stream it in blocks of ``_BLOCK`` (2**15) values
-  (the pair counter, the CDF evaluation of :func:`rescale`, the KS and
-  variance pass, and the gap scan), so no temporary grows with the set.  The
-  variance adds its per-block partial sums along numpy's own
-  pairwise-summation split, so it equals ``np.var(ddof=1)`` bit for bit.
+  (the pair counter, the CDF evaluation of :func:`rescale`, the bucket
+  count, the KS gather, the variance pass and the gap scan), so no
+  temporary grows with the set.  The variance adds its per-block partial
+  sums along numpy's own pairwise-summation split, so it equals
+  ``np.var(ddof=1)`` bit for bit.
   The Erdos-Joo-Komornik check of :func:`gaps` reads only a search window
   around the predicted gap.
 * The pair counter counts the whole s grid in one pass: each block compares
@@ -68,6 +71,18 @@ GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
 HIST_BIN_COUNT = 50
 
 _BLOCK = 1 << 15  # values per block of every streamed pass; bounds the temporaries
+# Fine buckets per histogram bin in the one count of the spacings.  A power
+# of two, so the bin of a bucket is exact (see _bucket_index).  512 keeps the
+# KS candidates of an N=22 figure set to some 10**4 values while the
+# per-bucket arrays stay at 200 KB each.
+_BUCKETS_PER_BIN = 1 << 9
+# Widening of the Poisson CDF bounds at a bucket's edges in the KS pass.  For
+# ell <= 113 the computed CDF is within (2*ell + 3) * 2**-52 < 6e-14 of the
+# true one (ell rounded terms of a sum times exp(-s), their product at most
+# 1), and a bucket's spacings lie within a few ulps of 5*ell (< 1e-12) of its
+# nominal edges, where the density is at most 1; the bound arithmetic rounds
+# by about 1e-16.  All of it is far below 1e-9.
+_KS_SLACK = 1e-9
 _DEPTH = 16  # index offsets the pair counter scans before it searches
 
 
@@ -153,10 +168,9 @@ def _as_sorted_values(source) -> np.ndarray:
 class SpacingSet:
     """Point-count-normalized order-ell spacings of a sorted sequence.
 
-    ``ordered`` is a read-only sorted copy of ``values``, built on first
-    access and kept; ``values`` must not change after that.  Building it
-    raises :class:`DomainError` if the spacings are not finite.
-    :func:`spacings` returns read-only values.
+    :func:`histogram` and :func:`gof_statistics` share one count of the
+    spacings into fine buckets, built on first use and kept; ``values`` must
+    not change after that.  :func:`spacings` returns read-only values.
     """
 
     ell: int
@@ -164,14 +178,19 @@ class SpacingSet:
     point_count: int
 
     @cached_property
-    def ordered(self) -> np.ndarray:
-        """``values`` sorted ascending (read-only)."""
-        ordered = np.sort(self.values)
-        # Sorting puts -inf first and +inf and NaN last, so the ends decide.
-        if ordered.size and not np.all(np.isfinite(ordered[[0, -1]])):
-            raise DomainError("spacings must be finite")
-        ordered.flags.writeable = False
-        return ordered
+    def _bucket_counts(self) -> np.ndarray:
+        """Spacings per bucket of :func:`_bucket_index`, from one blocked pass
+        (read-only), for an ``ell`` already checked by
+        :func:`_histogram_order`.  Non-finite spacings raise
+        :class:`DomainError`."""
+        counts = np.zeros(HIST_BIN_COUNT * _BUCKETS_PER_BIN + 2, dtype=np.int64)
+        for start in range(0, self.values.size, _BLOCK):
+            block = self.values[start:start + _BLOCK]
+            if not (math.isfinite(block.min()) and math.isfinite(block.max())):
+                raise DomainError("spacings must be finite")
+            counts += np.bincount(_bucket_index(block, self.ell), minlength=counts.size)
+        counts.flags.writeable = False
+        return counts
 
 
 def spacings(source, ell: int) -> SpacingSet:
@@ -368,22 +387,31 @@ def poisson_cdf(ell: int, s):
     return float(out) if out.ndim == 0 else out
 
 
-def _bin_start(k: int, width_units: float) -> float:
-    """Least double ``v`` with ``floor(v * HIST_BIN_COUNT / width_units) >= k``.
+def _histogram_order(ell) -> int:
+    """``ell`` checked for :func:`histogram` and :func:`gof_statistics`."""
+    ell = integer_arg(ell, "ell")
+    if not 1 <= ell <= 113:  # past 113 the Poisson overlay overflows a double
+        raise DomainError(f"ell must lie in 1..113, got {ell}")
+    return ell
 
-    The bin index is monotone in ``v``, so this is where bin k starts.  The
-    rounded ``k * width_units / HIST_BIN_COUNT`` can sit an ulp or two off
-    that boundary, so it is stepped until the index changes exactly there.
+
+def _bucket_index(values: np.ndarray, ell: int) -> np.ndarray:
+    """Bucket of each spacing ``v``, with ``q = v * 50 / (5*ell)`` its
+    histogram bin quotient and B = 50 * ``_BUCKETS_PER_BIN``: 0 for q < 0,
+    ``1 + floor(q * _BUCKETS_PER_BIN)`` for 0 <= q < 50, and B + 1 past that.
+
+    Scaling a double by a power of two is exact, so the fine index shifted
+    right by log2(``_BUCKETS_PER_BIN``) is exactly the bin ``floor(q)``.
+    Buckets ascend with ``v``, since every rounded step is monotone.
     """
-    def index(v):
-        return math.floor(v * float(HIST_BIN_COUNT) / width_units)
-
-    v = k * width_units / HIST_BIN_COUNT
-    while index(v) < k:
-        v = math.nextafter(v, math.inf)
-    while index(math.nextafter(v, -math.inf)) >= k:
-        v = math.nextafter(v, -math.inf)
-    return v
+    t = values * float(HIST_BIN_COUNT)
+    t /= 5.0 * ell
+    t *= float(_BUCKETS_PER_BIN)
+    np.floor(t, out=t)
+    np.clip(t, -1.0, float(HIST_BIN_COUNT * _BUCKETS_PER_BIN), out=t)
+    index = t.astype(np.intp)
+    index += 1
+    return index
 
 
 def histogram(sp: SpacingSet) -> Histogram:
@@ -391,23 +419,21 @@ def histogram(sp: SpacingSet) -> Histogram:
 
     A spacing ``v`` goes in bin ``floor(v * 50 / (5*ell))`` (scaled first, so
     exact bin-edge values such as a lattice spacing of 1.0 land in the bin
-    they start).  The counts come from one ``searchsorted`` of the 51 exact
-    bin starts in the sorted spacings; spacings whose index falls outside
-    0..49 (negative ones, and those at or past ``5*ell``) are the overflow.
-    Non-finite spacings, and ``ell >= 114`` (where the overlay overflows a
-    double), raise :class:`DomainError`.
+    they start).  Each bin count is the sum of its ``_BUCKETS_PER_BIN`` fine
+    buckets from the spacing set's one counting pass; spacings whose index
+    falls outside 0..49 (negative ones, and those at or past ``5*ell``) are
+    the overflow.  Non-finite spacings, and an ``ell`` outside 1..113 (past
+    113 the overlay overflows a double), raise :class:`DomainError`.
 
     The overlay is the expected Poisson count per bin,
     ``0.1 * ell * point_count * P_ell(bin center)`` (bin width times sample
     size times density).
     """
-    ell = sp.ell
-    width_units = 5.0 * ell
-    ordered = sp.ordered
-    starts = [_bin_start(k, width_units) for k in range(HIST_BIN_COUNT + 1)]
-    counts = np.diff(np.searchsorted(ordered, starts, side="left")).astype(np.int64)
-    overflow = int(ordered.size - counts.sum())
-    edges = np.linspace(0.0, width_units, HIST_BIN_COUNT + 1)
+    ell = _histogram_order(sp.ell)
+    fine = sp._bucket_counts
+    counts = fine[1:-1].reshape(HIST_BIN_COUNT, _BUCKETS_PER_BIN).sum(axis=1)
+    overflow = int(fine[0] + fine[-1])
+    edges = np.linspace(0.0, 5.0 * ell, HIST_BIN_COUNT + 1)
     centers = (np.arange(HIST_BIN_COUNT) + 0.5) * (0.1 * ell)
     overlay = 0.1 * ell * sp.point_count * poisson_reference(ell, centers)
     return Histogram(edges, counts, overlay, overflow)
@@ -426,29 +452,19 @@ def gof_statistics(sp: SpacingSet) -> GofReport:
     """Goodness of fit of the spacings against the order-ell Poisson law.
 
     ``ks`` is the maximum over sample points of |ECDF - Poisson CDF| (the
-    ECDF evaluated right-continuously at the samples).  Tied samples share
-    the ECDF value at the end of their run in ``sp.ordered``, so only run
-    ends are evaluated.  ``chi2`` is Pearson's statistic of the 50 histogram
-    bins against the overlay; ``mean`` and ``variance`` are taken over
-    ``sp.values`` in their own order and equal ``np.mean`` and
-    ``np.var(ddof=1)``.  Non-finite spacings and ``ell >= 114`` raise
-    :class:`DomainError`, as in :func:`histogram`, and so does a mean or
-    variance that overflows a double.
+    ECDF evaluated right-continuously at the samples), read off the sorted
+    spacings of the few buckets that can hold it (:func:`_ks_distance`).
+    ``chi2`` is Pearson's statistic of the 50 histogram bins against the
+    overlay; ``mean`` and ``variance`` are taken over ``sp.values`` in their
+    own order and equal ``np.mean`` and ``np.var(ddof=1)``.  Non-finite
+    spacings and an ``ell`` outside 1..113 raise :class:`DomainError`, as in
+    :func:`histogram`, and so does a mean or variance that overflows a double.
     """
     values = sp.values
     n = values.size
     if n < 100:
         raise DomainError(f"need at least 100 spacings for fit statistics, got {n}")
-    ordered = sp.ordered
-    ks = 0.0
-    for start in range(0, n, _BLOCK):
-        block = ordered[start:start + _BLOCK + 1]  # one value of look-ahead
-        ends = np.flatnonzero(block[1:] != block[:-1])
-        if start + _BLOCK >= n:  # no look-ahead: the last value ends a run
-            ends = np.append(ends, block.size - 1)
-        ecdf = (start + ends + 1) / n
-        ks = max(ks, float(np.max(np.abs(ecdf - poisson_cdf(sp.ell, block[ends])),
-                                  initial=0.0)))
+    ks = _ks_distance(sp, _histogram_order(sp.ell))
     hist = histogram(sp)
     live = hist.overlay > 0
     chi2 = float(np.sum((hist.counts[live] - hist.overlay[live]) ** 2
@@ -459,6 +475,56 @@ def gof_statistics(sp: SpacingSet) -> GofReport:
     if not (math.isfinite(mean) and math.isfinite(variance)):
         raise DomainError("the mean or variance of the spacings overflows a double")
     return GofReport(ks, chi2, mean, variance, n)
+
+
+def _ks_distance(sp: SpacingSet, ell: int) -> float:
+    """max |ECDF - Poisson CDF| over the spacings, with the right-continuous
+    ECDF evaluated at the ends of runs of tied values.
+
+    A bucket's values have ECDF ranks between one past the count of all
+    earlier buckets and its own cumulative count, which its last value
+    attains; their CDF lies between the CDF at the bucket's two edges (1 at
+    the far edge of the bucket past ``5*ell``), each widened by
+    ``_KS_SLACK``.  That bounds each bucket's largest deviation from above,
+    and at its last value from below.  Only the buckets whose upper bound
+    reaches the largest lower bound, and the one below 0 (no CDF bound holds
+    there), are gathered in a second blocked pass, sorted and evaluated
+    exactly, so ``ks`` is the same double a full sort would give.  That pass
+    compares each spacing with the range of the picked buckets and indexes
+    only those inside it.
+    """
+    values = sp.values
+    n = values.size
+    counts = sp._bucket_counts
+    fine = HIST_BIN_COUNT * _BUCKETS_PER_BIN
+    cdf = poisson_cdf(ell, np.arange(fine + 1) * (5.0 * ell / fine))
+    low = cdf - _KS_SLACK  # over buckets 1 .. fine + 1
+    high = np.append(cdf[1:], 1.0) + _KS_SLACK
+    ranks = np.cumsum(counts)  # rank + 1 of each bucket's last value
+    last = ranks[1:] / n
+    upper = np.maximum(last - low, high - (ranks[:-1] + 1) / n)
+    lower = np.maximum(last - high, low - last)
+    filled = counts[1:] > 0
+    picked = np.concatenate(([counts[0] > 0],
+                             filled & (upper >= np.max(lower, where=filled, initial=0.0))))
+    # The picked buckets' spacings lie in [lo, hi): their nominal edges
+    # widened by one bucket, far more than the edges' rounding.  Only those
+    # spacings are indexed exactly.
+    first, final = np.flatnonzero(picked)[[0, -1]]
+    width = 5.0 * ell / fine
+    lo = (first - 2) * width if first > 0 else -np.inf
+    hi = (final + 1) * width if final <= fine else np.inf
+    parts = []
+    for start in range(0, n, _BLOCK):
+        block = values[start:start + _BLOCK]
+        near = np.compress((block >= lo) & (block < hi), block)
+        parts.append(np.compress(picked[_bucket_index(near, ell)], near))
+    sample = np.sort(np.concatenate(parts))
+    # Ranks skipped before a picked bucket: the counts of unpicked ones.
+    skipped = np.cumsum(np.where(picked, 0, counts))
+    ends = np.append(np.flatnonzero(sample[1:] != sample[:-1]), sample.size - 1)
+    ecdf = (ends + 1 + skipped[_bucket_index(sample[ends], ell)]) / n
+    return float(np.max(np.abs(ecdf - poisson_cdf(ell, sample[ends]))))
 
 
 def _pairwise_sum(values: np.ndarray, center: float, lo: int = 0, hi: int | None = None):
@@ -563,8 +629,9 @@ def pair_correlation_interval(source, interval, s_grid) -> CorrelationCurve:
 def coincidence_rate(eps: ExactPointSet) -> float:
     """Exact R2(0): ordered coincident pairs per point, ``sum m(m-1) / 2**N``."""
     m = eps.multiplicities
-    # m <= 2**MAX_EXACT_LEVELS, so the int64 dot product is exact.
-    return int(np.dot(m, m - 1)) / float(2 ** eps.levels)
+    # sum m = 2**N, so sum m(m-1) = m.m - 2**N; m.m <= (2**N)**2 stays exact in
+    # int64, and no m - 1 is built over a level of all-distinct vectors.
+    return (int(np.dot(m, m)) - 2 ** eps.levels) / float(2 ** eps.levels)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebraic import nearest_zero_above, poly_eval
-from .errors import DomainError
+from .errors import DomainError, integer_arg
 from .pointset import Form, exact_levels, generate
 # Looked up here by name by the benchmark tracer (bench/tracing.py).
 from .pointset import generate_exact  # noqa: F401
@@ -118,9 +118,18 @@ class SweepReport:
         }
 
 
+def _seed_arg(seed) -> int:
+    """``seed`` as a nonnegative Python int, else :class:`DomainError`."""
+    seed = integer_arg(seed, "seed")
+    if seed < 0:
+        raise DomainError(f"seed must be a nonnegative integer, got {seed}")
+    return seed
+
+
 def _seeded_uniform(a: float, b: float, n: int, seed: int | None):
-    """``n`` uniform samples from [a, b) and their seed (a fresh 64-bit one if None)."""
-    seed = seed if seed is not None else int.from_bytes(os.urandom(8), "little")
+    """``n`` uniform samples from [a, b) and their seed (a fresh 64-bit one if
+    None); a negative or non-integer seed raises :class:`DomainError`."""
+    seed = _seed_arg(seed) if seed is not None else int.from_bytes(os.urandom(8), "little")
     return a + (b - a) * np.random.default_rng(seed).random(n), seed
 
 
@@ -279,10 +288,11 @@ def transversality_check(degree: int, poly_samples: int, rho_grid, interval,
     """Measure sublevel-set sizes of random {0,±1} polynomials on an interval.
 
     Polynomials are ``1 + c_1 x + ... + c_D x^D`` with seeded uniform
-    coefficients in {-1, 0, 1}; each ratio equals :func:`sublevel_ratio`.
+    coefficients in {-1, 0, 1}; each ratio equals :func:`sublevel_ratio`.  A
+    negative or non-integer ``seed`` raises :class:`DomainError`.
     """
     rho_grid = tuple(float(r) for r in rho_grid)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed_arg(seed))
     rows = rng.integers(-1, 2, size=(poly_samples, degree))
     ratios = _sublevel_ratios(np.hstack([np.ones((poly_samples, 1)), rows]), rho_grid, interval)
     max_per_rho = ratios.max(axis=0)

@@ -86,6 +86,9 @@ REFUSED_ARGS = {
                                      "--rescale", "empirical:25"), 3),
     "sweep-no-workers": (("sweep", "--interval", "0.6,0.7", "--n", "6", "--s-grid", "1",
                           "--samples", "2", "--workers", "0"), 4),
+    "sweep-negative-seed": (("sweep", "--interval", "0.6,0.7", "--n", "8", "--s-grid", "1",
+                             "--samples", "2", "--quadrature", "montecarlo",
+                             "--seed", "-5"), 4),
     "greedy-zero-length": (("greedy", "--lambda", "0.75", "--k", "0"), 4),
 }
 

@@ -60,8 +60,6 @@ def test_spacing_values_are_read_only():
         sp = spacings(source, 2)
         with pytest.raises(ValueError):
             sp.values[0] = 1.0
-        with pytest.raises(ValueError):
-            sp.ordered[0] = 1.0
 
 
 def test_spacings_validation():
@@ -330,6 +328,16 @@ def test_poisson_cdf_non_finite_raises():
             poisson_cdf(3, s)
 
 
+@pytest.mark.parametrize("ell", [0, -1, 1.5])
+def test_histogram_and_fit_refuse_bad_order(ell):
+    # 0 and -1 give no bins and 1.5 is no order: each is refused before any pass.
+    sp = SpacingSet(ell, np.linspace(0.0, 3.0, 200), 201)
+    with pytest.raises(DomainError):
+        histogram(sp)
+    with pytest.raises(DomainError):
+        gof_statistics(sp)
+
+
 def test_poisson_overlay_overflow_raises():
     ps = generate(0.7, 14)
     hist = histogram(spacings(ps, 113))  # the last ell whose overlay fits
@@ -472,6 +480,96 @@ def test_spacing_stats_match_oracles_on_point_sets(lam):
                 _assert_stats_match_oracles(spacings(seq, ell).values, ell, block)
 
 
+BUCKET_ELLS = [1, 2, 3, 7, 113]
+
+
+def _bucket_edges(ell, step=7):
+    """Every ``step``-th fine bucket edge and every bin edge of order ``ell``,
+    each with its neighbors one ulp away."""
+    fine = stats.HIST_BIN_COUNT * stats._BUCKETS_PER_BIN
+    k = np.union1d(np.arange(0, fine + 1, step),
+                   np.arange(0, fine + 1, stats._BUCKETS_PER_BIN))
+    edges = np.concatenate([k * (5.0 * ell / fine), k * (0.1 * ell / stats._BUCKETS_PER_BIN)])
+    return np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+
+
+@pytest.mark.parametrize("ell", BUCKET_ELLS)
+def test_spacing_stats_on_bucket_and_bin_edges(ell):
+    rng = np.random.default_rng(ell)
+    values = rng.permutation(_bucket_edges(ell))
+    for block in SMALL_BLOCKS + [stats._BLOCK]:
+        _assert_stats_match_oracles(values, ell, block)
+
+
+@pytest.mark.parametrize("ell", BUCKET_ELLS)
+def test_spacing_stats_on_ties(ell):
+    rng = np.random.default_rng(ell)
+    heavy = np.repeat(rng.choice(_bucket_edges(ell, 101), 12), rng.integers(1, 400, 12))
+    for values in (np.full(150, 0.4 * ell), np.full(100, 5.0 * ell), rng.permutation(heavy)):
+        for block in SMALL_BLOCKS + [stats._BLOCK]:
+            _assert_stats_match_oracles(values, ell, block)
+
+
+@pytest.mark.parametrize("ell", BUCKET_ELLS)
+def test_spacing_stats_with_maximum_in_tail_bucket(ell):
+    # Most spacings lie past 5*ell and the rest far below, so the ECDF lags
+    # the CDF most at the first spacing past 5*ell.
+    rng = np.random.default_rng(ell)
+    values = rng.permutation(np.concatenate([
+        rng.uniform(0.0, 0.2 * ell, 30), np.linspace(5.0 * ell, 40.0 * ell, 170)]))
+    ordered = np.sort(values)
+    gap = np.abs(np.arange(1, 201) / 200 - poisson_cdf(ell, ordered))
+    assert ordered[np.argmax(gap)] >= 5.0 * ell
+    for block in SMALL_BLOCKS + [stats._BLOCK]:
+        _assert_stats_match_oracles(values, ell, block)
+
+
+def test_ks_tail_bucket_reaches_cdf_one():
+    # 990 exponential quantiles lag their ECDF by 0.008 at most; 10 spacings
+    # far past 5 put the maximum 0.009 at the first of them, where the CDF is
+    # 1 rather than its value 0.9933 at 5.
+    n = 1000
+    u = np.maximum((np.arange(990) + 1) / n - 0.008, (np.arange(990) + 0.5) / n * 0.05)
+    values = np.concatenate([-np.log1p(-u), 30.0 + np.arange(10)])
+    ks = ks_searchsorted(values, lambda s: poisson_cdf(1, s))
+    assert ks == pytest.approx(0.009, abs=1e-12)
+    for block in SMALL_BLOCKS + [stats._BLOCK]:
+        _assert_stats_match_oracles(np.random.default_rng(1).permutation(values), 1, block)
+
+
+@pytest.mark.parametrize("ell", BUCKET_ELLS)
+def test_spacing_stats_with_negative_spacings(ell):
+    rng = np.random.default_rng(ell)
+    values = rng.permutation(np.concatenate([
+        -rng.uniform(0.0, 2.0, 40), [-0.0, -5e-324, -1e-300],
+        rng.gamma(ell, size=157)]))
+    for block in SMALL_BLOCKS + [stats._BLOCK]:
+        _assert_stats_match_oracles(values, ell, block)
+
+
+@pytest.mark.parametrize("ell", BUCKET_ELLS)
+def test_spacing_stats_at_one_hundred_spacings(ell):
+    values = np.random.default_rng(ell).gamma(ell, size=100)
+    for block in SMALL_BLOCKS + [stats._BLOCK]:
+        _assert_stats_match_oracles(values, ell, block)
+
+
+def test_ks_sorts_only_the_picked_buckets():
+    sp = spacings(rescale(generate(0.70880447, 16), cdf_sqrt_half()), 1)
+    sorted_sizes = []
+    sort = np.sort
+
+    def spy(a, *args, **kwargs):
+        sorted_sizes.append(np.size(a))
+        return sort(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "sort", spy)
+        report = gof_statistics(sp)
+    assert report.ks == ks_searchsorted(sp.values, lambda s: poisson_cdf(1, s))
+    assert sorted_sizes and max(sorted_sizes) < sp.values.size // 10
+
+
 @pytest.mark.parametrize("block", SMALL_BLOCKS)
 def test_gof_blocks_match_oracles_across_boundaries(block):
     # A run of 3*block tied spacings spans two block boundaries once sorted,
@@ -485,10 +583,16 @@ def test_gof_blocks_match_oracles_across_boundaries(block):
 
 
 def test_gof_peak_memory():
-    # The fit statistics stream the sorted copy, which exists before tracing.
-    sp = spacings(rescale(generate(SQRT_HALF, 20), cdf_sqrt_half()), 1)
-    assert sp.ordered.size == sp.values.size
-    assert traced_peak(gof_statistics, sp) <= 0.5 * sp.values.nbytes
+    # The bucket count and the KS gather stream the spacings, with no sorted
+    # copy; the count is built inside the traced calls.
+    for lam in (SQRT_HALF, 0.7035834364832109):
+        sp = spacings(rescale(generate(lam, 20), cdf_sqrt_half()), 1)
+
+        def both():
+            histogram(sp)
+            gof_statistics(sp)
+
+        assert traced_peak(both) <= 0.5 * sp.values.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -701,6 +805,25 @@ def test_coincidence_rate_garsia_zero():
 def test_coincidence_rate_single_level():
     for minpoly in [(-1, 1, 1), (-2, 0, 1), (1, -1, -1, -1)]:
         assert coincidence_rate(generate_exact(minpoly, 1)) == 0.0
+
+
+@pytest.mark.parametrize("minpoly, levels", [
+    ((-1, 1, 1), 16),  # golden
+    ((1, -1, 0, -1, 0, -1, 0, -1, 0, -1), 14),  # degree 9, zero at 0.62037
+    ((-2, -2, 0, 1), 12),  # Garsia, x^3 - 2x - 2
+])
+def test_coincidence_rate_matches_python_sum(minpoly, levels):
+    eps = generate_exact(minpoly, levels)
+    want = sum(int(c) * (int(c) - 1) for c in eps.multiplicities) / 2**levels
+    assert coincidence_rate(eps) == want
+
+
+def test_coincidence_rate_peak_memory():
+    # A Garsia level is tie-free, so its multiplicities are a broadcast 1.
+    eps = generate_exact((-2, -2, 0, 1), 18)
+    assert eps.multiplicities.size == 2**18
+    assert coincidence_rate(eps) == 0.0
+    assert traced_peak(coincidence_rate, eps) < 0.05 * 8 * eps.multiplicities.size
 
 
 # ---------------------------------------------------------------------------

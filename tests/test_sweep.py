@@ -131,6 +131,18 @@ def test_monte_carlo_without_seed_records_one():
     assert np.array_equal(report.mean, replay.mean)
 
 
+@pytest.mark.parametrize("seed", [-1, -5, 1.5, "3"])
+def test_bad_seeds_are_refused(seed):
+    cfg = SweepConfig(interval=(0.51, 0.66), levels=8, s_grid=(1.0,),
+                      sample_count=2, quadrature="montecarlo", seed=seed)
+    with pytest.raises(DomainError):
+        averaged_pair_correlation(cfg)
+    with pytest.raises(DomainError):
+        min_gap_scan((0.51, 0.66), 2, range(4, 5), lambda n: 0.0, seed=seed)
+    with pytest.raises(DomainError):
+        transversality_check(4, 2, (1e-2,), (0.5, 0.668), seed=seed)
+
+
 def test_cli_import_loads_no_hashing_modules():
     # A fresh seed is read from os.urandom; the secrets module would bring
     # hmac, hashlib and base64 into every CLI start.
