@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, SizeCapError
 
 __all__ = [
     "SignedPoly",
@@ -36,11 +36,17 @@ __all__ = [
     "forbidden_block",
     "sft_growth_rate",
     "defining_poly",
+    "MAX_POLY_DEGREE",
+    "MAX_GREEDY_DIGITS",
 ]
 
 # Certification margin for root moduli: verdicts closer than this to the unit
 # circle are refused ("borderline"), never silently certified.
 MODULUS_MARGIN = 1e-9
+# Refused with SizeCapError before any work.  classify takes 0.2 s at degree
+# 256 and 3.4 s at 1000; bcvlab greedy 0.9 s at k = 10**5 and 3.4 s at 10**6.
+MAX_POLY_DEGREE = 256
+MAX_GREEDY_DIGITS = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -57,8 +63,8 @@ def _trim(coeffs):
 
 
 def _integer_coeffs(coeffs) -> tuple[int, ...]:
-    """``coeffs`` as trimmed Python ints.  A coefficient that is not an
-    integer value raises :class:`DomainError` instead of being truncated."""
+    """``coeffs`` as trimmed Python ints: :class:`DomainError` for a
+    non-integer (never truncated), :class:`SizeCapError` past ``MAX_POLY_DEGREE``."""
     try:
         coeffs = tuple(coeffs)
         ints = tuple(int(c) for c in coeffs)
@@ -66,7 +72,10 @@ def _integer_coeffs(coeffs) -> tuple[int, ...]:
         ints = None
     if ints is None or any(i != c for i, c in zip(ints, coeffs)):
         raise DomainError(f"polynomial coefficients must be integers, got {coeffs!r}")
-    return _trim(ints)
+    ints = _trim(ints)
+    if len(ints) - 1 > MAX_POLY_DEGREE:
+        raise SizeCapError(f"polynomial degree {len(ints) - 1} exceeds the cap {MAX_POLY_DEGREE}")
+    return ints
 
 
 def poly_eval(coeffs, x):
@@ -84,7 +93,8 @@ def parse_poly(text: str) -> tuple[int, ...]:
     """Parse strings like ``"x^3-2x-2"`` into constant-first coefficients.
 
     Accepts optional whitespace and ``*`` between a coefficient and ``x``.
-    Raises :class:`DomainError` on anything it cannot read.
+    Raises :class:`DomainError` on anything it cannot read, and
+    :class:`SizeCapError` past ``MAX_POLY_DEGREE`` before building the tuple.
     """
     compact = text.replace(" ", "").replace("*", "")
     if not compact:
@@ -95,14 +105,16 @@ def parse_poly(text: str) -> tuple[int, ...]:
         if m is None or (not m.group(2) and not m.group(3)):
             raise DomainError(f"unparsable polynomial term {token!r}")
         sign = -1 if m.group(1) == "-" else 1
-        coef = int(m.group(2)) if m.group(2) else 1
-        if m.group(3):
-            exp = int(m.group(4)) if m.group(4) else 1
-        else:
-            exp = 0
+        try:  # Python refuses to convert integers of more than 4300 digits
+            coef = int(m.group(2)) if m.group(2) else 1
+            exp = int(m.group(4) or 1) if m.group(3) else 0
+        except ValueError as exc:
+            raise DomainError(f"unparsable polynomial term {token!r}: {exc}") from None
         coeffs[exp] = coeffs.get(exp, 0) + sign * coef
-    degree = max(coeffs)
-    return _trim(tuple(coeffs.get(i, 0) for i in range(degree + 1)))
+    degree = max((e for e, c in coeffs.items() if c), default=0)
+    if degree > MAX_POLY_DEGREE:
+        raise SizeCapError(f"polynomial degree {degree} exceeds the cap {MAX_POLY_DEGREE}")
+    return tuple(coeffs.get(i, 0) for i in range(degree + 1))
 
 
 def poly_to_string(coeffs, descending: bool = False) -> str:
@@ -205,12 +217,14 @@ def greedy_expansion(lam: float, k: int) -> GreedyExpansion:
 
     c_n is set to 1 exactly when the running remainder still exceeds lam^n.
     Requires ``lam > 1/2`` so that the leading digit c_1 = 1 is forced
-    (equivalently ``1 - lam < lam``).
+    (equivalently ``1 - lam < lam``), and ``k <= MAX_GREEDY_DIGITS``.
     """
     if not 0.5 < lam < 1.0:
         raise DomainError(f"greedy expansion needs lambda in (1/2, 1), got {lam}")
     if k < 1:
         raise DomainError("expansion length k must be >= 1")
+    if k > MAX_GREEDY_DIGITS:
+        raise SizeCapError(f"expansion length {k} exceeds the cap {MAX_GREEDY_DIGITS}")
     digits = [1]
     remainder = 1.0 - lam
     power = lam
@@ -272,44 +286,49 @@ def poly_roots(coeffs) -> tuple[complex, ...]:
     Companion-matrix eigenvalues seed a few Newton steps with the exact
     integer coefficients; conjugate pairs are symmetrized exactly.  Raises
     :class:`DomainError` if any residual stays above ``1e-10`` relative to
-    the coefficient scale, as it does for high-order repeated roots.
+    the coefficient scale, as it does for high-order repeated roots, or if
+    the coefficients, roots or residuals overflow a double.
     """
     coeffs = _integer_coeffs(coeffs)
     if len(coeffs) < 2:
         raise DomainError("root finding needs a nonconstant polynomial")
-    raw = np.roots(np.array(coeffs[::-1], dtype=float))
-    polished = []
-    for z in raw:
-        z = complex(z)
-        for _ in range(8):
-            val, der = _horner_pair(coeffs, z)
-            if val == 0 or abs(der) < 1e-30:
-                break
-            step = val / der
-            z -= step
-            if abs(step) < 1e-15 * (1.0 + abs(z)):
-                break
-        polished.append(z)
-    # Snap near-real roots, then rebuild exact conjugate pairs.  The raw
-    # eigenvalues come in exact conjugate pairs, and the polish and the snap
-    # test commute with conjugation, so reals plus pairs fill the degree.
-    reals = []
-    uppers = []
-    for z in polished:
-        if abs(z.imag) <= 1e-10 * (1.0 + abs(z)):
-            reals.append(complex(z.real, 0.0))
-        elif z.imag > 0:
-            uppers.append(z)
-    roots = list(reals)
-    for z in uppers:
-        roots.append(z)
-        roots.append(z.conjugate())
-    roots.sort(key=lambda z: (z.real, z.imag))
-    scale = sum(abs(c) for c in coeffs)
-    for z in roots:
-        bound = scale * max(1.0, abs(z)) ** (len(coeffs) - 1)
-        if abs(poly_eval(coeffs, z)) > 1e-10 * bound:
-            raise DomainError(f"root residual too large for {coeffs}")
+    try:  # a coefficient, root power or residual can overflow a double
+        raw = np.roots(np.array(coeffs[::-1], dtype=float))
+        polished = []
+        for z in raw:
+            z = complex(z)
+            for _ in range(8):
+                val, der = _horner_pair(coeffs, z)
+                if val == 0 or abs(der) < 1e-30:
+                    break
+                step = val / der
+                z -= step
+                if abs(step) < 1e-15 * (1.0 + abs(z)):
+                    break
+            polished.append(z)
+        # Snap near-real roots, then rebuild exact conjugate pairs.  The raw
+        # eigenvalues come in exact conjugate pairs, and the polish and the
+        # snap test commute with conjugation, so reals plus pairs fill the
+        # degree.
+        reals = []
+        uppers = []
+        for z in polished:
+            if abs(z.imag) <= 1e-10 * (1.0 + abs(z)):
+                reals.append(complex(z.real, 0.0))
+            elif z.imag > 0:
+                uppers.append(z)
+        roots = list(reals)
+        for z in uppers:
+            roots.append(z)
+            roots.append(z.conjugate())
+        roots.sort(key=lambda z: (z.real, z.imag))
+        scale = sum(abs(c) for c in coeffs)
+        for z in roots:
+            bound = scale * max(1.0, abs(z)) ** (len(coeffs) - 1)
+            if abs(poly_eval(coeffs, z)) > 1e-10 * bound:
+                raise DomainError(f"root residual too large for {coeffs}")
+    except OverflowError:
+        raise DomainError("root finding overflows a double for these coefficients") from None
     return tuple(roots)
 
 

@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Every subcommand writes its data files (CSV/JSON) plus a run manifest listing
-them, and is deterministic given its flags and seed.  Plot output is emitted
-as standalone gnuplot scripts referencing the CSV files, not rendered images.
+:func:`main` is the one run frame: it creates ``--out-dir`` before any work,
+calls ``cmd_*(args, run)``, which only computes and writes its data files
+(CSV/JSON) through ``run.path``, then writes the run manifest listing them
+and maps errors to exit codes.  Runs are deterministic given flags and seed.
+Plots are standalone gnuplot scripts reading the CSV files, not images.
 
 Exit codes: 0 success, 2 usage error (including an output directory or file
 that cannot be created or written), 3 resource-cap error (including an
@@ -54,7 +56,7 @@ def _parse_poly_arg(text: str):
     if stripped.startswith("["):
         try:
             coeffs = json.loads(stripped)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also >4300-digit ints
             raise DomainError(f"bad JSON coefficient list: {exc}")
         if (not isinstance(coeffs, list) or not coeffs
                 or not all(type(c) is int for c in coeffs)):
@@ -70,14 +72,14 @@ def _json_dump(obj, path: Path) -> None:
 
 
 class _Run:
-    """Collects output paths and writes the manifest last."""
+    """Creates --out-dir, collects output paths, writes the manifest last."""
 
-    def __init__(self, args, subcommand: str, seed: int | None = None):
+    def __init__(self, argv: list[str], args):
         self.out_dir = Path(args.out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        self.subcommand = subcommand
-        self.argv = list(args._argv)
-        self.seed = seed
+        self.subcommand = args.subcommand
+        self.argv = argv
+        self.seed: int | None = None
         self.outputs: list[str] = []
         self.t0 = time.perf_counter()
 
@@ -85,7 +87,7 @@ class _Run:
         self.outputs.append(name)
         return self.out_dir / name
 
-    def finish(self) -> int:
+    def finish(self) -> None:
         manifest = {
             "subcommand": self.subcommand,
             "argv": self.argv,
@@ -99,7 +101,6 @@ class _Run:
             "wall_time_s": time.perf_counter() - self.t0,
         }
         _json_dump(manifest, self.out_dir / "run_manifest.json")
-        return 0
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +122,7 @@ def _build_rescaler(kind: str, lam: float):
                       "(expected none, sqrt-half, or empirical:M)")
 
 
-def cmd_spacings(args) -> int:
-    run = _Run(args, "spacings")
+def cmd_spacings(args, run: _Run) -> None:
     ps = generate(args.lam, args.n, Form.STANDARD)
     model = _build_rescaler(args.rescale, args.lam)
     seq = rescale(ps, model) if model is not None else ps
@@ -160,11 +160,9 @@ def cmd_spacings(args) -> int:
             "with lines lw 2 title 'poisson'\n")
     print(f"ks={gof.ks:.6g} chi2={gof.chi2:.6g} mean={gof.mean:.6g} "
           f"overflow={hist.overflow}", file=sys.stderr)
-    return run.finish()
 
 
-def cmd_paircorr(args) -> int:
-    run = _Run(args, "paircorr")
+def cmd_paircorr(args, run: _Run) -> None:
     ps = generate(args.lam, args.n, Form.STANDARD)
     grid = _parse_floats(args.s_grid)
     if any(s == 0 for s in grid):
@@ -176,11 +174,9 @@ def cmd_paircorr(args) -> int:
     else:
         curve = pair_correlation(ps, grid)
     write_curve_csv(curve, run.path("paircorr_curve.csv"))
-    return run.finish()
 
 
-def cmd_exact(args) -> int:
-    run = _Run(args, "exact")
+def cmd_exact(args, run: _Run) -> None:
     coeffs = _parse_poly_arg(args.minpoly)
     verdict = classify(coeffs)  # refuse a bad polynomial before the tally
     distinct_counts = []
@@ -218,11 +214,9 @@ def cmd_exact(args) -> int:
         report["growth_note"] = ("polynomial is not a {0,±1} relation; "
                                  "growth comparison omitted")
     _json_dump(report, run.path("exact_report.json"))
-    return run.finish()
 
 
-def cmd_sweep(args) -> int:
-    run = _Run(args, "sweep")  # an unusable --out-dir fails before the sweep
+def cmd_sweep(args, run: _Run) -> None:
     cfg = SweepConfig(
         interval=_parse_interval(args.interval),
         levels=args.n,
@@ -235,21 +229,17 @@ def cmd_sweep(args) -> int:
     report = averaged_pair_correlation(cfg, progress=args.samples >= 16)
     run.seed = report.seed
     _json_dump(report.to_json_dict(), run.path("sweep_report.json"))
-    return run.finish()
 
 
-def cmd_gaps(args) -> int:
-    run = _Run(args, "gaps")
+def cmd_gaps(args, run: _Run) -> None:
     form = Form.PRIMED if args.primed else Form.STANDARD
     ps = generate(args.lam, args.n, form)
     report = gaps(ps, args.distinct_tol)
     _json_dump({"lambda": args.lam, "n": args.n, "form": form.value,
                 **asdict(report)}, run.path("gaps_report.json"))
-    return run.finish()
 
 
-def cmd_classify(args) -> int:
-    run = _Run(args, "classify")
+def cmd_classify(args, run: _Run) -> None:
     result = classify(_parse_poly_arg(args.poly))
     _json_dump({
         "poly": poly_to_string(result.poly, descending=True),
@@ -262,11 +252,9 @@ def cmd_classify(args) -> int:
         "modulus_margin": result.modulus_margin,
         "note": result.note,
     }, run.path("classify_report.json"))
-    return run.finish()
 
 
-def cmd_greedy(args) -> int:
-    run = _Run(args, "greedy")
+def cmd_greedy(args, run: _Run) -> None:
     expansion = greedy_expansion(args.lam, args.k)
     poly, root = nearest_zero_above(args.lam, args.k)
     _json_dump({
@@ -276,7 +264,6 @@ def cmd_greedy(args) -> int:
         "polynomial": poly_to_string(poly.coeffs),
         "root": root,
     }, run.path("greedy_report.json"))
-    return run.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -289,34 +276,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite Bernoulli convolution laboratory: spacings, pair "
                     "correlations, gaps, sweeps, and exact algebraic analysis.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out-dir", default=".", help="output directory")
+    float_set = argparse.ArgumentParser(add_help=False, parents=[common])
+    float_set.add_argument("--lambda", dest="lam", type=float, required=True)
+    float_set.add_argument("--n", type=int, required=True)
 
-    def add_common(p):
-        p.add_argument("--out-dir", default=".", help="output directory")
+    def add(name, func, help, parent=common):
+        p = sub.add_parser(name, parents=[parent], help=help)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("spacings", help="spacing histogram with Poisson overlay")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p = add("spacings", cmd_spacings, "spacing histogram with Poisson overlay", float_set)
     p.add_argument("--ell", type=int, default=1)
     p.add_argument("--rescale", default="none",
                    help="none | sqrt-half | empirical:M")
-    add_common(p)
-    p.set_defaults(func=cmd_spacings)
 
-    p = sub.add_parser("paircorr", help="pair correlation curve")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p = add("paircorr", cmd_paircorr, "pair correlation curve", float_set)
     p.add_argument("--s-grid", required=True, help="comma-separated s values")
     p.add_argument("--interval", default=None, help="restrict to a,b in [0,1]")
-    add_common(p)
-    p.set_defaults(func=cmd_paircorr)
 
-    p = sub.add_parser("exact", help="exact coincidence analysis for an algebraic parameter")
+    p = add("exact", cmd_exact, "exact coincidence analysis for an algebraic parameter")
     p.add_argument("--minpoly", required=True, help='e.g. "x^2+x-1"')
     p.add_argument("--n", type=int, required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_exact)
 
-    p = sub.add_parser("sweep", help="averaged pair correlation over an interval")
+    p = add("sweep", cmd_sweep, "averaged pair correlation over an interval")
     p.add_argument("--interval", required=True, help="a,b")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s-grid", required=True)
@@ -325,41 +309,31 @@ def build_parser() -> argparse.ArgumentParser:
                    default="midpoint")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--workers", type=int, default=1)
-    add_common(p)
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("gaps", help="smallest/largest gap report")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p = add("gaps", cmd_gaps, "smallest/largest gap report", float_set)
     p.add_argument("--primed", action="store_true")
     p.add_argument("--distinct-tol", dest="distinct_tol", type=float, default=None)
-    add_common(p)
-    p.set_defaults(func=cmd_gaps)
 
-    p = sub.add_parser("classify", help="Pisot/Garsia classification")
+    p = add("classify", cmd_classify, "Pisot/Garsia classification")
     p.add_argument("--poly", required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("greedy", help="greedy expansion and nearest zero above")
+    p = add("greedy", cmd_greedy, "greedy expansion and nearest zero above")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--k", type=int, required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_greedy)
 
     return parser
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    args._argv = argv
     try:
-        return args.func(args)
+        run = _Run(argv, args)
+        args.func(args, run)
+        run.finish()
     except (SizeCapError, MemoryError) as exc:
         print(f"error (resource cap): {exc}", file=sys.stderr)
         return 3
@@ -369,6 +343,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error (output): {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

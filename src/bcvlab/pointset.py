@@ -73,7 +73,7 @@ class Form(Enum):
     PRIMED = "primed"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointSet:
     lam: float
     levels: int
@@ -89,7 +89,7 @@ class PointSet:
         return DISTINCT_REL_TOL * float(self.values[-1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExactPointSet:
     """Residues of the 2**N digit polynomials modulo ``minpoly``.
 

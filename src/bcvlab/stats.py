@@ -164,7 +164,7 @@ def _as_sorted_values(source) -> np.ndarray:
 # spacings
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpacingSet:
     """Point-count-normalized order-ell spacings of a sorted sequence.
 
@@ -334,7 +334,7 @@ def rescale(ps: PointSet, model: CdfModel) -> np.ndarray:
 # histogram and Poisson reference
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Histogram:
     """50-bin spacing histogram on [0, 5*ell] with a Poisson overlay."""
 
@@ -365,8 +365,8 @@ def poisson_reference(ell: int, s):
 def poisson_cdf(ell: int, s):
     """CDF of the order-ell Poisson spacing law (a Gamma(ell, 1) variable).
 
-    Exactly 1.0 where ``exp(-s)`` underflows and ``s >= 2*ell``, since the
-    upper tail there is below 1e-50; other non-finite results, and an
+    0.0 for ``s <= 0``; 1.0 where ``exp(-s)`` underflows and ``s >= 2*ell``
+    (the upper tail is below 1e-50).  Other non-finite results, and an
     ``ell`` that is not a positive integer, raise :class:`DomainError`."""
     ell = integer_arg(ell, "ell")
     if ell < 1:
@@ -379,7 +379,7 @@ def poisson_cdf(ell: int, s):
             if j > 0:
                 term = term * s / j
             partial += term
-        out = 1.0 - np.exp(-s) * partial
+        out = np.where(s < 0.0, 0.0, 1.0 - np.exp(-s) * partial)
         if not np.all(np.isfinite(out)):
             out = np.where((np.exp(-s) == 0.0) & (s >= 2 * ell), 1.0, out)
             if not np.all(np.isfinite(out)):
@@ -551,7 +551,7 @@ def _pairwise_sum(values: np.ndarray, center: float, lo: int = 0, hi: int | None
 # pair correlations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelationCurve:
     s_grid: np.ndarray
     r_values: np.ndarray

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebraic import nearest_zero_above, poly_eval
-from .errors import DomainError, integer_arg
+from .errors import DomainError, SizeCapError, integer_arg
 from .pointset import Form, exact_levels, generate
 # Looked up here by name by the benchmark tracer (bench/tracing.py).
 from .pointset import generate_exact  # noqa: F401
@@ -68,6 +68,8 @@ class SweepConfig:
             raise DomainError(f"interval must satisfy 0.5 <= a <= b < 1, got [{a}, {b}]")
         if self.sample_count < 1:
             raise DomainError("sample_count must be >= 1")
+        if self.sample_count > 2**53:  # past it, i + 0.5 is not exact in a double
+            raise SizeCapError(f"sample_count {self.sample_count} exceeds 2**53")
         if self.quadrature not in ("midpoint", "montecarlo"):
             raise DomainError(f"unknown quadrature {self.quadrature!r}")
         _validate_grid(self.s_grid)
@@ -75,7 +77,7 @@ class SweepConfig:
             raise DomainError("worker_count must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepReport:
     """Per-s averages of R2 over the sampled parameters.
 
@@ -176,7 +178,7 @@ def averaged_pair_correlation(cfg: SweepConfig, progress: bool = False) -> Sweep
 # min-gap exceedance scan
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MinGapScan:
     lambdas: np.ndarray
     min_gaps: np.ndarray  # shape (len(lambdas), len(levels))
@@ -224,7 +226,7 @@ def min_gap_scan(interval, lambda_samples, level_range, alpha,
 # transversality measurement
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransversalityReport:
     """Measured ``Leb{lambda in I : |g(lambda)| <= rho} / rho`` ratios.
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcvlab import (DomainError, Verdict, classify, forbidden_block,
+from bcvlab import (DomainError, SizeCapError, Verdict, classify, forbidden_block,
                     greedy_expansion, nearest_zero_above, parse_poly,
                     poly_eval, poly_roots, poly_to_string, sft_growth_rate)
 from bcvlab import algebraic, generate_exact
@@ -37,6 +37,37 @@ def test_parse_poly_rejects_garbage():
     for bad in ("", "x^", "2y+1", "x**3"):
         with pytest.raises(DomainError):
             parse_poly(bad)
+
+
+def test_parse_poly_caps_the_degree_before_building():
+    cap = algebraic.MAX_POLY_DEGREE
+    assert len(parse_poly(f"x^{cap}-2")) == cap + 1
+    # Terms that cancel leave the trimmed degree, which is under the cap.
+    assert parse_poly("x^99999999 - x^99999999 + x") == (0, 1)
+    for text in (f"x^{cap + 1}", "x^99999999", "x^" + "9" * 4000):
+        with pytest.raises(SizeCapError):
+            parse_poly(text)
+    # Python converts no integer of more than 4300 digits.
+    for text in ("x^" + "1" * 5000, "1" * 5000 + "x-1"):
+        with pytest.raises(DomainError):
+            parse_poly(text)
+
+
+def test_degree_cap_on_coefficient_sequences():
+    cap = algebraic.MAX_POLY_DEGREE
+    for call in (classify, poly_roots, algebraic.defining_poly):
+        with pytest.raises(SizeCapError):
+            call((1,) * (cap + 2))
+    assert algebraic.defining_poly((-1,) + (0,) * (cap - 1) + (1, 0)) == \
+        (-1,) + (0,) * (cap - 1) + (1,)
+
+
+def test_roots_overflowing_a_double_are_refused():
+    # Each ended in OverflowError: a coefficient past the double range, and
+    # a root near 1e308 whose residual bound overflows.
+    for coeffs in ((-1, 2**1100), (1, 10**308, 1)):
+        with pytest.raises(DomainError):
+            poly_roots(coeffs)
 
 
 def test_poly_to_string_round_trip():
@@ -90,6 +121,16 @@ def test_greedy_domain_error():
     for lam in (0.5, 0.2, 1.0):
         with pytest.raises(DomainError):
             greedy_expansion(lam, 3)
+
+
+def test_greedy_length_cap():
+    cap = algebraic.MAX_GREEDY_DIGITS
+    assert len(greedy_expansion(0.75, cap).coefficients) == cap
+    for k in (cap + 1, 2**63):
+        with pytest.raises(SizeCapError):
+            greedy_expansion(0.75, k)
+        with pytest.raises(SizeCapError):
+            nearest_zero_above(0.75, k)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -9,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from bcvlab import pointset
-from bcvlab.cli import main
+from bcvlab import cli, pointset, sweep
+from bcvlab.cli import build_parser, main
 
 
 def run(tmp_path, *argv):
@@ -66,6 +67,86 @@ def test_output_error_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error (output): ")
 
 
+# One small run of each subcommand.
+SMALL_RUNS = {
+    "spacings": ("spacings", "--lambda", "0.7", "--n", "8"),
+    "paircorr": ("paircorr", "--lambda", "0.7", "--n", "8", "--s-grid", "1"),
+    "exact": ("exact", "--minpoly", "x^2+x-1", "--n", "6"),
+    "sweep": ("sweep", "--interval", "0.6,0.7", "--n", "6", "--s-grid", "1",
+              "--samples", "2", "--quadrature", "montecarlo", "--seed", "3"),
+    "gaps": ("gaps", "--lambda", "0.6", "--n", "6"),
+    "classify": ("classify", "--poly", "x^2-2"),
+    "greedy": ("greedy", "--lambda", "0.75", "--k", "5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_RUNS))
+def test_unusable_out_dir_exits_before_any_work(tmp_path, monkeypatch, capsys, name):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --out-dir was created")
+
+    for module, fn in ((cli, "generate"), (cli, "exact_levels"), (cli, "classify"),
+                       (cli, "greedy_expansion"), (sweep, "generate")):
+        monkeypatch.setattr(module, fn, no_work)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main([*SMALL_RUNS[name], "--out-dir", str(blocker / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error (output): ")
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_RUNS))
+def test_manifest_fields_per_subcommand(tmp_path, name):
+    argv = [*SMALL_RUNS[name], "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    manifest = read_json(tmp_path / "run_manifest.json")
+    assert list(manifest) == ["subcommand", "argv", "seed", "versions", "outputs",
+                              "wall_time_s"]
+    assert manifest["subcommand"] == name and manifest["argv"] == argv
+    assert manifest["seed"] == (3 if name == "sweep" else None)
+    assert list(manifest["versions"]) == ["bcvlab", "numpy", "python"]
+    assert manifest["outputs"] and all((tmp_path / f).is_file() for f in manifest["outputs"])
+
+
+# Each subcommand's options, as option -> (dest, type, required, default).
+SUBCOMMAND_OPTIONS = {
+    "spacings": {"--lambda": ("lam", float, True, None), "--n": ("n", int, True, None),
+                 "--ell": ("ell", int, False, 1), "--rescale": ("rescale", None, False, "none"),
+                 "--out-dir": ("out_dir", None, False, ".")},
+    "paircorr": {"--lambda": ("lam", float, True, None), "--n": ("n", int, True, None),
+                 "--s-grid": ("s_grid", None, True, None),
+                 "--interval": ("interval", None, False, None),
+                 "--out-dir": ("out_dir", None, False, ".")},
+    "exact": {"--minpoly": ("minpoly", None, True, None), "--n": ("n", int, True, None),
+              "--out-dir": ("out_dir", None, False, ".")},
+    "sweep": {"--interval": ("interval", None, True, None), "--n": ("n", int, True, None),
+              "--s-grid": ("s_grid", None, True, None),
+              "--samples": ("samples", int, True, None),
+              "--quadrature": ("quadrature", None, False, "midpoint"),
+              "--seed": ("seed", int, False, None), "--workers": ("workers", int, False, 1),
+              "--out-dir": ("out_dir", None, False, ".")},
+    "gaps": {"--lambda": ("lam", float, True, None), "--n": ("n", int, True, None),
+             "--primed": ("primed", None, False, False),
+             "--distinct-tol": ("distinct_tol", float, False, None),
+             "--out-dir": ("out_dir", None, False, ".")},
+    "classify": {"--poly": ("poly", None, True, None),
+                 "--out-dir": ("out_dir", None, False, ".")},
+    "greedy": {"--lambda": ("lam", float, True, None), "--k": ("k", int, True, None),
+               "--out-dir": ("out_dir", None, False, ".")},
+}
+
+
+def test_subcommand_options_are_pinned():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: {opt: (a.dest, a.type, a.required, a.default)
+                  for a in p._actions for opt in a.option_strings
+                  if opt not in ("-h", "--help")}
+           for name, p in sub.choices.items()}
+    assert got == SUBCOMMAND_OPTIONS
+    assert [a.choices for a in sub.choices["sweep"]._actions
+            if a.dest == "quadrature"] == [("midpoint", "montecarlo")]
+
+
 def test_resource_cap_exit_code(tmp_path):
     rc, _ = run(tmp_path, "spacings", "--lambda", "0.6", "--n", "40")
     assert rc == 3
@@ -90,6 +171,11 @@ REFUSED_ARGS = {
                              "--samples", "2", "--quadrature", "montecarlo",
                              "--seed", "-5"), 4),
     "greedy-zero-length": (("greedy", "--lambda", "0.75", "--k", "0"), 4),
+    # Past the caps on k and on the degree, refused before the digit loop or
+    # the coefficient tuple (each ran past 20 s before the caps).
+    "greedy-over-length-cap": (("greedy", "--lambda", "0.75", "--k", "100000000"), 3),
+    "classify-over-degree-cap": (("classify", "--poly", "x^99999999"), 3),
+    "exact-over-degree-cap": (("exact", "--minpoly", "x^99999999", "--n", "4"), 3),
 }
 
 
@@ -499,6 +585,16 @@ DEMO_DIGESTS = {
     "parameter_sweeps.py": "a403862e9f905dc677bc04accdab10354b0b5e2b65b5fcb7d6fe6777b8405677",
     "spacing_histograms.py": "d58dd87d292feebf9f8cc447ddcab90715307306fdcc633f7e076fbce6254e25",
 }
+
+
+def test_module_entry_point(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    done = subprocess.run([sys.executable, "-m", "bcvlab.cli", "classify", "--poly", "x^2-2",
+                           "--out-dir", str(tmp_path)], env=env, capture_output=True,
+                          timeout=60)
+    assert done.returncode == 0 and done.stderr == b""
+    assert read_json(tmp_path / "classify_report.json")["verdict"] == "garsia"
+    assert read_json(tmp_path / "run_manifest.json")["outputs"] == ["classify_report.json"]
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (REPO / "demos").glob("*.py")))

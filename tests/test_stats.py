@@ -323,9 +323,29 @@ def test_poisson_cdf_huge_s_is_one_without_warnings():
 
 
 def test_poisson_cdf_non_finite_raises():
-    for s in (np.nan, -1000.0):
+    for s in (np.nan, np.array([1.0, np.nan])):
         with pytest.raises(DomainError):
             poisson_cdf(3, s)
+
+
+def test_poisson_cdf_is_zero_below_zero():
+    # The Gamma(ell, 1) CDF, not the closed form continued past 0 (which
+    # gave -1.718 at ell = 1 and 1.0 at ell = 2, and inf below about -709).
+    assert poisson_cdf(1, -1.0) == 0.0 and poisson_cdf(2, -1.0) == 0.0
+    for ell in (1, 3, 113):
+        for s in (-0.0, 0.0, -5e-324, -1000.0, -np.inf):
+            got = poisson_cdf(ell, s)
+            assert got == 0.0 and math.copysign(1.0, got) == 1.0
+    got = poisson_cdf(2, np.array([-800.0, -0.0, 1.0]))
+    assert got.tolist() == [0.0, 0.0, poisson_cdf(2, 1.0)]
+
+
+def test_gof_spacing_below_exp_range_gives_finite_ks():
+    values = np.linspace(0.0, 3.0, 200)
+    values[57] = -1000.0  # exp(1000) overflows a double
+    report = gof_statistics(SpacingSet(2, values, values.size))
+    assert math.isfinite(report.ks)
+    assert report.ks == ks_searchsorted(values, lambda s: poisson_cdf(2, s))
 
 
 @pytest.mark.parametrize("ell", [0, -1, 1.5])

@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bcvlab import (DomainError, SweepConfig, averaged_pair_correlation, pointset,
-                    sweep, construct_attracting_parameter, generate, min_gap_scan,
-                    pair_correlation, sublevel_ratio, transversality_check)
+from bcvlab import (DomainError, SizeCapError, SweepConfig, averaged_pair_correlation,
+                    pointset, sweep, construct_attracting_parameter, generate,
+                    generate_exact, histogram, min_gap_scan, pair_correlation,
+                    spacings, sublevel_ratio, transversality_check)
 from bcvlab.sweep import AttractingParameter, Certificate
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -40,6 +41,17 @@ def test_config_validation():
         SweepConfig(**{**ok, "s_grid": (float("nan"),)})
     with pytest.raises(DomainError):
         SweepConfig(**{**ok, "quadrature": "simpson"})
+
+
+def test_sample_count_cap():
+    # Past 2**53 the midpoints are not exact in a double; numpy returned an
+    # empty arange at 2**63 and the sweep failed with a bare ValueError.
+    ok = dict(interval=(0.51, 0.66), levels=8, s_grid=(1.0,))
+    SweepConfig(**ok, sample_count=2**53)
+    with pytest.raises(SizeCapError):
+        SweepConfig(**ok, sample_count=2**53 + 1)
+    with pytest.raises(SizeCapError):
+        SweepConfig(**ok, sample_count=2**63)
 
 
 def test_midpoint_linearity_band():
@@ -360,3 +372,27 @@ def test_construct_validation():
         construct_attracting_parameter((0.6, 0.63), 5, 0.5)
     with pytest.raises(DomainError):
         construct_attracting_parameter((0.6, 0.63), 1, 1.5)
+
+
+# Builders of the records that hold arrays; each compares by identity.
+ARRAY_RECORDS = {
+    "PointSet": lambda: generate(0.6, 4),
+    "ExactPointSet": lambda: generate_exact((-1, 1, 1), 4),
+    "SpacingSet": lambda: spacings(generate(0.6, 4), 1),
+    "Histogram": lambda: histogram(spacings(generate(0.6, 4), 1)),
+    "CorrelationCurve": lambda: pair_correlation(generate(0.6, 4), [1.0]),
+    "SweepReport": lambda: averaged_pair_correlation(
+        SweepConfig(interval=(0.6, 0.7), levels=4, s_grid=(1.0,), sample_count=2)),
+    "MinGapScan": lambda: min_gap_scan((0.51, 0.66), 2, range(4, 5), lambda n: 0.0),
+    "TransversalityReport": lambda: transversality_check(4, 2, (1e-2,), (0.5, 0.668)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_RECORDS))
+def test_array_records_compare_and_hash_by_identity(name):
+    # The generated __eq__ compared arrays (ValueError) and __hash__ hashed
+    # them (TypeError).
+    a, b = ARRAY_RECORDS[name](), ARRAY_RECORDS[name]()
+    assert type(a).__name__ == name
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2
