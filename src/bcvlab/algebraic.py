@@ -45,6 +45,8 @@ __all__ = [
 MODULUS_MARGIN = 1e-9
 # Refused with SizeCapError before any work.  classify takes 0.2 s at degree
 # 256 and 3.4 s at 1000; bcvlab greedy 0.9 s at k = 10**5 and 3.4 s at 10**6.
+# The degree cap guards parse_poly and poly_roots only: the relations that
+# construct_attracting_parameter hands to exact_levels have unbounded degree.
 MAX_POLY_DEGREE = 256
 MAX_GREEDY_DIGITS = 100_000
 
@@ -63,8 +65,8 @@ def _trim(coeffs):
 
 
 def _integer_coeffs(coeffs) -> tuple[int, ...]:
-    """``coeffs`` as trimmed Python ints: :class:`DomainError` for a
-    non-integer (never truncated), :class:`SizeCapError` past ``MAX_POLY_DEGREE``."""
+    """``coeffs`` as trimmed Python ints; :class:`DomainError` for a
+    non-integer (never truncated)."""
     try:
         coeffs = tuple(coeffs)
         ints = tuple(int(c) for c in coeffs)
@@ -72,10 +74,7 @@ def _integer_coeffs(coeffs) -> tuple[int, ...]:
         ints = None
     if ints is None or any(i != c for i, c in zip(ints, coeffs)):
         raise DomainError(f"polynomial coefficients must be integers, got {coeffs!r}")
-    ints = _trim(ints)
-    if len(ints) - 1 > MAX_POLY_DEGREE:
-        raise SizeCapError(f"polynomial degree {len(ints) - 1} exceeds the cap {MAX_POLY_DEGREE}")
-    return ints
+    return _trim(ints)
 
 
 def poly_eval(coeffs, x):
@@ -287,11 +286,14 @@ def poly_roots(coeffs) -> tuple[complex, ...]:
     integer coefficients; conjugate pairs are symmetrized exactly.  Raises
     :class:`DomainError` if any residual stays above ``1e-10`` relative to
     the coefficient scale, as it does for high-order repeated roots, or if
-    the coefficients, roots or residuals overflow a double.
+    the coefficients, roots or residuals overflow a double, and
+    :class:`SizeCapError` past ``MAX_POLY_DEGREE`` before the eigen solve.
     """
     coeffs = _integer_coeffs(coeffs)
     if len(coeffs) < 2:
         raise DomainError("root finding needs a nonconstant polynomial")
+    if len(coeffs) - 1 > MAX_POLY_DEGREE:
+        raise SizeCapError(f"polynomial degree {len(coeffs) - 1} exceeds the cap {MAX_POLY_DEGREE}")
     try:  # a coefficient, root power or residual can overflow a double
         raw = np.roots(np.array(coeffs[::-1], dtype=float))
         polished = []

@@ -9,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bcvlab import (DomainError, SizeCapError, SweepConfig, averaged_pair_correlation,
-                    pointset, sweep, construct_attracting_parameter, generate,
-                    generate_exact, histogram, min_gap_scan, pair_correlation,
-                    spacings, sublevel_ratio, transversality_check)
+from bcvlab import (DomainError, SizeCapError, SweepConfig, algebraic,
+                    averaged_pair_correlation, pointset, sweep,
+                    construct_attracting_parameter, generate, generate_exact,
+                    histogram, min_gap_scan, pair_correlation, spacings,
+                    sublevel_ratio, transversality_check)
 from bcvlab.sweep import AttractingParameter, Certificate
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -372,6 +373,27 @@ def test_construct_validation():
         construct_attracting_parameter((0.6, 0.63), 5, 0.5)
     with pytest.raises(DomainError):
         construct_attracting_parameter((0.6, 0.63), 1, 1.5)
+
+
+def test_construction_near_one_passes_the_degree_cap(monkeypatch):
+    # Near 1 the stage relation has degree ~ log(b - mid) / log(mid): 351
+    # here, past algebraic.MAX_POLY_DEGREE, which guards only parse_poly and
+    # poly_roots.  No level up to the cap certifies, so the result is partial.
+    degrees = []
+    real = sweep.nearest_zero_above
+
+    def recording(lam, k):
+        poly, root = real(lam, k)
+        degrees.append(len(poly.coeffs) - 1)
+        return poly, root
+
+    monkeypatch.setattr(sweep, "nearest_zero_above", recording)
+    res = construct_attracting_parameter((0.98, 0.99), 1, 0.5)
+    assert degrees == [351] and 351 > algebraic.MAX_POLY_DEGREE
+    assert res == AttractingParameter(0.985, (), (0.98, 0.99), 0, False)
+    # Past MAX_GREEDY_DIGITS (k = 181975 here) the stage is refused at once.
+    with pytest.raises(SizeCapError):
+        construct_attracting_parameter((0.9999, 0.99999), 1, 0.5)
 
 
 # Builders of the records that hold arrays; each compares by identity.
