@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, SizeCapError
+from .errors import DomainError, SizeCapError, integer_arg, real_arg
 
 __all__ = [
     "SignedPoly",
@@ -38,6 +38,7 @@ __all__ = [
     "defining_poly",
     "MAX_POLY_DEGREE",
     "MAX_GREEDY_DIGITS",
+    "MAX_WORD_COUNT_LENGTH",
 ]
 
 # Certification margin for root moduli: verdicts closer than this to the unit
@@ -49,24 +50,18 @@ MODULUS_MARGIN = 1e-9
 # construct_attracting_parameter hands to exact_levels have unbounded degree.
 MAX_POLY_DEGREE = 256
 MAX_GREEDY_DIGITS = 100_000
+# Longest word length sft_growth_rate counts to: 0.01 s for "101" and 0.6 s for
+# a random 257-digit block (a degree-256 relation's); 10**4 took 0.03 and 2.7 s.
+MAX_WORD_COUNT_LENGTH = 4096
 
 
 # ---------------------------------------------------------------------------
 # plain-coefficient helpers
 
 
-def _trim(coeffs):
-    """Drop trailing zero coefficients, keeping at least the constant term."""
-    coeffs = tuple(coeffs)
-    d = len(coeffs) - 1
-    while d > 0 and coeffs[d] == 0:
-        d -= 1
-    return coeffs[: d + 1]
-
-
 def _integer_coeffs(coeffs) -> tuple[int, ...]:
-    """``coeffs`` as trimmed Python ints; :class:`DomainError` for a
-    non-integer (never truncated)."""
+    """``coeffs`` as Python ints without trailing zeros (the constant term
+    stays); :class:`DomainError` for a non-integer (never truncated)."""
     try:
         coeffs = tuple(coeffs)
         ints = tuple(int(c) for c in coeffs)
@@ -74,14 +69,20 @@ def _integer_coeffs(coeffs) -> tuple[int, ...]:
         ints = None
     if ints is None or any(i != c for i, c in zip(ints, coeffs)):
         raise DomainError(f"polynomial coefficients must be integers, got {coeffs!r}")
-    return _trim(ints)
+    d = len(ints) - 1
+    while d > 0 and ints[d] == 0:
+        d -= 1
+    return ints[: d + 1]
 
 
 def poly_eval(coeffs, x):
     """Evaluate a constant-first coefficient sequence at ``x`` by Horner."""
-    acc = 0 * x
-    for c in reversed(tuple(coeffs)):
-        acc = acc * x + c
+    try:
+        acc = 0 * x
+        for c in reversed(tuple(coeffs)):
+            acc = acc * x + c
+    except TypeError:
+        raise DomainError("poly_eval needs a sequence of numbers and a number x") from None
     return acc
 
 
@@ -95,6 +96,8 @@ def parse_poly(text: str) -> tuple[int, ...]:
     Raises :class:`DomainError` on anything it cannot read, and
     :class:`SizeCapError` past ``MAX_POLY_DEGREE`` before building the tuple.
     """
+    if not isinstance(text, str):
+        raise DomainError(f"polynomial must be given as a string, got {text!r}")
     compact = text.replace(" ", "").replace("*", "")
     if not compact:
         raise DomainError("empty polynomial string")
@@ -111,34 +114,27 @@ def parse_poly(text: str) -> tuple[int, ...]:
             raise DomainError(f"unparsable polynomial term {token!r}: {exc}") from None
         coeffs[exp] = coeffs.get(exp, 0) + sign * coef
     degree = max((e for e, c in coeffs.items() if c), default=0)
-    if degree > MAX_POLY_DEGREE:
-        raise SizeCapError(f"polynomial degree {degree} exceeds the cap {MAX_POLY_DEGREE}")
+    integer_arg(degree, "polynomial degree", hi=MAX_POLY_DEGREE, error=SizeCapError)
     return tuple(coeffs.get(i, 0) for i in range(degree + 1))
 
 
 def poly_to_string(coeffs, descending: bool = False) -> str:
-    """Render constant-first coefficients as e.g. ``"1 - x - x^5"``."""
-    coeffs = _trim(coeffs)
+    """Render constant-first integer coefficients as e.g. ``"1 - x - x^5"``;
+    a coefficient that is not an integer raises :class:`DomainError`."""
+    coeffs = _integer_coeffs(coeffs)
     terms = []
     exps = range(len(coeffs))
     for e in (reversed(exps) if descending else exps):
         c = coeffs[e]
         if c == 0 and len(coeffs) > 1:
             continue
-        mag = abs(c)
-        if e == 0:
-            body = str(mag)
-        else:
-            var = "x" if e == 1 else f"x^{e}"
-            body = var if mag == 1 else f"{mag}{var}"
-        terms.append(("-" if c < 0 else "+", body))
+        var = "" if e == 0 else "x" if e == 1 else f"x^{e}"
+        mag = "" if var and abs(c) == 1 else str(abs(c))
+        terms.append(f"{'-' if c < 0 else '+'} {mag}{var}")
     if not terms:
         return "0"
-    sign0, body0 = terms[0]
-    out = ("-" if sign0 == "-" else "") + body0
-    for sign, body in terms[1:]:
-        out += f" {sign} {body}"
-    return out
+    text = " ".join(terms)  # e.g. "- 1 - x": the first sign loses its space
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +214,9 @@ def greedy_expansion(lam: float, k: int) -> GreedyExpansion:
     Requires ``lam > 1/2`` so that the leading digit c_1 = 1 is forced
     (equivalently ``1 - lam < lam``), and ``k <= MAX_GREEDY_DIGITS``.
     """
-    if not 0.5 < lam < 1.0:
-        raise DomainError(f"greedy expansion needs lambda in (1/2, 1), got {lam}")
-    if k < 1:
-        raise DomainError("expansion length k must be >= 1")
-    if k > MAX_GREEDY_DIGITS:
-        raise SizeCapError(f"expansion length {k} exceeds the cap {MAX_GREEDY_DIGITS}")
+    lam = real_arg(lam, "greedy expansion lambda", 0.5, 1.0)
+    k = integer_arg(k, "expansion length k", lo=1)
+    integer_arg(k, "expansion length k", hi=MAX_GREEDY_DIGITS, error=SizeCapError)
     digits = [1]
     remainder = 1.0 - lam
     power = lam
@@ -247,10 +240,10 @@ def nearest_zero_above(lam: float, k: int) -> tuple[SignedPoly, float]:
     """
     expansion = greedy_expansion(lam, k)
     p = expansion.relation_poly()
+    lo = float(lam)  # greedy_expansion has checked it
     if expansion.remainder == 0.0:
-        return p, lam
-    lo = lam
-    hi = lam + expansion.remainder
+        return p, lo
+    hi = lo + expansion.remainder
     # p(hi) <= 0 mathematically; nudge past any rounding of the evaluation.
     while poly_eval(p.coeffs, hi) > 0.0:
         hi += max(2.0**-48, 4.0 * np.spacing(hi))
@@ -290,10 +283,8 @@ def poly_roots(coeffs) -> tuple[complex, ...]:
     :class:`SizeCapError` past ``MAX_POLY_DEGREE`` before the eigen solve.
     """
     coeffs = _integer_coeffs(coeffs)
-    if len(coeffs) < 2:
-        raise DomainError("root finding needs a nonconstant polynomial")
-    if len(coeffs) - 1 > MAX_POLY_DEGREE:
-        raise SizeCapError(f"polynomial degree {len(coeffs) - 1} exceeds the cap {MAX_POLY_DEGREE}")
+    integer_arg(len(coeffs) - 1, "polynomial degree", lo=1)
+    integer_arg(len(coeffs) - 1, "polynomial degree", hi=MAX_POLY_DEGREE, error=SizeCapError)
     try:  # a coefficient, root power or residual can overflow a double
         raw = np.roots(np.array(coeffs[::-1], dtype=float))
         polished = []
@@ -395,10 +386,10 @@ def forbidden_block(relation_coeffs) -> str:
     without changing the represented value, so counting strings that avoid
     the block bounds the number of distinct values.
     """
-    coeffs = tuple(relation_coeffs)
-    if any(c not in (-1, 0, 1) for c in coeffs):
-        raise DomainError("relation coefficients must lie in {-1, 0, 1}")
-    return "1" + "".join("1" if c == 1 else "0" for c in coeffs)
+    try:
+        return "1" + "".join({1: "1", 0: "0", -1: "0"}[c] for c in relation_coeffs)
+    except (TypeError, KeyError):
+        raise DomainError("relation coefficients must lie in {-1, 0, 1}") from None
 
 
 def _pattern_transitions(block: str) -> list[list[int]]:
@@ -439,14 +430,15 @@ def sft_growth_rate(block: str, count_cap: int = 30) -> GrowthReport:
     to ``count_cap``.  For non-degenerate blocks the count ratio is required
     to agree with the spectral radius to 1e-6 (counting past ``count_cap``
     as needed); disagreement at length 400 raises :class:`DomainError`.
+    A ``count_cap`` past ``MAX_WORD_COUNT_LENGTH`` raises :class:`SizeCapError`.
 
     A block that only leaves polynomially many words (e.g. ``"1"``, which
     leaves just 0^n) is returned with ``rho = 1`` and flagged degenerate.
     """
-    if not block or any(ch not in "01" for ch in block):
-        raise DomainError("block must be a nonempty string over {0,1}")
-    if block[0] != "1":
-        raise DomainError("block must start with 1")
+    if not isinstance(block, str) or block[:1] != "1" or any(ch not in "01" for ch in block):
+        raise DomainError("block must be a string over {0,1} starting with 1")
+    count_cap = integer_arg(count_cap, "count_cap", lo=0)
+    integer_arg(count_cap, "count_cap", hi=MAX_WORD_COUNT_LENGTH, error=SizeCapError)
     m = len(block)
     delta = _pattern_transitions(block)
     T = np.zeros((m, m), dtype=np.int64)
@@ -492,8 +484,7 @@ def defining_poly(minpoly) -> tuple[int, ...]:
 
     Raises :class:`DomainError` for a coefficient that is not an integer."""
     p = _integer_coeffs(minpoly)
-    if len(p) < 2:
-        raise DomainError("defining polynomial must be nonconstant")
+    integer_arg(len(p) - 1, "defining polynomial degree", lo=1)
     if p[-1] < 0:
         p = tuple(-c for c in p)
     return p

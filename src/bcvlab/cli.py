@@ -43,13 +43,6 @@ def _parse_floats(text: str) -> list[float]:
         raise DomainError(f"cannot parse float list {text!r}")
 
 
-def _parse_interval(text: str) -> tuple[float, float]:
-    values = _parse_floats(text)
-    if len(values) != 2:
-        raise DomainError(f"interval needs exactly two values a,b, got {text!r}")
-    return values[0], values[1]
-
-
 def _parse_poly_arg(text: str):
     """Accept either "x^2+x-1" or a constant-first JSON list like [-1,1,1]."""
     stripped = text.strip()
@@ -170,7 +163,7 @@ def cmd_paircorr(args, run: _Run) -> None:
               "use the exact subcommand for certified coincidence analysis",
               file=sys.stderr)
     if args.interval is not None:
-        curve = pair_correlation_interval(ps, _parse_interval(args.interval), grid)
+        curve = pair_correlation_interval(ps, _parse_floats(args.interval), grid)
     else:
         curve = pair_correlation(ps, grid)
     write_curve_csv(curve, run.path("paircorr_curve.csv"))
@@ -218,7 +211,7 @@ def cmd_exact(args, run: _Run) -> None:
 
 def cmd_sweep(args, run: _Run) -> None:
     cfg = SweepConfig(
-        interval=_parse_interval(args.interval),
+        interval=_parse_floats(args.interval),
         levels=args.n,
         s_grid=tuple(_parse_floats(args.s_grid)),
         sample_count=args.samples,

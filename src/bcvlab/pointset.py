@@ -40,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .algebraic import defining_poly
-from .errors import DomainError, SizeCapError, integer_arg
+from .errors import DomainError, SizeCapError, integer_arg, real_arg
 
 __all__ = [
     "Form",
@@ -144,13 +144,8 @@ def generate(lam: float, levels: int, form: Form = Form.STANDARD) -> PointSet:
     scales the result in place by ``(1 - lam)`` so the support is inside
     [0, 1].
     """
-    lam = float(lam)
-    if not 0.0 < lam < 1.0:
-        raise DomainError(f"lambda must lie in (0, 1), got {lam}")
-    levels = integer_arg(levels, "levels")
-    if not 1 <= levels <= MAX_FLOAT_LEVELS:
-        raise SizeCapError(
-            f"levels must lie in 1..{MAX_FLOAT_LEVELS} (2**{MAX_FLOAT_LEVELS} floats), got {levels}")
+    lam = real_arg(lam, "lambda", 0.0, 1.0)
+    levels = integer_arg(levels, "levels", 1, MAX_FLOAT_LEVELS, SizeCapError)
     values = np.zeros(1 << levels, dtype=np.float64)
     for t in range(levels):
         m = 1 << t
@@ -475,15 +470,11 @@ def exact_levels(minpoly, levels: int):
     and every span is below 2**64.  Raises ``SizeCapError`` at the first
     level that could leave int64.
     """
-    levels = integer_arg(levels, "levels")
-    if not 1 <= levels <= MAX_EXACT_LEVELS:
-        raise SizeCapError(
-            f"levels must lie in 1..{MAX_EXACT_LEVELS} for the exact backend, got {levels}")
+    levels = integer_arg(levels, "levels", 1, MAX_EXACT_LEVELS, SizeCapError)
     p = defining_poly(minpoly)
     lead, deg = p[-1], len(p) - 1
     growth = lead + max(abs(c) for c in p[:-1])
-    if growth > _INT64_MAX:
-        raise SizeCapError("defining polynomial coefficients exceed the int64 exact backend")
+    integer_arg(growth, "lead + max|c_i|", hi=_INT64_MAX, error=SizeCapError)
     # Level 0: the zero vector once, in one word of 0-bit fields.
     eps = ExactPointSet(p, 0, np.ones(1, dtype=np.int64), np.zeros((1, 1), dtype=np.uint64),
                         _layout([list(range(deg))], [0] * deg, [0] * deg, deg),
@@ -535,17 +526,28 @@ _FORM_CODE = {Form.STANDARD: 0, Form.PRIMED: 1}
 _CODE_FORM = {v: k for k, v in _FORM_CODE.items()}
 
 
-def _sorted_finite(values) -> np.ndarray:
-    """``values`` as a contiguous 1-D float64 array that is finite and ascending.
+def _float_array(values, name: str = "values") -> np.ndarray:
+    """``values`` as a float64 array, or :class:`DomainError` if not numbers."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{name} must hold numbers") from None
 
-    Raises :class:`DomainError` otherwise.  NaN fails every comparison, so
-    ascending values with finite ends are all finite."""
-    values = np.ascontiguousarray(values, dtype=np.float64)
+
+def _sorted_finite(values, name: str = "values") -> np.ndarray:
+    """``values`` as a contiguous 1-D float64 array that is finite and ascending
+    (a :class:`PointSet`'s values, which are built so, as they are).
+
+    Raises :class:`DomainError` otherwise; a scalar is one value.  NaN fails
+    every comparison, so ascending values with finite ends are all finite."""
+    if isinstance(values, PointSet):
+        return values.values
+    values = np.ascontiguousarray(_float_array(values, name))
     if values.ndim != 1:
-        raise DomainError("expected a 1-D sequence of values")
+        raise DomainError(f"{name} must be a 1-D sequence")
     if values.size and not (np.all(values[1:] >= values[:-1])
                             and np.all(np.isfinite(values[[0, -1]]))):
-        raise DomainError("values must be finite and ascending")
+        raise DomainError(f"{name} must be finite and ascending")
     return values
 
 
@@ -566,12 +568,10 @@ def read_binary(path) -> PointSet:
         if len(header) != 13:
             raise DomainError("truncated point-set header")
         lam, levels, code = struct.unpack("<dIB", header)
-        if not 0.0 < lam < 1.0:
-            raise DomainError(f"lambda must lie in (0, 1), got {lam}")
+        lam = real_arg(lam, "lambda", 0.0, 1.0)
         if code not in _CODE_FORM:
             raise DomainError(f"unknown form byte {code}")
-        if not 1 <= levels <= MAX_FLOAT_LEVELS:
-            raise DomainError(f"levels must lie in 1..{MAX_FLOAT_LEVELS}, got {levels}")
+        levels = integer_arg(levels, "levels", 1, MAX_FLOAT_LEVELS)
         values = np.fromfile(f, dtype="<f8", count=1 << levels)
         if values.size != 1 << levels:
             raise DomainError("truncated point-set dump")

@@ -38,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, SizeCapError, integer_arg
+from .errors import DomainError, SizeCapError, integer_arg, interval_arg, real_arg
 from .pointset import ExactPointSet, Form, PointSet
 from . import pointset as _pointset
 
@@ -69,6 +69,8 @@ __all__ = [
 GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
 
 HIST_BIN_COUNT = 50
+_MAX_POISSON_ORDER = 171  # (ell-1)! must fit a double
+_MAX_HIST_ORDER = 113  # past it the Poisson overlay overflows a double
 
 _BLOCK = 1 << 15  # values per block of every streamed pass; bounds the temporaries
 # Fine buckets per histogram bin in the one count of the spacings.  A power
@@ -154,12 +156,6 @@ def _window_ends(values: np.ndarray, rows: np.ndarray, thr: float) -> np.ndarray
     return j
 
 
-def _as_sorted_values(source) -> np.ndarray:
-    if isinstance(source, PointSet):
-        return source.values
-    return _pointset._sorted_finite(source)
-
-
 # ---------------------------------------------------------------------------
 # spacings
 
@@ -181,7 +177,7 @@ class SpacingSet:
     def _bucket_counts(self) -> np.ndarray:
         """Spacings per bucket of :func:`_bucket_index`, from one blocked pass
         (read-only), for an ``ell`` already checked by
-        :func:`_histogram_order`.  Non-finite spacings raise
+        :func:`histogram` or :func:`gof_statistics`.  Non-finite spacings raise
         :class:`DomainError`."""
         counts = np.zeros(HIST_BIN_COUNT * _BUCKETS_PER_BIN + 2, dtype=np.int64)
         for start in range(0, self.values.size, _BLOCK):
@@ -199,12 +195,11 @@ def spacings(source, ell: int) -> SpacingSet:
     ``source`` is a :class:`PointSet` or any sorted finite 1-D array, such as
     the output of :func:`rescale`.
     """
-    values = _as_sorted_values(source)
+    values = _pointset._sorted_finite(source)
     n = values.size
-    ell = integer_arg(ell, "ell")
-    if not 1 <= ell < n:
-        raise DomainError(f"ell must lie in 1..{n - 1}, got {ell}")
-    sp = (values[ell:] - values[:-ell]) * float(n)
+    ell = integer_arg(ell, "ell", 1, n - 1)
+    with np.errstate(over="ignore"):  # spacings past a double are inf
+        sp = (values[ell:] - values[:-ell]) * float(n)
     sp.flags.writeable = False
     return SpacingSet(ell, sp, n)
 
@@ -248,13 +243,12 @@ class CdfModel:
     def evaluate(self, x):
         """``(F(x), count of x outside the support)``, filled one ``_BLOCK``
         slice of the sorted ``x`` at a time."""
-        x = np.asarray(x, dtype=np.float64)
-        v = _as_sorted_values(np.atleast_1d(x))
+        v = _pointset._sorted_finite(x, "x")
         y = np.empty_like(v)
         clamped = 0
         for start in range(0, v.size, _BLOCK):
             clamped += self._evaluate_block(v[start:start + _BLOCK], y[start:start + _BLOCK])
-        return y.reshape(x.shape), clamped
+        return y.reshape(np.shape(x)), clamped
 
     def _evaluate_block(self, v: np.ndarray, y: np.ndarray) -> int:
         """Write F(v) into ``y`` and return the count of ``v`` outside the
@@ -299,8 +293,7 @@ def cdf_empirical(lam: float, level: int) -> CdfModel:
     from (same lambda and level): that degenerates to the uniform lattice and
     :func:`rescale` warns about it.
     """
-    if level > _pointset.MAX_EXACT_LEVELS:
-        raise SizeCapError(f"empirical CDF level capped at {_pointset.MAX_EXACT_LEVELS}")
+    level = integer_arg(level, "level", hi=_pointset.MAX_EXACT_LEVELS, error=SizeCapError)
     values = _pointset.generate(lam, level, Form.STANDARD).values
     xs = np.linspace(0.0, float(values[-1]), EMPIRICAL_KNOTS)
     counts = np.searchsorted(values, xs, side="right")
@@ -348,11 +341,9 @@ def poisson_reference(ell: int, s):
     """Poisson order-ell spacing density ``s**(ell-1) * exp(-s) / (ell-1)!``.
 
     The density is at most 1, so a non-finite result (a factor overflowed)
-    raises :class:`DomainError`."""
-    ell = integer_arg(ell, "ell")
-    if not 1 <= ell <= 171:  # (ell-1)! must fit a double
-        raise DomainError(f"ell must lie in 1..171, got {ell}")
-    s = np.asarray(s, dtype=np.float64)
+    raises :class:`DomainError`, as does an ``ell`` outside 1..171."""
+    ell = integer_arg(ell, "ell", 1, _MAX_POISSON_ORDER)
+    s = _pointset._float_array(s, "s")
     if np.any(s < 0):
         raise DomainError("s must be nonnegative")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -367,11 +358,9 @@ def poisson_cdf(ell: int, s):
 
     0.0 for ``s <= 0``; 1.0 where ``exp(-s)`` underflows and ``s >= 2*ell``
     (the upper tail is below 1e-50).  Other non-finite results, and an
-    ``ell`` that is not a positive integer, raise :class:`DomainError`."""
-    ell = integer_arg(ell, "ell")
-    if ell < 1:
-        raise DomainError(f"ell must be a positive integer, got {ell}")
-    s = np.asarray(s, dtype=np.float64)
+    ``ell`` outside 1..171, raise :class:`DomainError`."""
+    ell = integer_arg(ell, "ell", 1, _MAX_POISSON_ORDER)
+    s = _pointset._float_array(s, "s")
     partial = np.zeros_like(s)
     term = np.ones_like(s)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -385,14 +374,6 @@ def poisson_cdf(ell: int, s):
             if not np.all(np.isfinite(out)):
                 raise DomainError(f"order-{ell} Poisson CDF is not finite at these s")
     return float(out) if out.ndim == 0 else out
-
-
-def _histogram_order(ell) -> int:
-    """``ell`` checked for :func:`histogram` and :func:`gof_statistics`."""
-    ell = integer_arg(ell, "ell")
-    if not 1 <= ell <= 113:  # past 113 the Poisson overlay overflows a double
-        raise DomainError(f"ell must lie in 1..113, got {ell}")
-    return ell
 
 
 def _bucket_index(values: np.ndarray, ell: int) -> np.ndarray:
@@ -429,7 +410,7 @@ def histogram(sp: SpacingSet) -> Histogram:
     ``0.1 * ell * point_count * P_ell(bin center)`` (bin width times sample
     size times density).
     """
-    ell = _histogram_order(sp.ell)
+    ell = integer_arg(sp.ell, "ell", 1, _MAX_HIST_ORDER)
     fine = sp._bucket_counts
     counts = fine[1:-1].reshape(HIST_BIN_COUNT, _BUCKETS_PER_BIN).sum(axis=1)
     overflow = int(fine[0] + fine[-1])
@@ -461,10 +442,8 @@ def gof_statistics(sp: SpacingSet) -> GofReport:
     :func:`histogram`, and so does a mean or variance that overflows a double.
     """
     values = sp.values
-    n = values.size
-    if n < 100:
-        raise DomainError(f"need at least 100 spacings for fit statistics, got {n}")
-    ks = _ks_distance(sp, _histogram_order(sp.ell))
+    n = integer_arg(values.size, "spacing count of fit statistics", lo=100)
+    ks = _ks_distance(sp, integer_arg(sp.ell, "ell", 1, _MAX_HIST_ORDER))
     hist = histogram(sp)
     live = hist.overlay > 0
     chi2 = float(np.sum((hist.counts[live] - hist.overlay[live]) ** 2
@@ -559,29 +538,19 @@ class CorrelationCurve:
 
 
 def _validate_grid(s_grid) -> np.ndarray:
-    try:
-        grid = np.asarray(s_grid, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise DomainError(f"s grid must hold numbers, got {s_grid!r}") from None
-    if grid.ndim == 0:
-        grid = grid.reshape(1)
-    if grid.ndim != 1:
-        raise DomainError("s grid must be a scalar or a 1-D sequence")
-    if grid.size == 0:
-        raise DomainError("empty s grid")
-    if not np.all(np.isfinite(grid)):
-        raise DomainError("s values must be finite")
-    if np.any(grid < 0):
+    """``s_grid`` as a nonempty, nonnegative ``pointset._sorted_finite`` array."""
+    grid = _pointset._sorted_finite(s_grid, "s grid")
+    integer_arg(grid.size, "s grid size", lo=1)
+    if grid[0] < 0:
         raise DomainError("s values must be nonnegative")
-    if np.any(np.diff(grid) < 0):
-        raise DomainError("s grid must be ascending")
     return grid
 
 
 def _r2(window: np.ndarray, grid: np.ndarray, width: float) -> np.ndarray:
     """R2 over ``grid``: ordered pairs within ``s * width / m`` per point."""
     m = window.size
-    return 2.0 * _grid_counts(window, grid * width / m) / m
+    with np.errstate(over="ignore"):  # a difference past a double is past every threshold
+        return 2.0 * _grid_counts(window, grid * width / m) / m
 
 
 def pair_correlation(source, s_grid) -> CorrelationCurve:
@@ -595,11 +564,9 @@ def pair_correlation(source, s_grid) -> CorrelationCurve:
     analysis for algebraic parameters belongs to :func:`coincidence_rate` on
     the exact backend.
     """
-    values = _as_sorted_values(source)
+    values = _pointset._sorted_finite(source)
     grid = _validate_grid(s_grid)
-    n = values.size
-    if n == 0:
-        raise DomainError("no points to correlate")
+    n = integer_arg(values.size, "point count", lo=1)
     return CorrelationCurve(grid, _r2(values, grid, 1.0), n)
 
 
@@ -610,19 +577,16 @@ def pair_correlation_interval(source, interval, s_grid) -> CorrelationCurve:
     uniform occupancy again gives the Poisson slope 2s.  J is half-open on
     the right (immaterial for b = 1: STANDARD support stays below 1).
     """
-    values = _as_sorted_values(source)
+    values = _pointset._sorted_finite(source)
     if isinstance(source, PointSet) and source.form is not Form.STANDARD:
         raise DomainError("interval restriction expects STANDARD form (support in [0,1])")
-    a, b = float(interval[0]), float(interval[1])
+    a, b = interval_arg(interval, "interval")
     if not 0.0 <= a < b <= 1.0:
         raise DomainError(f"need 0 <= a < b <= 1, got [{a}, {b}]")
     grid = _validate_grid(s_grid)
-    lo = int(np.searchsorted(values, a, side="left"))
-    hi = int(np.searchsorted(values, b, side="left"))
+    lo, hi = np.searchsorted(values, (a, b))
     window = values[lo:hi]
-    m = window.size
-    if m == 0:
-        raise DomainError(f"no points of the set fall in [{a}, {b}]")
+    m = integer_arg(window.size, f"point count in [{a}, {b}]", lo=1)
     return CorrelationCurve(grid, _r2(window, grid, b - a), m)
 
 
@@ -672,12 +636,11 @@ def gaps(ps: PointSet, distinct_tol: float | None = None) -> GapReport:
     interior ones exclude the first and last gap.
     """
     values = ps.values
-    if values.size < 2:
-        raise DomainError(f"gaps need at least two points, got {values.size}")
-    if distinct_tol is None:
-        distinct_tol = ps.distinct_tolerance()
-    if not 0 <= distinct_tol < math.inf:
-        raise DomainError(f"distinct_tol must be finite and >= 0, got {distinct_tol}")
+    integer_arg(values.size, "point count of gaps", lo=2)
+    distinct_tol = real_arg(ps.distinct_tolerance() if distinct_tol is None else distinct_tol,
+                            "distinct_tol", -math.inf, math.inf)
+    if distinct_tol < 0:
+        raise DomainError(f"distinct_tol must be >= 0, got {distinct_tol}")
     min_gap, max_gap = math.inf, -math.inf
     max_idx = 0
     interior_max = interior_left = None
@@ -700,7 +663,7 @@ def gaps(ps: PointSet, distinct_tol: float | None = None) -> GapReport:
     if min_gap == math.inf:
         min_gap = 0.0
     ejk = interior_max is not None and _ejk_match(ps, interior_max)
-    return GapReport(float(distinct_tol), min_gap, max_gap, max_idx,
+    return GapReport(distinct_tol, min_gap, max_gap, max_idx,
                      float(values[max_idx]), interior_max, interior_left, ejk)
 
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebraic import nearest_zero_above, poly_eval
-from .errors import DomainError, SizeCapError, integer_arg
-from .pointset import Form, exact_levels, generate
+from .errors import DomainError, SizeCapError, integer_arg, interval_arg, real_arg
+from .pointset import MAX_FLOAT_LEVELS, Form, _float_array, exact_levels, generate
 # Looked up here by name by the benchmark tracer (bench/tracing.py).
 from .pointset import generate_exact  # noqa: F401
 from .stats import _validate_grid, coincidence_rate, gaps, pair_correlation
@@ -61,20 +61,17 @@ class SweepConfig:
     worker_count: int = 1
 
     def __post_init__(self):
-        if len(self.interval) != 2:
-            raise DomainError(f"interval needs exactly two endpoints, got {self.interval!r}")
-        a, b = self.interval
+        a, b = interval_arg(self.interval, "interval")
         if not (0.5 <= a <= b < 1.0):
             raise DomainError(f"interval must satisfy 0.5 <= a <= b < 1, got [{a}, {b}]")
-        if self.sample_count < 1:
-            raise DomainError("sample_count must be >= 1")
-        if self.sample_count > 2**53:  # past it, i + 0.5 is not exact in a double
-            raise SizeCapError(f"sample_count {self.sample_count} exceeds 2**53")
+        object.__setattr__(self, "interval", (a, b))
+        integer_arg(self.sample_count, "sample_count", lo=1)
+        # Past 2**53, i + 0.5 is not exact in a double.
+        integer_arg(self.sample_count, "sample_count", hi=2**53, error=SizeCapError)
         if self.quadrature not in ("midpoint", "montecarlo"):
             raise DomainError(f"unknown quadrature {self.quadrature!r}")
         _validate_grid(self.s_grid)
-        if self.worker_count < 1:
-            raise DomainError("worker_count must be >= 1")
+        integer_arg(self.worker_count, "worker_count", lo=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,18 +117,11 @@ class SweepReport:
         }
 
 
-def _seed_arg(seed) -> int:
-    """``seed`` as a nonnegative Python int, else :class:`DomainError`."""
-    seed = integer_arg(seed, "seed")
-    if seed < 0:
-        raise DomainError(f"seed must be a nonnegative integer, got {seed}")
-    return seed
-
-
 def _seeded_uniform(a: float, b: float, n: int, seed: int | None):
     """``n`` uniform samples from [a, b) and their seed (a fresh 64-bit one if
     None); a negative or non-integer seed raises :class:`DomainError`."""
-    seed = _seed_arg(seed) if seed is not None else int.from_bytes(os.urandom(8), "little")
+    seed = (int.from_bytes(os.urandom(8), "little") if seed is None
+            else integer_arg(seed, "seed", lo=0))
     return a + (b - a) * np.random.default_rng(seed).random(n), seed
 
 
@@ -197,17 +187,24 @@ def min_gap_scan(interval, lambda_samples, level_range, alpha,
     chooses ``alpha`` so that ``sum 3**N * alpha(N)`` converges (e.g.
     ``alpha = lambda n: 3.0**-n * n**-1.1``); exceedance of every sampled
     lambda at some level is the finite surrogate of the almost-everywhere
-    statement.
+    statement.  Sampling needs ``0 < a <= b < 1`` and at most ``_MAX_POINTS``
+    values over all levels; all of it is checked before any work.
     """
-    a, b = float(interval[0]), float(interval[1])
-    levels = tuple(level_range)
-    if not levels:
-        raise DomainError("empty level range")
+    a, b = interval_arg(interval, "interval")
+    if not np.iterable(level_range):
+        raise DomainError(f"level_range must be a sequence, got {level_range!r}")
+    levels = tuple(integer_arg(n, "levels", 1, MAX_FLOAT_LEVELS, SizeCapError) for n in level_range)
+    integer_arg(len(levels), "level count", lo=1)
     if isinstance(lambda_samples, (int, np.integer)):
-        lambdas, used_seed = _seeded_uniform(a, b, int(lambda_samples), seed)
+        if not 0.0 < a <= b < 1.0:
+            raise DomainError(f"sampling needs 0 < a <= b < 1, got [{a}, {b}]")
+        count = integer_arg(lambda_samples, "lambda_samples", lo=0)
+        integer_arg(count * len(levels), "sampled values", hi=_MAX_POINTS, error=SizeCapError)
+        lambdas, used_seed = _seeded_uniform(a, b, count, seed)
     else:
-        lambdas = np.asarray(lambda_samples, dtype=np.float64)
-        used_seed = None
+        lambdas, used_seed = _float_array(lambda_samples, "lambda_samples"), None
+        if lambdas.ndim != 1:
+            raise DomainError("lambda_samples must be a count or a 1-D sequence of lambdas")
     alphas = np.array([alpha(n) for n in levels], dtype=np.float64)
     table = np.empty((lambdas.size, len(levels)), dtype=np.float64)
     exceed = []
@@ -243,34 +240,41 @@ class TransversalityReport:
 
 
 _MIN_GRID = 100_000  # fewest grid points of a sublevel measurement
+# Most float64 values a sweep allocates before its loop (grid points, random
+# coefficients, sampled lambdas times levels).  A degree-30 sublevel_ratio on
+# 2**22 and 2**24 points peaked at 126 and 414 MB VmHWM, in 0.95 and 3.2 s.
+_MAX_POINTS = 1 << 24
 
 
 def _grid_size(rho: float, a: float, b: float) -> int:
-    """Points of the grid on [a, b] with step ``min(rho/100, (b-a)/100000)``."""
+    """Points of the grid on [a, b] with step ``min(rho/100, (b-a)/100000)``;
+    :class:`SizeCapError` past ``_MAX_POINTS``."""
     if not a < b:
         raise DomainError("empty interval")
-    if rho <= 0:
-        raise DomainError("rho must be positive")
-    return max(_MIN_GRID, int(math.ceil((b - a) * 100.0 / rho)) + 1)
+    points = (b - a) * 100.0 / rho
+    if points > _MAX_POINTS - 1:
+        raise SizeCapError(f"rho {rho} needs a sublevel grid of more than {_MAX_POINTS} points")
+    return max(_MIN_GRID, int(math.ceil(points)) + 1)
 
 
 def _sublevel_ratios(coefficient_rows, rho_grid, interval) -> np.ndarray:
     """:func:`sublevel_ratio` of each polynomial of ``coefficient_rows`` (one
-    row each) at each rho of ``rho_grid`` (one column each).  Each polynomial
-    is evaluated once per distinct grid, and every rho that shares the grid
-    is counted on those values."""
-    a, b = float(interval[0]), float(interval[1])
+    row each) at each positive, finite rho of ``rho_grid`` (one column
+    each).  Each polynomial is evaluated once per distinct grid, and every
+    rho that shares the grid is counted on those values."""
+    a, b = interval_arg(interval, "interval")
     ratios = np.empty((len(coefficient_rows), len(rho_grid)), dtype=np.float64)
     by_grid: dict[int, list[int]] = {}  # grid size -> columns of its rho values
     for j, rho in enumerate(rho_grid):
         by_grid.setdefault(_grid_size(rho, a, b), []).append(j)
-    for n_pts, columns in by_grid.items():
-        xs = np.linspace(a, b, n_pts)
-        step = (b - a) / (n_pts - 1)
-        for i, coeffs in enumerate(coefficient_rows):
-            sizes = np.abs(poly_eval(coeffs, xs))
-            for j in columns:
-                ratios[i, j] = np.count_nonzero(sizes <= rho_grid[j]) * step / rho_grid[j]
+    with np.errstate(over="ignore", invalid="ignore"):  # a value past a double is past rho
+        for n_pts, columns in by_grid.items():
+            xs = np.linspace(a, b, n_pts)
+            step = (b - a) / (n_pts - 1)
+            for i, coeffs in enumerate(coefficient_rows):
+                sizes = np.abs(poly_eval(coeffs, xs))
+                for j in columns:
+                    ratios[i, j] = np.count_nonzero(sizes <= rho_grid[j]) * step / rho_grid[j]
     return ratios
 
 
@@ -282,6 +286,7 @@ def sublevel_ratio(coeffs, rho: float, interval) -> float:
     polynomials are Lipschitz on the interval, so this resolves the sublevel
     set to ~1% of rho.
     """
+    rho = real_arg(rho, "rho", 0.0, math.inf)
     return float(_sublevel_ratios([coeffs], [rho], interval)[0, 0])
 
 
@@ -291,10 +296,17 @@ def transversality_check(degree: int, poly_samples: int, rho_grid, interval,
 
     Polynomials are ``1 + c_1 x + ... + c_D x^D`` with seeded uniform
     coefficients in {-1, 0, 1}; each ratio equals :func:`sublevel_ratio`.  A
-    negative or non-integer ``seed`` raises :class:`DomainError`.
+    negative or non-integer ``seed`` raises :class:`DomainError`, and more
+    than ``_MAX_POINTS`` coefficients :class:`SizeCapError`.
     """
-    rho_grid = tuple(float(r) for r in rho_grid)
-    rng = np.random.default_rng(_seed_arg(seed))
+    degree = integer_arg(degree, "degree", lo=0)
+    poly_samples = integer_arg(poly_samples, "poly_samples", lo=1)
+    integer_arg((degree + 1) * poly_samples, "coefficients", hi=_MAX_POINTS, error=SizeCapError)
+    if not np.iterable(rho_grid):
+        raise DomainError(f"rho_grid must be a sequence, got {rho_grid!r}")
+    rho_grid = tuple(real_arg(r, "rho", 0.0, math.inf) for r in rho_grid)
+    integer_arg(len(rho_grid), "rho grid size", lo=1)
+    rng = np.random.default_rng(integer_arg(seed, "seed", lo=0))
     rows = rng.integers(-1, 2, size=(poly_samples, degree))
     ratios = _sublevel_ratios(np.hstack([np.ones((poly_samples, 1)), rows]), rho_grid, interval)
     max_per_rho = ratios.max(axis=0)
@@ -339,13 +351,11 @@ def construct_attracting_parameter(interval, depth: int,
     certifies, the result is returned partial with the depth actually
     reached flagged.
     """
-    a, b = float(interval[0]), float(interval[1])
+    a, b = interval_arg(interval, "interval")
     if not 0.5 < a < b < 1.0:
         raise DomainError("interval must sit inside (1/2, 1)")
-    if depth < 0 or depth > 4:
-        raise DomainError("depth must lie in 0..4 (cost grows fast)")
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError("epsilon must lie in (0, 1)")
+    depth = integer_arg(depth, "depth", 0, 4)  # cost grows fast
+    epsilon = real_arg(epsilon, "epsilon", 0.0, 1.0)
 
     certificates: list[Certificate] = []
     prev_level = 0
@@ -358,19 +368,15 @@ def construct_attracting_parameter(interval, depth: int,
             k += 1
         poly, lam_k = nearest_zero_above(mid, k)
         s_k = 2.0**-stage
-        found = None
         for eps_set in exact_levels(poly.coeffs, _LEVEL_CAP):
-            n = eps_set.levels
-            if n <= prev_level:
-                continue
-            r0 = coincidence_rate(eps_set)
-            if r0 >= 2.0 ** (n ** (1.0 - epsilon)):
-                found = (n, r0)
-                break
-        if found is None:
+            n_k = eps_set.levels
+            if n_k > prev_level:
+                r0 = coincidence_rate(eps_set)
+                if r0 >= 2.0 ** (n_k ** (1.0 - epsilon)):
+                    break
+        else:  # no level up to the cap certifies
             return AttractingParameter(0.5 * (a + b), tuple(certificates),
                                        (a, b), stage - 1, False)
-        n_k, r0 = found
         certificates.append(Certificate(stage, s_k, n_k, r0))
         prev_level = n_k
         # Pair differences move at most (1-b)^-2 per unit lambda, so within

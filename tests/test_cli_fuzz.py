@@ -2,26 +2,24 @@
 
 Arguments are drawn from a grammar of each subcommand's options, with values
 from a set of edge cases (zero, negatives, fractions, non-finite and huge
-numbers, empty and non-numeric text, reversed intervals).  Levels stay at
-12 or below and counts stay small, except values that are refused before
-any allocation.  Each example runs under a wall-clock limit, since a hang
-would otherwise stall the suite rather than fail it.
+numbers, empty and non-numeric text, reversed intervals; see
+``fuzzing.EDGE``).  Levels stay at 12 or below and counts stay small,
+except values that are refused before any allocation.  Each example runs
+under a wall-clock limit, since a hang would otherwise stall the suite
+rather than fail it.
 """
 
 import json
-import signal
 import tempfile
-from contextlib import contextmanager
 from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bcvlab.cli import main
+from fuzzing import EDGE_TEXT as EDGE
+from fuzzing import time_limit
 
-LIMIT_S = 2.0
-
-EDGE = ["0", "-1", "1.5", "nan", "inf", "1e308", str(2**63), "", "abc"]
 LAMBDAS = ["0.5", "0.6", "0.70880447", "0.75", "1e-300"]
 LEVELS = ["1", "4", "9", "12"]
 COUNTS = ["1", "2", "3"]
@@ -29,24 +27,6 @@ POLYS = ["x^2+x-1", "x^2-2", "x^3-2x-2", "2x^2-1", "x-1", "[-1, 1, 1]"]
 BAD_POLYS = [p for v in EDGE for p in (f"x^2-{v}", f"{v}x-1", f"[{v}, 1]")] + [
     "x^2", "x^^2", "x^99999999", "[1.5, 2]", "[]", "[true, 1]", "x^4-4x^3+6x^2-4x+1",
     f"x^2+{10**308}x+1", f"[1, {2**1100}]", "1000x^2-1"]
-
-
-class Hang(Exception):
-    pass
-
-
-@contextmanager
-def time_limit(seconds):
-    def alarm(signum, frame):
-        raise Hang(f"the example ran past {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, alarm)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def values(valid, edge=EDGE):
@@ -116,7 +96,7 @@ def test_cli_exits_with_a_contract_code(argv, out_dir):
         if out_dir == "under-a-file":
             Path(tmp, "file").write_text("")
             out = Path(tmp) / "file" / "out"
-        with time_limit(LIMIT_S):
+        with time_limit():
             rc = main(argv + ["--out-dir", str(out)])
         assert rc in (0, 2, 3, 4)
         manifest = out / "run_manifest.json"
