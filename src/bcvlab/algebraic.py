@@ -46,12 +46,14 @@ __all__ = [
 MODULUS_MARGIN = 1e-9
 # Refused with SizeCapError before any work.  classify takes 0.2 s at degree
 # 256 and 3.4 s at 1000; bcvlab greedy 0.9 s at k = 10**5 and 3.4 s at 10**6.
-# The degree cap guards parse_poly and poly_roots only: the relations that
-# construct_attracting_parameter hands to exact_levels have unbounded degree.
+# The degree cap guards parse_poly, poly_roots and, one digit longer, the
+# blocks of sft_growth_rate: the relations that construct_attracting_parameter
+# hands to exact_levels have unbounded degree.
 MAX_POLY_DEGREE = 256
 MAX_GREEDY_DIGITS = 100_000
 # Longest word length sft_growth_rate counts to: 0.01 s for "101" and 0.6 s for
 # a random 257-digit block (a degree-256 relation's); 10**4 took 0.03 and 2.7 s.
+# At count_cap = 1, blocks of 257, 400 and 600 digits took 0.11, 0.23, 0.54 s.
 MAX_WORD_COUNT_LENGTH = 4096
 
 
@@ -120,7 +122,7 @@ def parse_poly(text: str) -> tuple[int, ...]:
 
 def poly_to_string(coeffs, descending: bool = False) -> str:
     """Render constant-first integer coefficients as e.g. ``"1 - x - x^5"``;
-    a coefficient that is not an integer raises :class:`DomainError`."""
+    a coefficient that is not an integer or too long to print raises :class:`DomainError`."""
     coeffs = _integer_coeffs(coeffs)
     terms = []
     exps = range(len(coeffs))
@@ -129,7 +131,10 @@ def poly_to_string(coeffs, descending: bool = False) -> str:
         if c == 0 and len(coeffs) > 1:
             continue
         var = "" if e == 0 else "x" if e == 1 else f"x^{e}"
-        mag = "" if var and abs(c) == 1 else str(abs(c))
+        try:  # Python converts no integer of more than 4300 digits
+            mag = "" if var and abs(c) == 1 else str(abs(c))
+        except ValueError as exc:
+            raise DomainError(f"coefficient too long to print: {exc}") from None
         terms.append(f"{'-' if c < 0 else '+'} {mag}{var}")
     if not terms:
         return "0"
@@ -430,13 +435,15 @@ def sft_growth_rate(block: str, count_cap: int = 30) -> GrowthReport:
     to ``count_cap``.  For non-degenerate blocks the count ratio is required
     to agree with the spectral radius to 1e-6 (counting past ``count_cap``
     as needed); disagreement at length 400 raises :class:`DomainError`.
-    A ``count_cap`` past ``MAX_WORD_COUNT_LENGTH`` raises :class:`SizeCapError`.
+    A block of more than ``MAX_POLY_DEGREE + 1`` digits or a ``count_cap``
+    past ``MAX_WORD_COUNT_LENGTH`` raises :class:`SizeCapError`.
 
     A block that only leaves polynomially many words (e.g. ``"1"``, which
     leaves just 0^n) is returned with ``rho = 1`` and flagged degenerate.
     """
     if not isinstance(block, str) or block[:1] != "1" or any(ch not in "01" for ch in block):
         raise DomainError("block must be a string over {0,1} starting with 1")
+    integer_arg(len(block), "block length", hi=MAX_POLY_DEGREE + 1, error=SizeCapError)
     count_cap = integer_arg(count_cap, "count_cap", lo=0)
     integer_arg(count_cap, "count_cap", hi=MAX_WORD_COUNT_LENGTH, error=SizeCapError)
     m = len(block)

@@ -15,8 +15,10 @@ packed: each distinct residue vector is a string of bit fields, one per
 entry and each about as wide as the entry's range on the level, in a uint64
 word (several when the fields exceed 64 bits) whose numeric order is the
 lexicographic order of the vectors, beside an int64 array of
-multiplicities.  The next level is encoded from the current one in one pass
-over cache-sized blocks of columns, and one value sort of its words
+multiplicities.  One layout, ``_layout``, maps fields to bits for the writer
+and the reader of a level alike; the reader's is the writer's less the
+multiplicity field.  The next level is encoded from the current one in one
+pass over cache-sized blocks of columns, and one value sort of its words
 deduplicates it.  A level that an exact integer test proves to have no
 ties, as at Garsia parameters, where all 2**N strings stay apart, is
 neither sorted nor deduplicated: its words carry no multiplicity field and
@@ -102,14 +104,14 @@ class ExactPointSet:
     multiplicities sum to 2**N.  Both arrays are read-only.
 
     The level is held as it was tallied: each distinct vector is a string of
-    bit fields in the uint64 words ``_words`` (one column per vector), which
-    ``_layout`` decodes (per word: its first entry and its entries' shifts,
-    masks and lows), and ``_ranges[i]`` is entry i's exact (min, max).  The
-    words are sorted, except on a level proved to have no ties, whose words
-    stay in the order they were made and whose multiplicities are a
-    broadcast 1.  ``keys`` sorts the words and decodes them on first access,
-    and is cached, so a caller that reads only the multiplicities never
-    sorts or decodes.
+    bit fields in the uint64 words ``_words`` (one column per vector),
+    decoded by ``_layout``: the layout of the entries' fields, which is the
+    writer's less the multiplicity field.  ``_ranges[i]`` is entry i's exact
+    (min, max).  The words are sorted, except on a level proved to have no
+    ties, whose words stay in the order they were made and whose
+    multiplicities are a broadcast 1.  ``keys`` sorts the words and decodes
+    them on first access, and is cached, so a caller that reads only the
+    multiplicities never sorts or decodes.
     """
 
     minpoly: tuple[int, ...]
@@ -214,46 +216,29 @@ _WORD_BITS = 64  # bits of fields one uint64 word holds
 _TALLY_BLOCK = 1 << 20  # bytes of int64 entries per column block of a level's pass
 
 
-def _pack(widths) -> list[list[int]]:
-    """Split field indices, most significant first, greedily into words whose
-    widths sum to at most ``_WORD_BITS``; a field too wide to share a word
-    gets one of its own."""
-    words, size = [[]], 0
+def _layout(widths, lows) -> tuple:
+    """The bit-field layout of packed vectors, for their writer and their reader.
+
+    Field i is ``widths[i]`` bits wide, field 0 the most significant, and
+    holds its value less ``lows[i]``.  The fields are split greedily into
+    uint64 words whose widths sum to at most ``_WORD_BITS`` (a field too wide
+    to share a word gets one of its own), so the split of a prefix of the
+    fields is a prefix of the split.  Returns, per word, its first field and
+    uint64 columns of its fields' shifts, masks and lows modulo 2**64."""
+    groups, size = [[]], 0
     for i, width in enumerate(widths):
-        if words[-1] and size + width > _WORD_BITS:
-            words.append([])
+        if groups[-1] and size + width > _WORD_BITS:
+            groups.append([])
             size = 0
-        words[-1].append(i)
+        groups[-1].append(i)
         size += width
-    return words
-
-
-def _shifts(group, widths) -> list[int]:
-    """Bit offsets of the fields ``group`` of one word, most significant first."""
-    shifts, shift = [], 0
-    for i in reversed(group):
-        shifts.append(shift)
-        shift += widths[i]
-    return shifts[::-1]
-
-
-def _column(values) -> np.ndarray:
-    """``values`` modulo 2**64 as a uint64 column, to broadcast over a word's fields."""
-    return np.array([v % (1 << 64) for v in values], dtype=np.uint64)[:, None]
-
-
-def _layout(packing, widths, lows, deg) -> tuple:
-    """How to decode entries 0..deg-1 from words packed by ``packing`` once
-    the multiplicity field (index ``deg``, the least significant) is shifted
-    off: for each word that holds an entry, its first entry and the shifts,
-    masks and lows of its entries."""
     layout = []
-    for group in packing:
-        group = [i for i in group if i < deg]
-        if group:
-            layout.append((group[0], _column(_shifts(group, widths)),
-                           _column([(1 << widths[i]) - 1 for i in group]),
-                           _column([lows[i] for i in group])))
+    for group in groups:
+        fields, shift = [], 0
+        for i in reversed(group):
+            fields.append((shift, (1 << widths[i]) - 1, lows[i] % (1 << 64)))
+            shift += widths[i]
+        layout.append((group[0], *np.array(fields[::-1], dtype=np.uint64).T[:, :, None]))
     return tuple(layout)
 
 
@@ -285,30 +270,27 @@ def _times_x(words, layout, p, buf) -> np.ndarray:
     return buf[:deg]
 
 
-def _encode(words, start, cols, mult, plan, bump_word) -> None:
-    """Write the bit-field words of the vectors ``cols`` (one per column;
-    overwritten) and their multiplicities ``mult`` to ``words[:, start:]``,
-    and those of the same vectors bumped in entry 0 to
-    ``words[:, n + start:]``, where ``words`` has ``2 * n`` columns.
+def _encode(words, start, rows, layout, bump_word) -> None:
+    """Write the bit-field words of the vectors ``rows`` (one per column, one
+    field per row; overwritten) to ``words[:, start:]``, and those of the
+    same vectors bumped in field 0 to ``words[:, n + start:]``, where
+    ``words`` has ``2 * n`` columns and ``layout`` is the fields' ``_layout``.
 
-    ``plan`` gives, per word, its first field, its entries' shifts, whether
-    it ends with the multiplicity, and its fields' lows shifted into place
-    and summed.  The fields are shifted into place and added modulo 2**64,
-    and the lows come off as that one sum; this is exact because every
-    word's fields fit in 64 bits.  The bumped copy differs in entry 0 alone,
-    which sits in word 0, so its word 0 is larger by ``bump_word``.
+    The fields of each word are shifted into place and added modulo 2**64,
+    and their lows come off as one sum taken from the same columns; this is
+    exact because every word's fields fit in 64 bits.  The bumped copy
+    differs in field 0 alone, which sits in word 0, so its word 0 is larger
+    by ``bump_word``.
     """
     n = words.shape[1] // 2
-    stop = start + cols.shape[1]
-    bits = cols.view(np.uint64)
-    for row, (first, shifts, with_mult, offset) in zip(words, plan):
+    stop = start + rows.shape[1]
+    bits = rows.view(np.uint64)
+    for row, (first, shifts, _, lows) in zip(words, layout):
         head = row[start:stop]
         fields = bits[first:first + shifts.shape[0]]
         np.left_shift(fields, shifts, out=fields)
         np.add.reduce(fields, axis=0, out=head)
-        if with_mult:
-            head += mult.view(np.uint64)
-        head -= offset
+        head -= (lows << shifts).sum()
         row[n + start:n + stop] = head
     words[0, n + start:n + stop] += bump_word
 
@@ -377,11 +359,14 @@ def _next_level(eps: ExactPointSet, bump: int) -> ExactPointSet:
     too: the words carry no multiplicity field and stay unsorted, in the
     order they were made, and the multiplicities are a read-only broadcast
     1.  Otherwise the least significant field is the multiplicity, as wide
-    as ``max(mult)`` needs.  One value sort of the uint64 words (a lexsort
-    of several words when the fields exceed 64 bits) brings equal vectors
-    together, a comparison of neighbouring words with the multiplicity field
-    shifted off marks the runs, and ``np.add.reduceat`` sums their
-    multiplicities.
+    as ``max(mult)`` needs, read from the row of ``buf`` that ``_times_x``
+    leaves free.  One value sort of the uint64 words (a lexsort of several
+    words when the fields exceed 64 bits) brings equal vectors together, a
+    comparison of neighbouring words with the multiplicity field shifted off
+    marks the runs, and ``np.add.reduceat`` sums their multiplicities.  The
+    words are written by ``_layout`` of all fields; as the greedy split of
+    the entries' fields is a prefix of the split, shifting the multiplicity
+    off leaves the words that ``_layout`` of the entries' fields reads.
     """
     p, mult = eps.minpoly, eps.multiplicities
     lead, deg, n = p[-1], len(p) - 1, mult.size
@@ -400,27 +385,23 @@ def _next_level(eps: ExactPointSet, bump: int) -> ExactPointSet:
     if not tie_free:
         widths.append(int(mult.max()).bit_length())
         lows.append(0)
-    packing = _pack(widths)
-    plan = []
-    for group in packing:
-        shifts = _shifts(group, widths)
-        offset = sum(lows[i] << shift for i, shift in zip(group, shifts))
-        plan.append((group[0], _column([s for i, s in zip(group, shifts) if i < deg]),
-                     deg in group, np.uint64(offset % (1 << 64))))
-    bump_word = np.uint64(bump << _shifts(packing[0], widths)[0])
+    layout = _layout(widths, lows)
+    bump_word = np.uint64(bump << int(layout[0][1][0, 0]))
 
-    words = np.empty((len(packing), 2 * n), dtype=np.uint64)
+    words = np.empty((len(layout), 2 * n), dtype=np.uint64)
     step = max(1, _TALLY_BLOCK // (8 * (deg + 1)))
     buf = np.empty((deg + 1, min(step, n)), dtype=np.int64)
     mins = np.full(deg, _INT64_MAX, dtype=np.int64)
     maxs = np.full(deg, -_INT64_MAX - 1, dtype=np.int64)
     for start in range(0, n, step):
         stop = min(start + step, n)
-        cols = _times_x(eps._words[:, start:stop], eps._layout, p, buf[:, :stop - start])
+        rows = buf[:, :stop - start]
+        cols = _times_x(eps._words[:, start:stop], eps._layout, p, rows)
         np.minimum(mins, cols.min(axis=1), out=mins)
         np.maximum(maxs, cols.max(axis=1), out=maxs)
-        _encode(words, start, cols, mult[start:stop], plan, bump_word)
-    del buf, cols
+        rows[deg] = mult[start:stop]  # the multiplicity field's row
+        _encode(words, start, rows, layout, bump_word)
+    del buf, rows, cols
     ranges = list(zip(mins.tolist(), maxs.tolist()))
     ranges[0] = (ranges[0][0], ranges[0][1] + bump)
 
@@ -428,9 +409,9 @@ def _next_level(eps: ExactPointSet, bump: int) -> ExactPointSet:
         mult = np.broadcast_to(np.int64(1), (2 * n,))
     else:
         words = _sorted_words(words)
-        mult = words[-1] & np.uint64((1 << widths[-1]) - 1)
+        mult = words[-1] & layout[-1][2][-1]
         words[-1] >>= widths[-1]
-        if packing[-1] == [deg]:  # the multiplicity had a word of its own
+        if layout[-1][0] == deg:  # the multiplicity had a word of its own
             words = words[:-1]
         first = np.empty(2 * n, dtype=bool)  # vector starts a run of equal ones
         first[0] = True
@@ -446,7 +427,7 @@ def _next_level(eps: ExactPointSet, bump: int) -> ExactPointSet:
     words.flags.writeable = False
     mult.flags.writeable = False
     return ExactPointSet(p, eps.levels + 1, mult, words,
-                         _layout(packing, widths, lows, deg), tuple(ranges))
+                         _layout(widths[:deg], lows[:deg]), tuple(ranges))
 
 
 def exact_levels(minpoly, levels: int):
@@ -477,8 +458,7 @@ def exact_levels(minpoly, levels: int):
     integer_arg(growth, "lead + max|c_i|", hi=_INT64_MAX, error=SizeCapError)
     # Level 0: the zero vector once, in one word of 0-bit fields.
     eps = ExactPointSet(p, 0, np.ones(1, dtype=np.int64), np.zeros((1, 1), dtype=np.uint64),
-                        _layout([list(range(deg))], [0] * deg, [0] * deg, deg),
-                        ((0, 0),) * deg)
+                        _layout([0] * deg, [0] * deg), ((0, 0),) * deg)
     bump = 1
     for t in range(1, levels + 1):
         bump *= lead  # the "+1" on the scale lead**t

@@ -42,6 +42,16 @@ __all__ = [
 ]
 
 
+# Most float64 values a sweep allocates before its loop (grid points, random
+# coefficients, sampled lambdas times levels, samples times s values).  A
+# degree-30 sublevel_ratio on 2**22 and 2**24 points peaked at 126 and 414 MB
+# VmHWM, in 0.95 and 3.2 s; an averaged sweep of 2**20 samples at N = 1 and
+# one s value at 54 MB, in 91 s (2-CPU host).
+_MAX_POINTS = 1 << 24
+# Samples queued on the thread pool at once (all 2**18 at once peaked at 503 MB).
+_SAMPLE_CHUNK = 1 << 12
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Configuration of an averaged pair-correlation sweep.
@@ -49,7 +59,8 @@ class SweepConfig:
     ``quadrature`` is "midpoint" (deterministic, CI-friendly) or "montecarlo"
     (uniform samples from a recorded seed).  A degenerate interval with
     ``sample_count = 1`` is allowed and reduces to a single pair-correlation
-    evaluation.
+    evaluation.  ``levels`` lies in 1..``MAX_FLOAT_LEVELS``, as for
+    ``generate``, and the integers are kept as Python ints.
     """
 
     interval: tuple[float, float]
@@ -64,14 +75,18 @@ class SweepConfig:
         a, b = interval_arg(self.interval, "interval")
         if not (0.5 <= a <= b < 1.0):
             raise DomainError(f"interval must satisfy 0.5 <= a <= b < 1, got [{a}, {b}]")
-        object.__setattr__(self, "interval", (a, b))
-        integer_arg(self.sample_count, "sample_count", lo=1)
+        levels = integer_arg(self.levels, "levels", 1, MAX_FLOAT_LEVELS, SizeCapError)
+        count = integer_arg(self.sample_count, "sample_count", lo=1)
         # Past 2**53, i + 0.5 is not exact in a double.
-        integer_arg(self.sample_count, "sample_count", hi=2**53, error=SizeCapError)
+        integer_arg(count, "sample_count", hi=2**53, error=SizeCapError)
         if self.quadrature not in ("midpoint", "montecarlo"):
             raise DomainError(f"unknown quadrature {self.quadrature!r}")
         _validate_grid(self.s_grid)
-        integer_arg(self.worker_count, "worker_count", lo=1)
+        workers = integer_arg(self.worker_count, "worker_count", lo=1)
+        # Keep what was checked, as the Python numbers that JSON writes.
+        for name, value in (("interval", (a, b)), ("levels", levels),
+                            ("sample_count", count), ("worker_count", workers)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,26 +149,27 @@ def averaged_pair_correlation(cfg: SweepConfig, progress: bool = False) -> Sweep
     """
     a, b = cfg.interval
     n = cfg.sample_count
+    grid = np.asarray(cfg.s_grid, dtype=np.float64)
+    integer_arg(n * grid.size, "samples times s values", hi=_MAX_POINTS, error=SizeCapError)
     if cfg.quadrature == "midpoint":
         lambdas, seed = a + (np.arange(n) + 0.5) * (b - a) / n, None
     else:
         lambdas, seed = _seeded_uniform(a, b, n, cfg.seed)
-    grid = np.asarray(cfg.s_grid, dtype=np.float64)
 
     def one(lam: float) -> np.ndarray:
         return pair_correlation(generate(lam, cfg.levels), grid).r_values
 
-    rows = []
-    step = max(1, len(lambdas) // 10)
+    curves = np.empty((n, grid.size), dtype=np.float64)  # one R2 row per sample
+    step = max(1, n // 10)
     t0 = time.perf_counter()
-    # pool.map submits every sample at once, so the pool size bounds the threads.
+    # pool.map submits a whole chunk at once, so the pool size bounds the threads.
     with ThreadPoolExecutor(max_workers=min(cfg.worker_count, os.cpu_count() or 1)) as pool:
-        for i, row in enumerate(pool.map(one, lambdas), 1):
-            rows.append(row)
-            if progress and i % step == 0:
-                print(f"sweep: {i}/{len(lambdas)} samples "
-                      f"({time.perf_counter() - t0:.1f}s)", file=sys.stderr)
-    curves = np.vstack(rows)
+        for lo in range(0, n, _SAMPLE_CHUNK):
+            for i, row in enumerate(pool.map(one, lambdas[lo:lo + _SAMPLE_CHUNK]), lo + 1):
+                curves[i - 1] = row
+                if progress and i % step == 0:
+                    print(f"sweep: {i}/{n} samples "
+                          f"({time.perf_counter() - t0:.1f}s)", file=sys.stderr)
     mean = curves.mean(axis=0)
     positive = grid > 0
     slopes = mean[positive] / grid[positive]
@@ -240,10 +256,6 @@ class TransversalityReport:
 
 
 _MIN_GRID = 100_000  # fewest grid points of a sublevel measurement
-# Most float64 values a sweep allocates before its loop (grid points, random
-# coefficients, sampled lambdas times levels).  A degree-30 sublevel_ratio on
-# 2**22 and 2**24 points peaked at 126 and 414 MB VmHWM, in 0.95 and 3.2 s.
-_MAX_POINTS = 1 << 24
 
 
 def _grid_size(rho: float, a: float, b: float) -> int:

@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 import bcvlab as b
 from bcvlab import DomainError, SizeCapError
-from bcvlab.algebraic import MAX_GREEDY_DIGITS, MAX_WORD_COUNT_LENGTH
+from bcvlab.algebraic import MAX_GREEDY_DIGITS, MAX_POLY_DEGREE, MAX_WORD_COUNT_LENGTH
 from fuzzing import EDGE, time_limit
 
 NUMBER, SEQUENCE, OBJECT, PATH = "number", "sequence", "object", "path"
@@ -178,6 +178,8 @@ def run(name, kwargs):
 @example(("sft_growth_rate", {"block": "101", "count_cap": 2**63}))
 @example(("sft_growth_rate", {"block": "101", "count_cap": math.inf}))
 @example(("sft_growth_rate", {"block": 101, "count_cap": 10}))
+@example(("sft_growth_rate", {"block": "1" * 800, "count_cap": 1}))
+@example(("poly_to_string", {"coeffs": (10**4400,), "descending": False}))
 @example(("poisson_cdf", {"ell": 1, "s": "abc"}))
 @example(("poisson_reference", {"ell": 1, "s": (0.5, "")}))
 @example(("gaps", {"ps": PS, "distinct_tol": "abc"}))
@@ -232,6 +234,7 @@ DOMAINS = [
     ("exact_levels", dict(levels=0), SizeCapError),
     ("exact_levels", dict(levels=b.pointset.MAX_EXACT_LEVELS + 1), SizeCapError),
     ("poly_to_string", dict(coeffs=(1.5, 1)), DomainError),
+    ("poly_to_string", dict(coeffs=(-1, 10**4300)), DomainError),
     ("greedy_expansion", dict(lam=0.5), DomainError),
     ("greedy_expansion", dict(lam="0.75", k=1), None),
     ("greedy_expansion", dict(k=0), DomainError),
@@ -239,6 +242,8 @@ DOMAINS = [
     ("sft_growth_rate", dict(count_cap=0), None),
     ("sft_growth_rate", dict(count_cap=-1), DomainError),
     ("sft_growth_rate", dict(count_cap=MAX_WORD_COUNT_LENGTH + 1), SizeCapError),
+    ("sft_growth_rate", dict(block="1" * (MAX_POLY_DEGREE + 1)), None),
+    ("sft_growth_rate", dict(block="1" * (MAX_POLY_DEGREE + 2)), SizeCapError),
     ("spacings", dict(ell=3), None),
     ("spacings", dict(ell=4), DomainError),
     ("spacings", dict(ell=0), DomainError),
@@ -264,6 +269,11 @@ DOMAINS = [
     ("SweepConfig", dict(sample_count=2**53 + 1), SizeCapError),
     ("SweepConfig", dict(worker_count=1.5), DomainError),
     ("SweepConfig", dict(worker_count=0), DomainError),
+    ("SweepConfig", dict(levels=0), SizeCapError),
+    ("SweepConfig", dict(levels=b.pointset.MAX_FLOAT_LEVELS + 1), SizeCapError),
+    ("SweepConfig", dict(levels="abc"), DomainError),
+    ("averaged_pair_correlation", dict(cfg=b.SweepConfig((0.6, 0.7), 1, (1.0,), 2**40)),
+     SizeCapError),
     ("min_gap_scan", dict(lambda_samples=0), None),
     ("min_gap_scan", dict(interval=(0.9, 0.1), lambda_samples=[0.6]), None),
     ("min_gap_scan", dict(interval=(0.9, 0.1)), DomainError),
@@ -288,8 +298,20 @@ DOMAINS = [
 ]
 
 
+def pin_id(name, overrides):
+    """``name-overrides`` as Python prints the dict, but a value longer than
+    40 characters, or too long for Python to print, shows by its size."""
+    def show(value):
+        try:
+            text = repr(value)
+        except ValueError:  # it holds an integer of more than 4300 digits
+            return f"<{type(value).__name__} past the digit limit>"
+        return text if len(text) <= 40 else f"<{type(value).__name__}: {len(text)}-char repr>"
+    return f"{name}-{{{', '.join(f'{k!r}: {show(v)}' for k, v in overrides.items())}}}"
+
+
 @pytest.mark.parametrize("name, overrides, expected", DOMAINS,
-                         ids=[f"{n}-{o}" for n, o, _ in DOMAINS])
+                         ids=[pin_id(n, o) for n, o, _ in DOMAINS])
 def test_domain_edges_are_pinned(name, overrides, expected):
     func, params = CALLS[name]
     kwargs = {p: valid for p, (valid, _) in params.items()} | overrides

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bcvlab import (DomainError, Form, SizeCapError, distinct_count,
@@ -302,6 +302,7 @@ def check_level_against_oracle(eps, levels, tally):
     assert eps.multiplicities.tolist() == [tally[key] for key in want]
     assert int(eps.multiplicities.sum()) == 1 << levels
     assert not eps.keys.flags.writeable and not eps.multiplicities.flags.writeable
+    assert eps._words.shape[0] == len(eps._layout)  # no word beyond the reader's
     assert tally_of(eps) == tally
 
 
@@ -391,7 +392,7 @@ def test_tie_free_needs_every_multiplicity_one():
     # above 1 must keep them: this one holds 4 strings in 3 vectors.
     rows = np.array([[0, 1, 0], [0, 0, 1]], dtype=np.int64)
     mult = np.array([2, 1, 1], dtype=np.int64)
-    layout = pointset._layout([[0], [1]], [64, 64], [0, 0], 2)
+    layout = pointset._layout([64] * 2, [0] * 2)
     eps = pointset.ExactPointSet((-2, 0, 1), 2, mult, rows.view(np.uint64), layout,
                                  ((0, 1), (0, 1)))
     got = pointset._next_level(eps, 1)
@@ -475,7 +476,7 @@ def test_next_level_row_spans_beyond_2_63():
             want[(col[0] + bump, *col[1:])] += m
         deg = len(rows)
         held = np.roll(shifted, -1, axis=0)
-        layout = pointset._layout([[i] for i in range(deg)], [64] * deg, [0] * deg, deg)
+        layout = pointset._layout([64] * deg, [0] * deg)
         eps = pointset.ExactPointSet((-1,) + (0,) * (deg - 1) + (1,), 1, mult,
                                      held.view(np.uint64), layout,
                                      tuple((int(r.min()), int(r.max())) for r in held))
@@ -484,6 +485,65 @@ def test_next_level_row_spans_beyond_2_63():
         assert got.keys.tolist() == [list(key) for key in keys]
         assert got.multiplicities.tolist() == [want[key] for key in keys]
         assert got.keys.dtype == got.multiplicities.dtype == np.int64
+
+
+
+@st.composite
+def packed_columns(draw):
+    """Entry fields 0..64 bits wide whose lows keep every entry in int64, an
+    optional multiplicity field width, and columns of entries (then the
+    multiplicity, 1 without the field) that fit them."""
+    widths = draw(st.lists(st.integers(0, 64), min_size=1, max_size=6))
+    lows = [draw(st.integers(-2**63, 2**63 - 2**w)) for w in widths]
+    mult_width = draw(st.none() | st.integers(1, 63))
+    top = 2**mult_width - 1 if mult_width else 1
+    cols = draw(st.lists(st.tuples(*[st.integers(lo, lo + 2**w - 1)
+                                     for lo, w in zip(lows, widths)], st.integers(1, top)),
+                         min_size=1, max_size=5))
+    return widths, lows, mult_width, cols
+
+
+@settings(max_examples=150, deadline=None)
+@given(packed_columns(), st.sampled_from([1, 5, 12, 64]))
+# A 0-bit field just ahead of a 64-bit one shares its word at shift 64.
+@example(([0, 64], [7, -2**63], None, [(7, -2**63, 1), (7, 2**63 - 1, 1)]), 64)
+@example(([0, 64], [-5, -2**63], 2, [(-5, 0, 3), (-5, 2**63 - 1, 1)]), 64)
+def test_layout_round_trips_words(packed, word_bits):
+    # Encode with the writer's layout, shift the multiplicity off as
+    # _next_level does, and decode with the reader's, the same layout less
+    # the multiplicity field.
+    widths, lows, mult_width, cols = packed
+    deg, n = len(widths), len(cols)
+    rows = np.array(cols, dtype=np.int64).T
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pointset, "_WORD_BITS", word_bits)
+        fields = (widths, lows) if mult_width is None else (widths + [mult_width], lows + [0])
+        layout = pointset._layout(*fields)
+        words = np.empty((len(layout), 2 * n), dtype=np.uint64)
+        pointset._encode(words, 0, rows.copy(), layout, np.uint64(0))
+        assert (words[:, :n] == words[:, n:]).all()
+        words = words[:, :n]
+        if mult_width is not None:
+            mult = words[-1] & layout[-1][2][-1]
+            words[-1] >>= mult_width
+            if layout[-1][0] == deg:
+                words = words[:-1]
+            assert mult.view(np.int64).tolist() == rows[deg].tolist()
+        out = np.empty((deg, n), dtype=np.int64)
+        pointset._unpack(words, pointset._layout(widths, lows), out)
+    assert out.tolist() == rows[:deg].tolist()
+
+
+def test_layout_splits_fields_greedily():
+    # Per word: first field, shifts, masks; a prefix of the fields splits
+    # into a prefix of the words.
+    def words(widths):
+        return [(first, shifts.ravel().tolist(), masks.ravel().tolist())
+                for first, shifts, masks, _ in pointset._layout(widths, [0] * len(widths))]
+    assert words([0, 64]) == [(0, [64, 0], [0, 2**64 - 1])]
+    assert words([64, 0, 3]) == [(0, [0, 0], [2**64 - 1, 0]), (2, [0], [7])]
+    assert words([30, 30, 4, 2]) == [(0, [34, 4, 0], [2**30 - 1] * 2 + [15]), (3, [0], [3])]
+    assert words([30, 30, 4]) == [(0, [34, 4, 0], [2**30 - 1] * 2 + [15])]
 
 
 X20 = (-2,) + (0,) * 19 + (1,)  # x^20 - 2

@@ -55,6 +55,38 @@ def test_sample_count_cap():
         SweepConfig(**ok, sample_count=2**63)
 
 
+def test_averaged_sweep_caps_samples_times_s_values():
+    # The cap is on the samples times the s values, and it is checked before
+    # the lambdas are built: 2**40 midpoints would take 8 TiB.
+    for count, grid in [(2**40, (1.0,)), (2**23, (0.5, 1.0, 2.0))]:
+        cfg = SweepConfig(interval=(0.6, 0.7), levels=1, s_grid=grid, sample_count=count)
+        with pytest.raises(SizeCapError):
+            averaged_pair_correlation(cfg)
+
+
+def test_sample_chunks_do_not_change_bits(monkeypatch):
+    cfg = SweepConfig(interval=(0.51, 0.66), levels=8, s_grid=(0.5, 1.0), sample_count=10,
+                      worker_count=2)
+    whole = averaged_pair_correlation(cfg)
+    monkeypatch.setattr(sweep, "_SAMPLE_CHUNK", 3)
+    chunked = averaged_pair_correlation(cfg)
+    assert chunked.curves.tobytes() == whole.curves.tobytes()
+    assert json.dumps(chunked.to_json_dict()) == json.dumps(whole.to_json_dict())
+
+
+def test_config_keeps_python_ints():
+    # numpy integers are checked and kept as the Python ints JSON writes.
+    plain = SweepConfig(interval=(0.6, 0.7), levels=6, s_grid=(1.0,), sample_count=2,
+                        worker_count=1)
+    numpy_ints = SweepConfig(interval=(0.6, 0.7), levels=np.int64(6), s_grid=(1.0,),
+                             sample_count=np.int64(2), worker_count=np.int32(1))
+    for name in ("levels", "sample_count", "worker_count"):
+        assert type(getattr(numpy_ints, name)) is int
+    want = averaged_pair_correlation(plain).to_json_dict()
+    got = averaged_pair_correlation(numpy_ints).to_json_dict()
+    assert got == want and json.dumps(got) == json.dumps(want)
+
+
 def test_midpoint_linearity_band():
     cfg = SweepConfig(interval=(0.51, 0.66), levels=12,
                       s_grid=(0.5, 1.0, 2.0, 4.0), sample_count=32)
