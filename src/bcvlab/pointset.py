@@ -6,7 +6,10 @@ the iterated affine map x -> lambda*x (+1), keeping repeated values
 strings).  Each level merges both images of the sorted values into the
 front of one 2**N buffer: a small level by one stable sort of that prefix,
 a large one in place, block by block from the top down, each block
-locating its share of the two images by bisection.  ``generate_exact``
+locating its share of the two images by bisection.  The blocks are shared
+between the calling thread and one helper thread (``_map_blocks``, also
+used by the blocked passes of ``stats``) where the process may use more
+than one CPU.  ``generate_exact``
 tallies the same 2**N digit strings as residues
 modulo a defining integer polynomial, in integer arithmetic on the scale
 ``lead**N``, so coincidence structure at an algebraic parameter is certified
@@ -34,7 +37,12 @@ once.
 
 from __future__ import annotations
 
+import contextvars
+import itertools
+import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -129,6 +137,68 @@ class ExactPointSet:
         return cols.T
 
 
+# ---------------------------------------------------------------------------
+# blocked passes on two threads
+
+# The one helper thread of every blocked pass.  Its thread starts on the
+# first submit, which happens only where more than one CPU is usable.
+_HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="bcvlab-blocks")
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, or ``os.cpu_count()``
+    on a platform without one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _map_blocks(fn, items) -> list:
+    """``[fn(item) for item in items]``, worked through by the calling thread
+    and, when the process may use more than one CPU, the helper thread.
+
+    Both threads claim items from one counter, in order, so an item is
+    claimed only after every earlier one.  The helper runs ``fn`` in a copy
+    of the caller's context, so ``np.errstate`` carries over.  This returns
+    only after the helper has finished, or its task was cancelled before it
+    started.  The caller works through every item the helper has not
+    claimed, so it never waits on a helper that has not started: sweep
+    threads that call this at once share the one helper without deadlock.
+    An exception from either thread stops further claims and is raised here
+    once both have stopped.  Once interpreter shutdown has begun, the
+    helper takes no work and the caller does every item.
+    """
+    if len(items) < 2 or _usable_cpus() < 2:
+        return [fn(item) for item in items]
+    results = [None] * len(items)
+    claims = itertools.count()
+    lock = threading.Lock()
+    errors = []
+
+    def drain():
+        while not errors:
+            with lock:
+                i = next(claims)
+            if i >= len(items):
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:  # raised by the caller below
+                errors.append(exc)
+
+    try:
+        helper = _HELPER.submit(contextvars.copy_context().run, drain)
+    except RuntimeError:  # interpreter shutdown has begun
+        return [fn(item) for item in items]
+    drain()
+    if not helper.cancel():
+        helper.result()
+    if errors:
+        raise errors[0]
+    return results
+
+
 _MERGE_BLOCK = 1 << 16  # values per output block of a large level's merge
 
 
@@ -140,11 +210,11 @@ def generate(lam: float, levels: int, form: Form = Form.STANDARD) -> PointSet:
     to the low run ``L``, and the merge of ``L`` with ``L + 1`` fills the
     first 2**(t+1).  A level of at most ``_MERGE_BLOCK`` values writes
     ``L + 1`` behind ``L`` and stable-sorts that prefix; a larger one is
-    merged by ``_merge_blocks`` in place, so no level allocates more than
-    one block.  Every digit string is evaluated by
-    the same Horner scheme a direct evaluation would use.  STANDARD form
-    scales the result in place by ``(1 - lam)`` so the support is inside
-    [0, 1].
+    merged by ``_merge_blocks`` in place, on two threads where the process
+    may use more than one CPU, so no level allocates more than one block
+    per thread.  Every digit string is evaluated by the same Horner scheme
+    a direct evaluation would use.  STANDARD form scales the result in
+    place by ``(1 - lam)`` so the support is inside [0, 1].
     """
     lam = real_arg(lam, "lambda", 0.0, 1.0)
     levels = integer_arg(levels, "levels", 1, MAX_FLOAT_LEVELS, SizeCapError)
@@ -167,34 +237,61 @@ def generate(lam: float, levels: int, form: Form = Form.STANDARD) -> PointSet:
 def _merge_blocks(out: np.ndarray) -> None:
     """Overwrite ``out`` with the sorted merge of its low half ``L`` and ``L + 1``.
 
-    The output is cut into blocks of ``_MERGE_BLOCK`` values, written from the
-    top down.  Block ``[p0, p1)`` takes ``L[x0:x1]`` and ``(L + 1)[y0:y1]``,
-    where ``x(p)`` is the co-rank of ``p`` (see ``_co_rank``) and
-    ``y(p) = p - x(p)``.  A block with one part only is copied or written by
-    ``np.add``; a mixed one is filled into one reused block buffer and
-    stable-sorted there, in cache.  The buffer is allocated here, so a set
-    with no large level allocates none.  Since ``x0, y0 <= p0``, no lower
-    block reads what a block writes.  Equal values are equal doubles, so the
-    bytes are those of one stable sort of ``L, L + 1``.
+    The output is cut into blocks of ``_MERGE_BLOCK`` values.  Block ``[p0,
+    p1)`` takes ``L[x0:x1]`` and ``(L + 1)[y0:y1]``, where ``x(p)`` is the
+    co-rank of ``p`` (see ``_co_rank``) and ``y(p) = p - x(p)``.  Every
+    co-rank is computed first, from the still-intact ``L``.  Since ``x1, y1
+    <= p1``, a block reads nothing that a block above it writes, but it may
+    read what the blocks beneath it write.  So ``_map_blocks`` works the
+    blocks from the top down, each block writing only once the block above
+    it is *read*.  A block with one part only waits, then copies it or
+    writes it by ``np.add`` in place, and is then read.  A mixed block
+    copies its two parts into its thread's own block buffer, is then read,
+    stable-sorts the buffer in cache, waits, and writes it back.  The
+    buffers are allocated here, so a set with no large level allocates none.
+
+    Waiting on the block just above is enough: every block writes only after
+    all blocks above it are read.  Blocks are claimed in order by two
+    threads, so when block k is claimed, every block above it is done except
+    at most one, j, that the other thread holds.  If j is block k-1, block
+    k waits for it.  Otherwise block k-1 was done by this thread, and it
+    wrote only after all blocks above it, j among them, were read.  Equal
+    values are equal doubles, so the bytes are those of one stable sort of
+    ``L, L + 1``.
     """
-    block = np.empty(_MERGE_BLOCK, dtype=np.float64)
+    size = _MERGE_BLOCK
     low = out[:out.size // 2]
-    x1 = low.size
-    for p0 in range(out.size - block.size, -1, -block.size):
-        p1 = p0 + block.size
-        x0 = _co_rank(low, p0)
+    ranks = [_co_rank(low, p) for p in range(out.size, -1, -size)]  # x(p), top down
+    read = [threading.Event() for _ in ranks[1:]]
+    local = threading.local()
+
+    def merge(k):
+        p1 = out.size - k * size
+        p0 = p1 - size
+        x0, x1 = ranks[k + 1], ranks[k]
         y0, y1 = p0 - x0, p1 - x1
-        if y0 == y1:
-            if y0:
-                out[p0:p1] = low[x0:x1]
-        elif x0 == x1:
-            np.add(low[y0:y1], 1.0, out=out[p0:p1])
-        else:
-            block[:x1 - x0] = low[x0:x1]
-            np.add(low[y0:y1], 1.0, out=block[x1 - x0:])
-            block.sort(kind="stable")
-            out[p0:p1] = block
-        x1 = x0
+        try:
+            if x0 != x1 and y0 != y1:
+                block = getattr(local, "block", None)
+                if block is None:
+                    block = local.block = np.empty(size, dtype=np.float64)
+                block[:x1 - x0] = low[x0:x1]
+                np.add(low[y0:y1], 1.0, out=block[x1 - x0:])
+                read[k].set()
+                block.sort(kind="stable")
+            if k:
+                read[k - 1].wait()
+            if y0 == y1:
+                if y0:
+                    out[p0:p1] = low[x0:x1]
+            elif x0 == x1:
+                np.add(low[y0:y1], 1.0, out=out[p0:p1])
+            else:
+                out[p0:p1] = block
+        finally:
+            read[k].set()  # also on failure, so that no block waits forever
+
+    _map_blocks(merge, range(len(read)))
 
 
 def _co_rank(low: np.ndarray, p: int) -> int:

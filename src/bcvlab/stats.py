@@ -17,13 +17,21 @@ Conventions fixed across the module:
   deviation, and only the buckets that can hold the maximum are gathered,
   sorted and evaluated at the ends of their runs of tied values.
 * Passes over a whole set stream it in blocks of ``_BLOCK`` (2**15) values
-  (the pair counter, the CDF evaluation of :func:`rescale`, the bucket
-  count, the KS gather, the variance pass and the gap scan), so no
-  temporary grows with the set.  The variance adds its per-block partial
+  (the pair counter, the CDF evaluation of :func:`rescale`, the spacings,
+  the bucket count, the KS gather, the variance pass and the gap scan), so
+  no temporary grows with the set.  The variance adds its per-block partial
   sums along numpy's own pairwise-summation split, so it equals
   ``np.var(ddof=1)`` bit for bit.
   The Erdos-Joo-Komornik check of :func:`gaps` reads only a search window
   around the predicted gap.
+* The CDF evaluation, the spacings, the bucket count, the KS gather and the
+  gap scan share their blocks between the calling thread and one helper
+  thread (``pointset._map_blocks``) where the process may use more than one
+  CPU.  Each block writes its own slice or returns its own summary, and the
+  summaries are combined in block order (bucket counts are integer sums),
+  so the results do not depend on the thread that did a block.  The pair
+  counter stays on the calling thread, because the sweep already spreads
+  its samples over threads.
 * The pair counter counts the whole s grid in one pass: each block compares
   the differences at index offsets 1 .. ``_DEPTH`` (16) with every threshold,
   and only rows whose window reaches past that depth are searched.
@@ -32,6 +40,7 @@ Conventions fixed across the module:
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -180,11 +189,17 @@ class SpacingSet:
         :func:`histogram` or :func:`gof_statistics`.  Non-finite spacings raise
         :class:`DomainError`."""
         counts = np.zeros(HIST_BIN_COUNT * _BUCKETS_PER_BIN + 2, dtype=np.int64)
-        for start in range(0, self.values.size, _BLOCK):
+        lock = threading.Lock()
+
+        def count(start):
             block = self.values[start:start + _BLOCK]
             if not (math.isfinite(block.min()) and math.isfinite(block.max())):
                 raise DomainError("spacings must be finite")
-            counts += np.bincount(_bucket_index(block, self.ell), minlength=counts.size)
+            part = np.bincount(_bucket_index(block, self.ell), minlength=counts.size)
+            with lock:
+                np.add(counts, part, out=counts)
+
+        _pointset._map_blocks(count, range(0, self.values.size, _BLOCK))
         counts.flags.writeable = False
         return counts
 
@@ -198,8 +213,16 @@ def spacings(source, ell: int) -> SpacingSet:
     values = _pointset._sorted_finite(source)
     n = values.size
     ell = integer_arg(ell, "ell", 1, n - 1)
+    sp = np.empty(n - ell, dtype=np.float64)
+
+    def fill(start):
+        part = sp[start:start + _BLOCK]
+        np.subtract(values[start + ell:start + ell + part.size],
+                    values[start:start + part.size], out=part)
+        part *= float(n)
+
     with np.errstate(over="ignore"):  # spacings past a double are inf
-        sp = (values[ell:] - values[:-ell]) * float(n)
+        _pointset._map_blocks(fill, range(0, sp.size, _BLOCK))
     sp.flags.writeable = False
     return SpacingSet(ell, sp, n)
 
@@ -245,10 +268,10 @@ class CdfModel:
         slice of the sorted ``x`` at a time."""
         v = _pointset._sorted_finite(x, "x")
         y = np.empty_like(v)
-        clamped = 0
-        for start in range(0, v.size, _BLOCK):
-            clamped += self._evaluate_block(v[start:start + _BLOCK], y[start:start + _BLOCK])
-        return y.reshape(np.shape(x)), clamped
+        clamped = _pointset._map_blocks(
+            lambda start: self._evaluate_block(v[start:start + _BLOCK], y[start:start + _BLOCK]),
+            range(0, v.size, _BLOCK))
+        return y.reshape(np.shape(x)), sum(clamped)
 
     def _evaluate_block(self, v: np.ndarray, y: np.ndarray) -> int:
         """Write F(v) into ``y`` and return the count of ``v`` outside the
@@ -493,12 +516,13 @@ def _ks_distance(sp: SpacingSet, ell: int) -> float:
     width = 5.0 * ell / fine
     lo = (first - 2) * width if first > 0 else -np.inf
     hi = (final + 1) * width if final <= fine else np.inf
-    parts = []
-    for start in range(0, n, _BLOCK):
+
+    def gather(start):
         block = values[start:start + _BLOCK]
         near = np.compress((block >= lo) & (block < hi), block)
-        parts.append(np.compress(picked[_bucket_index(near, ell)], near))
-    sample = np.sort(np.concatenate(parts))
+        return np.compress(picked[_bucket_index(near, ell)], near)
+
+    sample = np.sort(np.concatenate(_pointset._map_blocks(gather, range(0, n, _BLOCK))))
     # Ranks skipped before a picked bucket: the counts of unpicked ones.
     skipped = np.cumsum(np.where(picked, 0, counts))
     ends = np.append(np.flatnonzero(sample[1:] != sample[:-1]), sample.size - 1)
@@ -641,25 +665,34 @@ def gaps(ps: PointSet, distinct_tol: float | None = None) -> GapReport:
                             "distinct_tol", -math.inf, math.inf)
     if distinct_tol < 0:
         raise DomainError(f"distinct_tol must be >= 0, got {distinct_tol}")
+    last = values.size - 2  # index of the last gap
+
+    def scan(start):
+        """The block's smallest gap above ``distinct_tol``, its first largest
+        gap with that gap's index, and its first largest interior gap with
+        that gap's left end (None if it has no interior gap)."""
+        block = values[start:start + _BLOCK + 1]  # one value of look-ahead
+        diffs = np.diff(block)
+        low = float(np.min(diffs, where=diffs > distinct_tol, initial=np.inf))
+        k = int(np.argmax(diffs))
+        first = int(start == 0)  # the first and last gaps are not interior
+        inner = diffs[first:last - start]
+        if not inner.size:
+            return low, float(diffs[k]), start + k, None
+        j = int(np.argmax(inner))
+        return low, float(diffs[k]), start + k, (float(inner[j]), float(block[first + j]))
+
     min_gap, max_gap = math.inf, -math.inf
     max_idx = 0
     interior_max = interior_left = None
-    last = values.size - 2  # index of the last gap
-    for start in range(0, values.size - 1, _BLOCK):
-        block = values[start:start + _BLOCK + 1]  # one value of look-ahead
-        diffs = np.diff(block)
-        min_gap = min(min_gap, float(np.min(diffs, where=diffs > distinct_tol,
-                                            initial=np.inf)))
-        k = int(np.argmax(diffs))
-        if diffs[k] > max_gap:
-            max_gap, max_idx = float(diffs[k]), start + k
-        first = int(start == 0)  # the first and last gaps are not interior
-        inner = diffs[first:last - start]
-        if inner.size:
-            k = int(np.argmax(inner))
-            if interior_max is None or inner[k] > interior_max:
-                interior_max = float(inner[k])
-                interior_left = float(block[first + k])
+    # In block order, a later block's maximum replaces only a smaller one.
+    for low, top, index, interior in _pointset._map_blocks(
+            scan, range(0, values.size - 1, _BLOCK)):
+        min_gap = min(min_gap, low)
+        if top > max_gap:
+            max_gap, max_idx = top, index
+        if interior is not None and (interior_max is None or interior[0] > interior_max):
+            interior_max, interior_left = interior
     if min_gap == math.inf:
         min_gap = 0.0
     ejk = interior_max is not None and _ejk_match(ps, interior_max)

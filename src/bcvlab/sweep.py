@@ -23,7 +23,8 @@ import numpy as np
 
 from .algebraic import nearest_zero_above, poly_eval
 from .errors import DomainError, SizeCapError, integer_arg, interval_arg, real_arg
-from .pointset import MAX_FLOAT_LEVELS, Form, _float_array, exact_levels, generate
+from .pointset import (MAX_FLOAT_LEVELS, Form, _float_array, _usable_cpus, exact_levels,
+                       generate)
 # Looked up here by name by the benchmark tracer (bench/tracing.py).
 from .pointset import generate_exact  # noqa: F401
 from .stats import _validate_grid, coincidence_rate, gaps, pair_correlation
@@ -60,7 +61,8 @@ class SweepConfig:
     (uniform samples from a recorded seed).  A degenerate interval with
     ``sample_count = 1`` is allowed and reduces to a single pair-correlation
     evaluation.  ``levels`` lies in 1..``MAX_FLOAT_LEVELS``, as for
-    ``generate``, and the integers are kept as Python ints.
+    ``generate``.  The integers are kept as Python ints and ``s_grid`` as a
+    tuple of Python floats.
     """
 
     interval: tuple[float, float]
@@ -81,10 +83,10 @@ class SweepConfig:
         integer_arg(count, "sample_count", hi=2**53, error=SizeCapError)
         if self.quadrature not in ("midpoint", "montecarlo"):
             raise DomainError(f"unknown quadrature {self.quadrature!r}")
-        _validate_grid(self.s_grid)
+        grid = tuple(_validate_grid(self.s_grid).tolist())
         workers = integer_arg(self.worker_count, "worker_count", lo=1)
         # Keep what was checked, as the Python numbers that JSON writes.
-        for name, value in (("interval", (a, b)), ("levels", levels),
+        for name, value in (("interval", (a, b)), ("levels", levels), ("s_grid", grid),
                             ("sample_count", count), ("worker_count", workers)):
             object.__setattr__(self, name, value)
 
@@ -144,8 +146,9 @@ def averaged_pair_correlation(cfg: SweepConfig, progress: bool = False) -> Sweep
     """Average R2(s, lambda, 2**levels) over sampled lambdas, per grid point.
 
     Parameter samples are independent work items dispatched to a pool of
-    ``worker_count`` threads (at most one per CPU), but gathered and reduced
-    in sample order, so the report is identical for any worker count.
+    ``worker_count`` threads (at most one per CPU the process may use), but
+    gathered and reduced in sample order, so the report is identical for
+    any worker count.
     """
     a, b = cfg.interval
     n = cfg.sample_count
@@ -163,7 +166,7 @@ def averaged_pair_correlation(cfg: SweepConfig, progress: bool = False) -> Sweep
     step = max(1, n // 10)
     t0 = time.perf_counter()
     # pool.map submits a whole chunk at once, so the pool size bounds the threads.
-    with ThreadPoolExecutor(max_workers=min(cfg.worker_count, os.cpu_count() or 1)) as pool:
+    with ThreadPoolExecutor(max_workers=min(cfg.worker_count, _usable_cpus())) as pool:
         for lo in range(0, n, _SAMPLE_CHUNK):
             for i, row in enumerate(pool.map(one, lambdas[lo:lo + _SAMPLE_CHUNK]), lo + 1):
                 curves[i - 1] = row

@@ -87,6 +87,16 @@ def test_config_keeps_python_ints():
     assert got == want and json.dumps(got) == json.dumps(want)
 
 
+def test_config_keeps_grid_as_python_floats():
+    # A numpy integer or list grid is kept as the tuple of floats JSON writes.
+    for grid in ((np.int64(1),), [1]):
+        cfg = SweepConfig((0.6, 0.7), 4, grid, 2)
+        assert cfg.s_grid == (1.0,) and type(cfg.s_grid[0]) is float
+        report = json.loads(json.dumps(averaged_pair_correlation(cfg).to_json_dict()))
+        assert report["config"]["s_grid"] == [1.0]
+        assert report["per_s"][0]["s"] == 1.0
+
+
 def test_midpoint_linearity_band():
     cfg = SweepConfig(interval=(0.51, 0.66), levels=12,
                       s_grid=(0.5, 1.0, 2.0, 4.0), sample_count=32)
@@ -143,12 +153,12 @@ def test_pool_bounded_by_cpu_count(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(sweep, "ThreadPoolExecutor", RecordingExecutor)
-    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
     for workers in (1, 64):
         cfg = SweepConfig(interval=(0.6, 0.7), levels=6, s_grid=(1.0,),
                           sample_count=64, worker_count=workers)
         assert averaged_pair_correlation(cfg).config.worker_count == workers
-    monkeypatch.setattr(sweep.os, "cpu_count", lambda: None)
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 1)
     averaged_pair_correlation(cfg)
     assert sizes == [1, 2, 1]
 
