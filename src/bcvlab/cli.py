@@ -217,7 +217,6 @@ def cmd_sweep(args, run: _Run) -> None:
         sample_count=args.samples,
         quadrature=args.quadrature,
         seed=args.seed,
-        worker_count=args.workers,
     )
     report = averaged_pair_correlation(cfg, progress=args.samples >= 16)
     run.seed = report.seed
@@ -301,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quadrature", choices=("midpoint", "montecarlo"),
                    default="midpoint")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=None,
+                   help="ignored: the sweep runs on the calling thread")
 
     p = add("gaps", cmd_gaps, "smallest/largest gap report", float_set)
     p.add_argument("--primed", action="store_true")

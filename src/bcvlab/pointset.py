@@ -163,7 +163,7 @@ def _map_blocks(fn, items) -> list:
     of the caller's context, so ``np.errstate`` carries over.  This returns
     only after the helper has finished, or its task was cancelled before it
     started.  The caller works through every item the helper has not
-    claimed, so it never waits on a helper that has not started: sweep
+    claimed, so it never waits on a helper that has not started: caller
     threads that call this at once share the one helper without deadlock.
     An exception from either thread stops further claims and is raised here
     once both have stopped.  Once interpreter shutdown has begun, the

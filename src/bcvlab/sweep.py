@@ -6,8 +6,8 @@ truncation of the nested-interval construction of parameters with abnormally
 strong pair correlation.
 
 All sweeps are deterministic given their configuration: Monte Carlo sampling
-records its 64-bit seed, per-sample work is independent, and reductions run
-in fixed sample order so results are bit-identical for any worker count.
+records its 64-bit seed, and samples are worked through and reduced in
+sample order on the calling thread.
 """
 
 from __future__ import annotations
@@ -16,15 +16,13 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebraic import nearest_zero_above, poly_eval
 from .errors import DomainError, SizeCapError, integer_arg, interval_arg, real_arg
-from .pointset import (MAX_FLOAT_LEVELS, Form, _float_array, _usable_cpus, exact_levels,
-                       generate)
+from .pointset import MAX_FLOAT_LEVELS, Form, _float_array, exact_levels, generate
 # Looked up here by name by the benchmark tracer (bench/tracing.py).
 from .pointset import generate_exact  # noqa: F401
 from .stats import _validate_grid, coincidence_rate, gaps, pair_correlation
@@ -49,8 +47,6 @@ __all__ = [
 # VmHWM, in 0.95 and 3.2 s; an averaged sweep of 2**20 samples at N = 1 and
 # one s value at 54 MB, in 91 s (2-CPU host).
 _MAX_POINTS = 1 << 24
-# Samples queued on the thread pool at once (all 2**18 at once peaked at 503 MB).
-_SAMPLE_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -71,7 +67,6 @@ class SweepConfig:
     sample_count: int
     quadrature: str = "midpoint"
     seed: int | None = None
-    worker_count: int = 1
 
     def __post_init__(self):
         a, b = interval_arg(self.interval, "interval")
@@ -84,10 +79,9 @@ class SweepConfig:
         if self.quadrature not in ("midpoint", "montecarlo"):
             raise DomainError(f"unknown quadrature {self.quadrature!r}")
         grid = tuple(_validate_grid(self.s_grid).tolist())
-        workers = integer_arg(self.worker_count, "worker_count", lo=1)
         # Keep what was checked, as the Python numbers that JSON writes.
         for name, value in (("interval", (a, b)), ("levels", levels), ("s_grid", grid),
-                            ("sample_count", count), ("worker_count", workers)):
+                            ("sample_count", count)):
             object.__setattr__(self, name, value)
 
 
@@ -125,7 +119,6 @@ class SweepReport:
                 "sample_count": self.config.sample_count,
                 "quadrature": self.config.quadrature,
                 "form": Form.STANDARD.value,
-                "worker_count": self.config.worker_count,
             },
             "seed": self.seed,
             "per_s": per_s,
@@ -145,10 +138,8 @@ def _seeded_uniform(a: float, b: float, n: int, seed: int | None):
 def averaged_pair_correlation(cfg: SweepConfig, progress: bool = False) -> SweepReport:
     """Average R2(s, lambda, 2**levels) over sampled lambdas, per grid point.
 
-    Parameter samples are independent work items dispatched to a pool of
-    ``worker_count`` threads (at most one per CPU the process may use), but
-    gathered and reduced in sample order, so the report is identical for
-    any worker count.
+    Samples run in order on the calling thread, each writing its row of one
+    preallocated ``curves`` array, so at most one point set is alive at once.
     """
     a, b = cfg.interval
     n = cfg.sample_count
@@ -159,20 +150,14 @@ def averaged_pair_correlation(cfg: SweepConfig, progress: bool = False) -> Sweep
     else:
         lambdas, seed = _seeded_uniform(a, b, n, cfg.seed)
 
-    def one(lam: float) -> np.ndarray:
-        return pair_correlation(generate(lam, cfg.levels), grid).r_values
-
     curves = np.empty((n, grid.size), dtype=np.float64)  # one R2 row per sample
     step = max(1, n // 10)
     t0 = time.perf_counter()
-    # pool.map submits a whole chunk at once, so the pool size bounds the threads.
-    with ThreadPoolExecutor(max_workers=min(cfg.worker_count, _usable_cpus())) as pool:
-        for lo in range(0, n, _SAMPLE_CHUNK):
-            for i, row in enumerate(pool.map(one, lambdas[lo:lo + _SAMPLE_CHUNK]), lo + 1):
-                curves[i - 1] = row
-                if progress and i % step == 0:
-                    print(f"sweep: {i}/{n} samples "
-                          f"({time.perf_counter() - t0:.1f}s)", file=sys.stderr)
+    for i, lam in enumerate(lambdas, 1):
+        curves[i - 1] = pair_correlation(generate(lam, cfg.levels), grid).r_values
+        if progress and i % step == 0:
+            print(f"sweep: {i}/{n} samples "
+                  f"({time.perf_counter() - t0:.1f}s)", file=sys.stderr)
     mean = curves.mean(axis=0)
     positive = grid > 0
     slopes = mean[positive] / grid[positive]

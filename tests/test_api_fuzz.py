@@ -95,8 +95,7 @@ CALLS = {
     "SweepConfig": (b.SweepConfig, {
         "interval": ((0.6, 0.7), SEQUENCE), "levels": (6, NUMBER),
         "s_grid": ((1.0,), SEQUENCE), "sample_count": (2, NUMBER),
-        "quadrature": ("midpoint", NUMBER), "seed": (0, NUMBER),
-        "worker_count": (1, NUMBER)}),
+        "quadrature": ("midpoint", NUMBER), "seed": (0, NUMBER)}),
     "averaged_pair_correlation": (b.averaged_pair_correlation, {
         "cfg": (CFG, OBJECT), "progress": (False, NUMBER)}),
     "min_gap_scan": (b.min_gap_scan, {
@@ -200,8 +199,6 @@ def run(name, kwargs):
 @example(("nearest_zero_above", {"lam": "abc", "k": 5}))
 @example(("pair_correlation_interval",
           {"source": (0.0, 0.25, 0.5, 0.75), "interval": (0.2,), "s_grid": [1]}))
-@example(("SweepConfig", {"interval": 0.6, "levels": 6, "s_grid": (1.0,), "sample_count": 2,
-                          "quadrature": "midpoint", "seed": 0, "worker_count": "abc"}))
 @example(("min_gap_scan", {"interval": (0.55, 0.7), "lambda_samples": -1,
                            "level_range": (4, "abc"), "alpha": alpha, "seed": 0}))
 @example(("min_gap_scan", {"interval": (0.55, 0.7), "lambda_samples": 2**63,
@@ -267,8 +264,6 @@ DOMAINS = [
     ("SweepConfig", dict(sample_count=0), DomainError),
     ("SweepConfig", dict(sample_count=1.5), DomainError),
     ("SweepConfig", dict(sample_count=2**53 + 1), SizeCapError),
-    ("SweepConfig", dict(worker_count=1.5), DomainError),
-    ("SweepConfig", dict(worker_count=0), DomainError),
     ("SweepConfig", dict(levels=0), SizeCapError),
     ("SweepConfig", dict(levels=b.pointset.MAX_FLOAT_LEVELS + 1), SizeCapError),
     ("SweepConfig", dict(levels="abc"), DomainError),

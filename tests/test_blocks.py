@@ -20,9 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcvlab import (DomainError, Form, SpacingSet, SweepConfig, averaged_pair_correlation,
-                    cdf_empirical, cdf_sqrt_half, gaps, generate, gof_statistics, histogram,
-                    pointset, rescale, spacings, stats, sweep)
+from bcvlab import (DomainError, Form, SpacingSet, cdf_empirical, cdf_sqrt_half, gaps,
+                    generate, gof_statistics, histogram, pointset, rescale, spacings, stats)
 from oracles import histogram_bincount, merge_levels
 
 
@@ -173,30 +172,29 @@ def test_non_finite_spacings_raise_with_the_helper_idle(bad, where):
         assert helper.futures and all(f.done() for f in helper.futures)
 
 
-def test_sweep_threads_share_the_helper():
-    # At levels 17 each sample's last merge has two blocks, so two sweep
-    # threads call the runner at once; a deadlock would leave the thread alive.
-    reports = {}
+def test_caller_threads_share_the_helper():
+    # At levels 17 the last merge has two blocks, so two threads that
+    # generate at once both call the runner; a deadlock would leave one alive.
+    lams = (0.6, 0.7)
+    with threads(1):
+        want = [generate(lam, 17).values.tobytes() for lam in lams]
+    got = [None, None]
+    start = threading.Barrier(len(lams))
 
-    def run():
-        for workers in (1, 2):
-            cfg = SweepConfig(interval=(0.55, 0.75), levels=17, s_grid=(0.5, 1.0, 2.0),
-                              sample_count=6, worker_count=workers)
-            reports[workers] = averaged_pair_correlation(cfg)
+    def run(k):
+        start.wait()
+        got[k] = generate(lams[k], 17).values.tobytes()
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pointset, "_usable_cpus", lambda: 2)
-        mp.setattr(sweep, "_usable_cpus", lambda: 2)
-        worker = threading.Thread(target=run, daemon=True)
-        worker.start()
-        worker.join(timeout=120)
-    assert not worker.is_alive()
-    one, two = reports[1], reports[2]
-    assert one.curves.tobytes() == two.curves.tobytes()
-    one_json, two_json = one.to_json_dict(), two.to_json_dict()
-    assert one_json["config"].pop("worker_count") == 1
-    assert two_json["config"].pop("worker_count") == 2
-    assert one_json == two_json
+    with threads(2) as helper:
+        workers = [threading.Thread(target=run, args=(k,), daemon=True)
+                   for k in range(len(lams))]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+        assert not any(worker.is_alive() for worker in workers)
+    assert helper.futures
+    assert got == want
 
 
 # A thread that outlives the main thread runs while the interpreter shuts

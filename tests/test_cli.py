@@ -122,7 +122,7 @@ SUBCOMMAND_OPTIONS = {
               "--s-grid": ("s_grid", None, True, None),
               "--samples": ("samples", int, True, None),
               "--quadrature": ("quadrature", None, False, "midpoint"),
-              "--seed": ("seed", int, False, None), "--workers": ("workers", int, False, 1),
+              "--seed": ("seed", int, False, None), "--workers": ("workers", int, False, None),
               "--out-dir": ("out_dir", None, False, ".")},
     "gaps": {"--lambda": ("lam", float, True, None), "--n": ("n", int, True, None),
              "--primed": ("primed", None, False, False),
@@ -165,8 +165,6 @@ REFUSED_ARGS = {
     "classify-constant": (("classify", "--poly", "5"), 4),
     "spacings-empirical-over-cap": (("spacings", "--lambda", "0.6", "--n", "6",
                                      "--rescale", "empirical:25"), 3),
-    "sweep-no-workers": (("sweep", "--interval", "0.6,0.7", "--n", "6", "--s-grid", "1",
-                          "--samples", "2", "--workers", "0"), 4),
     "sweep-negative-seed": (("sweep", "--interval", "0.6,0.7", "--n", "8", "--s-grid", "1",
                              "--samples", "2", "--quadrature", "montecarlo",
                              "--seed", "-5"), 4),
@@ -325,7 +323,7 @@ def test_sweep_montecarlo_output_digest(tmp_path):
                   "--quadrature", "montecarlo", "--seed", "7", "--workers", "2")
     assert rc == 0
     got = hashlib.sha256((out / "sweep_report.json").read_bytes()).hexdigest()
-    assert got == "fe9d72930df12b6e97f6a2cb8a87c461ec0cc93c62827e97db05f07e4c83cce5"
+    assert got == "973cf909c6c7a37012e8291f4926a095dcacfa81af3ec7eed38cf888f48474f1"
 
 
 # sha256 of the JSON report of fixed gaps, classify, greedy and exact runs.

@@ -64,23 +64,12 @@ def test_averaged_sweep_caps_samples_times_s_values():
             averaged_pair_correlation(cfg)
 
 
-def test_sample_chunks_do_not_change_bits(monkeypatch):
-    cfg = SweepConfig(interval=(0.51, 0.66), levels=8, s_grid=(0.5, 1.0), sample_count=10,
-                      worker_count=2)
-    whole = averaged_pair_correlation(cfg)
-    monkeypatch.setattr(sweep, "_SAMPLE_CHUNK", 3)
-    chunked = averaged_pair_correlation(cfg)
-    assert chunked.curves.tobytes() == whole.curves.tobytes()
-    assert json.dumps(chunked.to_json_dict()) == json.dumps(whole.to_json_dict())
-
-
 def test_config_keeps_python_ints():
     # numpy integers are checked and kept as the Python ints JSON writes.
-    plain = SweepConfig(interval=(0.6, 0.7), levels=6, s_grid=(1.0,), sample_count=2,
-                        worker_count=1)
+    plain = SweepConfig(interval=(0.6, 0.7), levels=6, s_grid=(1.0,), sample_count=2)
     numpy_ints = SweepConfig(interval=(0.6, 0.7), levels=np.int64(6), s_grid=(1.0,),
-                             sample_count=np.int64(2), worker_count=np.int32(1))
-    for name in ("levels", "sample_count", "worker_count"):
+                             sample_count=np.int64(2))
+    for name in ("levels", "sample_count"):
         assert type(getattr(numpy_ints, name)) is int
     want = averaged_pair_correlation(plain).to_json_dict()
     got = averaged_pair_correlation(numpy_ints).to_json_dict()
@@ -124,43 +113,18 @@ def test_degenerate_single_sample_matches_direct():
     assert np.array_equal(report.mean, direct)
 
 
-def test_worker_count_does_not_change_bits():
-    base = dict(interval=(0.51, 0.66), levels=10, s_grid=(0.5, 1.0, 2.0),
-                sample_count=16)
-    r1 = averaged_pair_correlation(SweepConfig(**base, worker_count=1))
-    r4 = averaged_pair_correlation(SweepConfig(**base, worker_count=4))
-    assert np.array_equal(r1.mean, r4.mean)
-    assert np.array_equal(r1.min, r4.min)
-    assert np.array_equal(r1.max, r4.max)
-
-
-def test_pool_bounded_by_cpu_count(monkeypatch):
-    sizes = []
-
-    class RecordingExecutor:
-        """Runs the work inline and records the pool size it was asked for."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(sweep, "ThreadPoolExecutor", RecordingExecutor)
-    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
-    for workers in (1, 64):
-        cfg = SweepConfig(interval=(0.6, 0.7), levels=6, s_grid=(1.0,),
-                          sample_count=64, worker_count=workers)
-        assert averaged_pair_correlation(cfg).config.worker_count == workers
-    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 1)
-    averaged_pair_correlation(cfg)
-    assert sizes == [1, 2, 1]
+@pytest.mark.parametrize("quadrature, seed", [("midpoint", None), ("montecarlo", 31)])
+def test_sweep_rows_are_the_per_sample_curves(quadrature, seed):
+    cfg = SweepConfig(interval=(0.55, 0.7), levels=11, s_grid=(0.0, 0.5, 1.0, 2.0),
+                      sample_count=8, quadrature=quadrature, seed=seed)
+    report = averaged_pair_correlation(cfg)
+    assert report.curves.shape == (8, 4)
+    for lam, row in zip(report.lambdas, report.curves):
+        want = pair_correlation(generate(lam, 11), report.s_grid).r_values
+        assert row.tobytes() == want.tobytes()
+    assert report.mean.tobytes() == report.curves.mean(axis=0).tobytes()
+    assert report.min.tobytes() == report.curves.min(axis=0).tobytes()
+    assert report.max.tobytes() == report.curves.max(axis=0).tobytes()
 
 
 def test_monte_carlo_seed_reproducible():
