@@ -250,8 +250,10 @@ class CdfModel:
     them); without knots it is the closed form of :func:`cdf_sqrt_half` on
     [0, 1].  ``lam`` and ``level`` name the point set it was built from.
     Inputs must be finite and ascending (a 0-d input is one value), or
-    :class:`DomainError` is raised.  Outside the support the model clamps to
-    its end values; :meth:`evaluate` also counts the clamped inputs.
+    :class:`DomainError` is raised; a :class:`PointSet` is read as its
+    values, which are built so, without a check.  Outside the support the
+    model clamps to its end values; :meth:`evaluate` also counts the clamped
+    inputs.
     """
 
     lam: float | None = None
@@ -276,7 +278,7 @@ class CdfModel:
         clamped = _pointset._map_blocks(
             lambda start: self._evaluate_block(v[start:start + _BLOCK], y[start:start + _BLOCK]),
             range(0, v.size, _BLOCK))
-        return y.reshape(np.shape(x)), sum(clamped)
+        return y.reshape(v.shape if isinstance(x, PointSet) else np.shape(x)), sum(clamped)
 
     def _evaluate_block(self, v: np.ndarray, y: np.ndarray) -> int:
         """Write F(v) into ``y`` and return the count of ``v`` outside the
@@ -334,11 +336,11 @@ def cdf_empirical(lam: float, level: int) -> CdfModel:
 def rescale(ps: PointSet, model: CdfModel) -> np.ndarray:
     """Apply the CDF elementwise to a STANDARD-form point set.
 
-    The point set's values are ascending, as the model requires; an
-    empirical model interpolates its 4096 knots.  The output
-    stays sorted because the model is nondecreasing; this is checked rather
-    than re-sorted, and output that is not finite and ascending raises
-    :class:`DomainError`.
+    The model reads the point set itself, whose values are ascending by
+    construction, so they are not checked again; an empirical model
+    interpolates its 4096 knots.  The output stays sorted because the model
+    is nondecreasing; this is checked rather than re-sorted, and output that
+    is not finite and ascending raises :class:`DomainError`.
     """
     if ps.form is Form.PRIMED:
         raise DomainError("rescale needs STANDARD form (support in [0, 1]); "
@@ -348,7 +350,7 @@ def rescale(ps: PointSet, model: CdfModel) -> np.ndarray:
             "rescaling a point set by its own empirical CDF degenerates to the "
             "uniform lattice; build the CDF at a different level",
             UserWarning, stacklevel=2)
-    return _pointset._sorted_finite(model(ps.values))
+    return _pointset._sorted_finite(model(ps))
 
 
 # ---------------------------------------------------------------------------

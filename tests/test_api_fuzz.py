@@ -16,12 +16,16 @@ edge cases from ``fuzzing.EDGE``:
   to Python, as ``bcvlab.errors`` states.
 
 Each example runs under the wall-clock limit of ``fuzzing.time_limit``.
-``DOMAINS`` pins each entry's domain at its edges, and the last test checks
-that no public callable escapes both tables.
+``DOMAINS`` pins each entry's domain at its edges.  The last two tests check
+that ``bcvlab.__all__`` holds no module and every name of each module's
+``__all__``, and that no public callable escapes both tables.
 """
 
+import importlib
 import math
+import pkgutil
 import tempfile
+import types
 from pathlib import Path
 
 import pytest
@@ -29,8 +33,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bcvlab as b
-from bcvlab import DomainError, SizeCapError
-from bcvlab.algebraic import MAX_GREEDY_DIGITS, MAX_POLY_DEGREE, MAX_WORD_COUNT_LENGTH
+from bcvlab import (MAX_EXACT_LEVELS, MAX_FLOAT_LEVELS, MAX_GREEDY_DIGITS, MAX_POLY_DEGREE,
+                    MAX_WORD_COUNT_LENGTH, DomainError, SizeCapError)
 from fuzzing import EDGE, time_limit
 
 NUMBER, SEQUENCE, OBJECT, PATH = "number", "sequence", "object", "path"
@@ -66,6 +70,7 @@ CALLS = {
     "write_binary": (b.write_binary, {"ps": (PS, OBJECT), "path": ("{tmp}/out.bcv", PATH)}),
     "read_binary": (b.read_binary, {"path": ("{tmp}/ps.bcv", PATH)}),
     "parse_poly": (b.parse_poly, {"text": ("x^2+x-1", NUMBER)}),
+    "defining_poly": (b.defining_poly, {"minpoly": GOLDEN_POLY}),
     "poly_to_string": (b.poly_to_string, {"coeffs": GOLDEN_POLY,
                                           "descending": (False, NUMBER)}),
     "poly_eval": (b.poly_eval, {"coeffs": GOLDEN_POLY, "x": (0.5, NUMBER)}),
@@ -92,6 +97,10 @@ CALLS = {
         "s_grid": ((0.5, 1.0), SEQUENCE)}),
     "coincidence_rate": (b.coincidence_rate, {"eps": (EPS, OBJECT)}),
     "gaps": (b.gaps, {"ps": (PS, OBJECT), "distinct_tol": (1e-9, NUMBER)}),
+    "write_histogram_csv": (b.write_histogram_csv, {"hist": (b.histogram(SP), OBJECT),
+                                                    "path": ("{tmp}/h.csv", PATH)}),
+    "write_curve_csv": (b.write_curve_csv, {"curve": (b.pair_correlation(PS, [1.0]), OBJECT),
+                                            "path": ("{tmp}/c.csv", PATH)}),
     "SweepConfig": (b.SweepConfig, {
         "interval": ((0.6, 0.7), SEQUENCE), "levels": (6, NUMBER),
         "s_grid": ((1.0,), SEQUENCE), "sample_count": (2, NUMBER),
@@ -226,10 +235,15 @@ DOMAINS = [
     ("generate", dict(lam=0.0), DomainError),
     ("generate", dict(lam=1.0), DomainError),
     ("generate", dict(levels=0), SizeCapError),
-    ("generate", dict(levels=b.pointset.MAX_FLOAT_LEVELS + 1), SizeCapError),
+    ("generate", dict(levels=MAX_FLOAT_LEVELS + 1), SizeCapError),
     ("exact_levels", dict(minpoly=(-1, 1), levels=4), None),
     ("exact_levels", dict(levels=0), SizeCapError),
-    ("exact_levels", dict(levels=b.pointset.MAX_EXACT_LEVELS + 1), SizeCapError),
+    ("exact_levels", dict(levels=MAX_EXACT_LEVELS + 1), SizeCapError),
+    ("defining_poly", dict(minpoly=(1, -1)), None),
+    ("defining_poly", dict(minpoly=()), DomainError),
+    ("defining_poly", dict(minpoly=(5,)), DomainError),
+    ("defining_poly", dict(minpoly=(0, 0, 0)), DomainError),
+    ("defining_poly", dict(minpoly=(1.5, 1)), DomainError),
     ("poly_to_string", dict(coeffs=(1.5, 1)), DomainError),
     ("poly_to_string", dict(coeffs=(-1, 10**4300)), DomainError),
     ("greedy_expansion", dict(lam=0.5), DomainError),
@@ -245,7 +259,7 @@ DOMAINS = [
     ("spacings", dict(ell=4), DomainError),
     ("spacings", dict(ell=0), DomainError),
     ("cdf_empirical", dict(level=0), SizeCapError),
-    ("cdf_empirical", dict(level=b.pointset.MAX_EXACT_LEVELS + 1), SizeCapError),
+    ("cdf_empirical", dict(level=MAX_EXACT_LEVELS + 1), SizeCapError),
     ("poisson_reference", dict(ell=171), None),
     ("poisson_reference", dict(ell=172), DomainError),
     ("poisson_cdf", dict(ell=171), None),
@@ -265,7 +279,7 @@ DOMAINS = [
     ("SweepConfig", dict(sample_count=1.5), DomainError),
     ("SweepConfig", dict(sample_count=2**53 + 1), SizeCapError),
     ("SweepConfig", dict(levels=0), SizeCapError),
-    ("SweepConfig", dict(levels=b.pointset.MAX_FLOAT_LEVELS + 1), SizeCapError),
+    ("SweepConfig", dict(levels=MAX_FLOAT_LEVELS + 1), SizeCapError),
     ("SweepConfig", dict(levels="abc"), DomainError),
     ("averaged_pair_correlation", dict(cfg=b.SweepConfig((0.6, 0.7), 1, (1.0,), 2**40)),
      SizeCapError),
@@ -316,6 +330,19 @@ def test_domain_edges_are_pinned(name, overrides, expected):
         else:
             with pytest.raises(expected):
                 func(**kwargs)
+
+
+def test_package_exports_every_module_all():
+    star = {}
+    exec("from bcvlab import *", star)
+    del star["__builtins__"]
+    assert sorted(star) == sorted(b.__all__)
+    assert len(set(b.__all__)) == len(b.__all__)
+    assert not [n for n in b.__all__ if isinstance(getattr(b, n), types.ModuleType)]
+    for info in pkgutil.iter_modules(b.__path__):
+        module = importlib.import_module(f"bcvlab.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert name in b.__all__ and getattr(b, name) is getattr(module, name), name
 
 
 def test_every_public_callable_is_fuzzed_or_exempt():

@@ -217,6 +217,22 @@ def test_rescale_rejects_non_monotone_or_nan_output(knots_y):
         rescale(generate(0.6, 6), model)
 
 
+def test_rescale_checks_only_its_output(monkeypatch):
+    # The point set's values are ascending by construction; only the model's
+    # output is checked as finite and ascending.
+    checked = []
+    check = stats._pointset._sorted_finite
+
+    def spy(values, *args):
+        if not isinstance(values, PointSet):
+            checked.append(values)
+        return check(values, *args)
+
+    monkeypatch.setattr(stats._pointset, "_sorted_finite", spy)
+    out = rescale(generate(0.7, 12), cdf_sqrt_half())
+    assert len(checked) == 1 and checked[0] is out
+
+
 def test_rescale_warns_on_self_cdf():
     ps = generate(0.6429, 10)
     F = cdf_empirical(0.6429, 10)
