@@ -6,8 +6,11 @@ margin reporting, Pisot/Garsia classification, forbidden digit blocks, word
 counts of the subshift avoiding a block, and ``defining_poly``, the
 normalized defining polynomial the exact backend reduces modulo.
 
-Polynomials are coefficient tuples in *constant-first* order throughout:
-``(c0, c1, ..., cd)`` represents ``c0 + c1*x + ... + cd*x**d``.
+Polynomials are integer coefficient tuples in *constant-first* order
+throughout: ``(c0, c1, ..., cd)`` represents ``c0 + c1*x + ... + cd*x**d``.
+``defining_poly`` is their one normal form, with trailing zeros trimmed and
+a positive leading coefficient; ``classify``, the exact backend and the
+``bcvlab exact`` report all read their polynomial through it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import numpy as np
 from .errors import DomainError, SizeCapError, integer_arg, real_arg
 
 __all__ = [
-    "SignedPoly",
     "GreedyExpansion",
     "AlgebraicClass",
     "GrowthReport",
@@ -147,19 +149,6 @@ def poly_to_string(coeffs, descending: bool = False) -> str:
 
 
 @dataclass(frozen=True)
-class SignedPoly:
-    """A polynomial ``1 + c_1 x + ... + c_k x^k`` with ``c_n`` in {-1, 0, +1}."""
-
-    coeffs: tuple[int, ...]  # constant-first; coeffs[0] == 1
-
-    def __post_init__(self):
-        if not self.coeffs or self.coeffs[0] != 1:
-            raise DomainError("constant term must be +1")
-        if any(c not in (-1, 0, 1) for c in self.coeffs):
-            raise DomainError("coefficients must lie in {-1, 0, 1}")
-
-
-@dataclass(frozen=True)
 class GreedyExpansion:
     """Digits ``c_1..c_k`` of the greedy expansion of 1 in powers of lambda.
 
@@ -170,10 +159,6 @@ class GreedyExpansion:
 
     coefficients: tuple[int, ...]  # c_1..c_k, each 0 or 1
     remainder: float
-
-    def relation_poly(self) -> SignedPoly:
-        """The polynomial ``1 - c_1 x - ... - c_k x^k`` vanishing near lam."""
-        return SignedPoly((1,) + tuple(-c for c in self.coefficients))
 
 
 class Verdict(Enum):
@@ -235,28 +220,30 @@ def greedy_expansion(lam: float, k: int) -> GreedyExpansion:
     return GreedyExpansion(tuple(digits), remainder)
 
 
-def nearest_zero_above(lam: float, k: int) -> tuple[SignedPoly, float]:
+def nearest_zero_above(lam: float, k: int) -> tuple[tuple[int, ...], float]:
     """Locate the zero of the greedy relation polynomial just above ``lam``.
 
-    Returns ``(p, root)`` with ``p(x) = 1 - sum c_n x^n`` built from
-    :func:`greedy_expansion` and its unique root in ``[lam, lam + lam**k)``.
+    Returns ``(coeffs, root)``: ``coeffs = (1, -c_1, ..., -c_k)`` are the
+    constant-first coefficients of ``p(x) = 1 - sum c_n x^n``, built from
+    the digits of :func:`greedy_expansion` (k + 1 entries, trailing zeros
+    kept), and ``root`` is p's unique root in ``[lam, lam + lam**k)``.
     p is strictly decreasing there (``p' <= -1``), so plain bisection is
     unconditionally convergent; we run it to full double resolution.
     """
     expansion = greedy_expansion(lam, k)
-    p = expansion.relation_poly()
+    p = (1,) + tuple(-c for c in expansion.coefficients)
     lo = float(lam)  # greedy_expansion has checked it
     if expansion.remainder == 0.0:
         return p, lo
     hi = lo + expansion.remainder
     # p(hi) <= 0 mathematically; nudge past any rounding of the evaluation.
-    while poly_eval(p.coeffs, hi) > 0.0:
+    while poly_eval(p, hi) > 0.0:
         hi += max(2.0**-48, 4.0 * np.spacing(hi))
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if poly_eval(p.coeffs, mid) > 0.0:
+        if poly_eval(p, mid) > 0.0:
             lo = mid
         else:
             hi = mid
@@ -489,7 +476,8 @@ def sft_growth_rate(block: str, count_cap: int = 30) -> GrowthReport:
 def defining_poly(minpoly) -> tuple[int, ...]:
     """Trimmed integer coefficients of ``minpoly`` with positive leading term.
 
-    Raises :class:`DomainError` for a coefficient that is not an integer."""
+    Raises :class:`DomainError` for a coefficient that is not an integer or
+    a polynomial of degree 0."""
     p = _integer_coeffs(minpoly)
     integer_arg(len(p) - 1, "defining polynomial degree", lo=1)
     if p[-1] < 0:

@@ -23,9 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .algebraic import (classify, forbidden_block, greedy_expansion,
-                        nearest_zero_above, parse_poly, poly_to_string,
-                        sft_growth_rate)
+from .algebraic import (classify, defining_poly, forbidden_block,
+                        greedy_expansion, nearest_zero_above, parse_poly,
+                        poly_to_string, sft_growth_rate)
 from .errors import DomainError, SizeCapError
 from .pointset import Form, distinct_count, exact_levels, generate
 # Looked up here by name by the benchmark tracer (bench/tracing.py).
@@ -170,7 +170,8 @@ def cmd_paircorr(args, run: _Run) -> None:
 
 
 def cmd_exact(args, run: _Run) -> None:
-    coeffs = _parse_poly_arg(args.minpoly)
+    # The one normal form: every spelling of a polynomial writes one report.
+    coeffs = defining_poly(_parse_poly_arg(args.minpoly))
     verdict = classify(coeffs)  # refuse a bad polynomial before the tally
     distinct_counts = []
     for eps in exact_levels(coeffs, args.n):
@@ -253,7 +254,7 @@ def cmd_greedy(args, run: _Run) -> None:
         "lambda": args.lam,
         "k": args.k,
         **asdict(expansion),
-        "polynomial": poly_to_string(poly.coeffs),
+        "polynomial": poly_to_string(poly),
         "root": root,
     }, run.path("greedy_report.json"))
 

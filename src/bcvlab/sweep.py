@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebraic import nearest_zero_above, poly_eval
+from .algebraic import defining_poly, nearest_zero_above, poly_eval
 from .errors import DomainError, SizeCapError, integer_arg, interval_arg, real_arg
 from .pointset import MAX_FLOAT_LEVELS, Form, _float_array, exact_levels, generate
 # Looked up here by name by the benchmark tracer (bench/tracing.py).
@@ -349,7 +349,8 @@ def construct_attracting_parameter(interval, depth: int,
     and the interval shrinks around lambda_k so the float pair correlation
     keeps the bound across it.  If no level up to ``_LEVEL_CAP`` (18)
     certifies, the result is returned partial with the depth actually
-    reached flagged.
+    reached flagged; a stage whose relation has degree ``_LEVEL_CAP`` or
+    more (trailing zeros trimmed) is returned so without walking.
     """
     a, b = interval_arg(interval, "interval")
     if not 0.5 < a < b < 1.0:
@@ -367,8 +368,14 @@ def construct_attracting_parameter(interval, depth: int,
         while mid + mid**k >= b:
             k += 1
         poly, lam_k = nearest_zero_above(mid, k)
+        relation = defining_poly(poly)
         s_k = 2.0**-stage
-        for eps_set in exact_levels(poly.coeffs, _LEVEL_CAP):
+        # Strings of level N are 0/1 polynomials of degree below N, and two
+        # coincide only if the relation divides their difference, so a
+        # relation of degree _LEVEL_CAP or more certifies at no level up to
+        # the cap: such a stage is not walked.
+        walk = exact_levels(relation, _LEVEL_CAP) if len(relation) <= _LEVEL_CAP else ()
+        for eps_set in walk:
             n_k = eps_set.levels
             if n_k > prev_level:
                 r0 = coincidence_rate(eps_set)

@@ -12,7 +12,6 @@ from bcvlab import (DomainError, SizeCapError, Verdict, classify, forbidden_bloc
                     greedy_expansion, nearest_zero_above, parse_poly,
                     poly_eval, poly_roots, poly_to_string, sft_growth_rate)
 from bcvlab import algebraic, generate_exact
-from bcvlab.algebraic import SignedPoly
 from bcvlab.cli import main
 from oracles import bisect_root, words_avoiding
 
@@ -143,13 +142,13 @@ def test_greedy_length_cap():
 
 def test_nearest_zero_golden():
     p, root = nearest_zero_above(0.6, 2)
-    assert p.coeffs == (1, -1, -1)
+    assert p == (1, -1, -1)
     assert root == pytest.approx((math.sqrt(5) - 1) / 2, abs=1e-12)
 
 
 def test_nearest_zero_degree_five():
     p, root = nearest_zero_above(0.75, 5)
-    assert p.coeffs == (1, -1, 0, 0, 0, -1)
+    assert p == (1, -1, 0, 0, 0, -1)
     # 1 - x - x^5 = -(x^2 - x + 1)(x^3 + x^2 - 1); the relevant factor root:
     want = bisect_root((-1, 0, 1, 1), 0.7, 0.8)
     assert root == pytest.approx(want, abs=1e-12)
@@ -157,7 +156,7 @@ def test_nearest_zero_degree_five():
 
 def test_nearest_zero_degenerate_k1():
     p, root = nearest_zero_above(0.51, 1)
-    assert p.coeffs == (1, -1)
+    assert p == (1, -1)
     assert root == pytest.approx(1.0, abs=1e-12)
     assert 0.51 <= root < 0.51 + 0.51
 
@@ -168,7 +167,7 @@ def test_root_bracketing_sampled():
         for k in (1, 4, 11, 25):
             p, root = nearest_zero_above(lam, k)
             assert lam <= root < lam + lam**k
-            assert abs(poly_eval(p.coeffs, root)) < 2.0**-45
+            assert abs(poly_eval(p, root)) < 2.0**-45
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +363,3 @@ def test_growth_rate_validation():
         with pytest.raises(DomainError):
             sft_growth_rate(bad)
 
-
-def test_signed_poly_validation():
-    with pytest.raises(DomainError):
-        SignedPoly((0, 1))
-    with pytest.raises(DomainError):
-        SignedPoly((1, 2))

@@ -127,8 +127,8 @@ EXEMPT = {
     "AlgebraicClass", "AttractingParameter", "CdfModel", "CorrelationCurve",
     "DomainError", "ExactPointSet", "Form", "GapReport", "GofReport",
     "GreedyExpansion", "GrowthReport", "Histogram", "MinGapScan", "PointSet",
-    "SignedPoly", "SizeCapError", "SpacingSet", "SweepReport",
-    "TransversalityReport", "Verdict",
+    "SizeCapError", "SpacingSet", "SweepReport", "TransversalityReport",
+    "Verdict",
 }
 
 

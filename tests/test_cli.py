@@ -406,6 +406,24 @@ def test_exact_golden_growth_comparison(tmp_path):
     assert report["classification"]["verdict"] == "neither"
 
 
+def test_exact_spellings_of_one_polynomial_write_one_report(tmp_path):
+    # Trailing zeros and a negative leading coefficient are normalized once,
+    # so the report, the classification, the walk and the growth comparison
+    # all read x^2 + x - 1.
+    spellings = ("x^2+x-1", "[-1,1,1]", "[-1,1,1,0]", "[1,-1,-1]", "-x^2-x+1")
+    reports = []
+    for i, poly in enumerate(spellings):
+        # "--minpoly=" keeps argparse from reading "-x^2..." as an option.
+        rc, out = run(tmp_path / str(i), "exact", f"--minpoly={poly}", "--n", "8")
+        assert rc == 0
+        reports.append((out / "exact_report.json").read_bytes())
+    assert len(set(reports)) == 1
+    report = json.loads(reports[0])
+    assert report["minpoly"] == "x^2 + x - 1" and report["coefficients"] == [-1, 1, 1]
+    assert report["growth"]["forbidden_block"] == "100"
+    assert report["growth"]["word_counts"] == report["growth"]["distinct_counts"]
+
+
 def test_exact_tallies_each_level_once(tmp_path, monkeypatch):
     real = pointset._next_level
     merges = []

@@ -338,10 +338,11 @@ def test_depth_two_result_pinned():
         (0.6180329442857836, 0.6180350332140062), 1, False)
 
 
-@pytest.mark.parametrize("interval,walks", [((0.6, 0.64), [18]), ((0.6, 0.63), [15, 18])])
+@pytest.mark.parametrize("interval,walks", [((0.6, 0.64), [18]), ((0.6, 0.63), [15])])
 def test_construction_walks_each_stage_once(monkeypatch, interval, walks):
     # Each stage walks the exact levels once, from level 1 (one input
-    # vector) to the level that certifies or to the cap (18).
+    # vector) to the level that certifies or to the cap (18).  Stage 2 on
+    # (0.6, 0.63) has a relation of degree 29 and is not walked.
     real = pointset._next_level
     inputs = []
 
@@ -384,13 +385,14 @@ def test_construct_validation():
 def test_construction_near_one_passes_the_degree_cap(monkeypatch):
     # Near 1 the stage relation has degree ~ log(b - mid) / log(mid): 351
     # here, past algebraic.MAX_POLY_DEGREE, which guards only parse_poly and
-    # poly_roots.  No level up to the cap certifies, so the result is partial.
+    # poly_roots.  No level up to the cap can certify it (see the next test),
+    # so the result is partial.
     degrees = []
     real = sweep.nearest_zero_above
 
     def recording(lam, k):
         poly, root = real(lam, k)
-        degrees.append(len(poly.coeffs) - 1)
+        degrees.append(len(poly) - 1)
         return poly, root
 
     monkeypatch.setattr(sweep, "nearest_zero_above", recording)
@@ -400,6 +402,32 @@ def test_construction_near_one_passes_the_degree_cap(monkeypatch):
     # Past MAX_GREEDY_DIGITS (k = 181975 here) the stage is refused at once.
     with pytest.raises(SizeCapError):
         construct_attracting_parameter((0.9999, 0.99999), 1, 0.5)
+
+
+@pytest.mark.parametrize("interval,depth,cap,walked", [
+    ((0.98, 0.99), 1, 18, []), ((0.6, 0.63), 2, 18, [2]),
+    ((0.6, 0.63), 1, 2, []), ((0.6, 0.63), 1, 3, [2]), ((0.74, 0.741), 1, 18, [11])])
+def test_construction_refuses_a_relation_past_the_cap(monkeypatch, interval, depth, cap,
+                                                      walked):
+    # Level-N strings differ by polynomials of degree below N, which a
+    # relation of degree >= _LEVEL_CAP divides only at 0: R2(0) = 0 at every
+    # level up to the cap, so such a stage (degree 278 near 1, 29 at stage 2
+    # on (0.6, 0.63), the golden relation's 2 at a cap of 2) returns partial
+    # without a walk.  Trailing zeros do not count: on (0.74, 0.741) the
+    # relation has 27 coefficients and degree 11.
+    monkeypatch.setattr(sweep, "_LEVEL_CAP", cap)
+    real = sweep.exact_levels
+    degrees = []
+
+    def guarded(minpoly, levels):
+        assert len(minpoly) - 1 < sweep._LEVEL_CAP, "walked a relation past the cap"
+        degrees.append(len(minpoly) - 1)
+        return real(minpoly, levels)
+
+    monkeypatch.setattr(sweep, "exact_levels", guarded)
+    res = construct_attracting_parameter(interval, depth, 0.5)
+    assert degrees == walked
+    assert not res.complete and res.depth_reached == depth - 1
 
 
 # Builders of the records that hold arrays; each compares by identity.
