@@ -30,9 +30,10 @@ from .errors import DomainError, SizeCapError
 from .pointset import Form, distinct_count, exact_levels, generate
 # Looked up here by name by the benchmark tracer (bench/tracing.py).
 from .pointset import distinct_count_profile, generate_exact  # noqa: F401
+from .stats import rescale  # noqa: F401
 from .stats import (cdf_empirical, cdf_sqrt_half, coincidence_rate, gaps,
                     gof_statistics, histogram, pair_correlation,
-                    pair_correlation_interval, rescale, spacings,
+                    pair_correlation_interval, spacings,
                     write_curve_csv, write_histogram_csv)
 from .sweep import SweepConfig, averaged_pair_correlation
 
@@ -118,10 +119,8 @@ def _build_rescaler(kind: str, lam: float):
 def cmd_spacings(args, run: _Run) -> None:
     ps = generate(args.lam, args.n, Form.STANDARD)
     model = _build_rescaler(args.rescale, args.lam)
-    seq = rescale(ps, model) if model is not None else ps
-    del ps  # from here on only the rescaled copy (or the set itself) is read
-    sp = spacings(seq, args.ell)
-    del seq  # the statistics need only the spacings
+    sp = spacings(ps, args.ell, model)  # the model's CDF is evaluated in the pass
+    del ps  # the statistics need only the spacings
     hist = histogram(sp)
     gof = gof_statistics(sp)
 

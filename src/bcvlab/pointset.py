@@ -6,10 +6,13 @@ the iterated affine map x -> lambda*x (+1), keeping repeated values
 strings).  Each level merges both images of the sorted values into the
 front of one 2**N buffer: a small level by one stable sort of that prefix,
 a large one in place, block by block from the top down, each block
-locating its share of the two images by bisection.  The blocks are shared
-between the calling thread and one helper thread (``_map_blocks``, also
-used by the blocked passes of ``stats``) where the process may use more
-than one CPU.  ``generate_exact``
+locating its share of the two images by bisection and scaling it by lambda
+(at the last level of a STANDARD set also by 1 - lambda) as it copies it,
+so a large level makes no pass of its own to scale.  The sorts run on the
+int64 view of the values, whose order is the values' own.  The blocks are
+shared between the calling thread and one helper thread (``_map_blocks``,
+also used by the blocked passes of ``stats``) where the process may use
+more than one CPU.  ``generate_exact``
 tallies the same 2**N digit strings as residues
 modulo a defining integer polynomial, in integer arithmetic on the scale
 ``lead**N``, so coincidence structure at an algebraic parameter is certified
@@ -206,62 +209,75 @@ def generate(lam: float, levels: int, form: Form = Form.STANDARD) -> PointSet:
     """All 2**levels values ``sum a_n lam^n`` (a_n in {0,1}), sorted, repeats kept.
 
     Built by iterating ``A -> merge(lam*A, lam*A + 1)`` from {0} inside one
-    2**levels buffer: at level t the first 2**t values are scaled in place
-    to the low run ``L``, and the merge of ``L`` with ``L + 1`` fills the
-    first 2**(t+1).  A level of at most ``_MERGE_BLOCK`` values writes
-    ``L + 1`` behind ``L`` and stable-sorts that prefix; a larger one is
-    merged by ``_merge_blocks`` in place, on two threads where the process
-    may use more than one CPU, so no level allocates more than one block
-    per thread.  Every digit string is evaluated by the same Horner scheme
-    a direct evaluation would use.  STANDARD form scales the result in
-    place by ``(1 - lam)`` so the support is inside [0, 1].
+    2**levels buffer: level t merges the low run ``L = lam*A`` with ``L + 1``
+    into the first 2**(t+1) values.  A level of at most ``_MERGE_BLOCK``
+    values scales ``A`` in place to ``L``, writes ``L + 1`` behind it and
+    stable-sorts that prefix; a larger one is merged by ``_merge_blocks``,
+    which reads the unscaled ``A`` and scales it inside its blocks, on two
+    threads where the process may use more than one CPU, so no level
+    allocates more than one block per thread or makes a pass of its own to
+    scale.  Every digit string is evaluated by the same Horner scheme a
+    direct evaluation would use.  STANDARD form scales the result by ``(1 -
+    lam)`` so the support is inside [0, 1]: inside the blocks of a large last
+    level, in place after a small one.
+
+    Every value is a nonnegative finite double built from +0.0 by
+    multiplying by ``lam`` and adding 1.0, so no -0.0 or NaN arises: the
+    int64 order of the bits is the order of the values, and equal values are
+    equal bits.  So the sorts run on the int64 view, and the bytes are those
+    of a stable sort of the doubles.
     """
     lam = real_arg(lam, "lambda", 0.0, 1.0)
     levels = integer_arg(levels, "levels", 1, MAX_FLOAT_LEVELS, SizeCapError)
     values = np.zeros(1 << levels, dtype=np.float64)
+    standard = form is Form.STANDARD
     for t in range(levels):
         m = 1 << t
-        low = values[:m]
-        low *= lam
         if 2 * m <= _MERGE_BLOCK:
+            low = values[:m]
+            low *= lam
             np.add(low, 1.0, out=values[m:2 * m])
-            values[:2 * m].sort(kind="stable")
+            values[:2 * m].view(np.int64).sort(kind="stable")
         else:
-            _merge_blocks(values[:2 * m])
-    if form is Form.STANDARD:
+            last = 2 * m == values.size
+            _merge_blocks(values[:2 * m], lam, 1.0 - lam if standard and last else 1.0)
+    if standard and values.size <= _MERGE_BLOCK:
         values *= 1.0 - lam
     values.flags.writeable = False
     return PointSet(lam, levels, form, values)
 
 
-def _merge_blocks(out: np.ndarray) -> None:
-    """Overwrite ``out`` with the sorted merge of its low half ``L`` and ``L + 1``.
+def _merge_blocks(out: np.ndarray, lam: float, scale: float) -> None:
+    """Overwrite ``out`` with ``scale`` times the sorted merge of ``L = lam*A``
+    and ``L + 1``, where ``A`` is the low half of ``out``.
 
     The output is cut into blocks of ``_MERGE_BLOCK`` values.  Block ``[p0,
     p1)`` takes ``L[x0:x1]`` and ``(L + 1)[y0:y1]``, where ``x(p)`` is the
     co-rank of ``p`` (see ``_co_rank``) and ``y(p) = p - x(p)``.  Every
-    co-rank is computed first, from the still-intact ``L``.  Since ``x1, y1
+    co-rank is computed first, from the still-intact ``A``.  Since ``x1, y1
     <= p1``, a block reads nothing that a block above it writes, but it may
     read what the blocks beneath it write.  So ``_map_blocks`` works the
     blocks from the top down, each block writing only once the block above
-    it is *read*.  A block with one part only waits, then copies it or
-    writes it by ``np.add`` in place, and is then read.  A mixed block
-    copies its two parts into its thread's own block buffer, is then read,
-    stable-sorts the buffer in cache, waits, and writes it back.  The
-    buffers are allocated here, so a set with no large level allocates none.
+    it is *read*.  A block writes ``lam*A[x0:x1]`` and ``lam*A[y0:y1] + 1``
+    into its thread's own block buffer, is then read, stable-sorts the
+    buffer's int64 view in cache (see ``generate``) if it holds both parts,
+    waits, and writes it back times ``scale``, which is exact when ``scale``
+    is 1.  The buffers are allocated here, so a set with no large level
+    allocates none.
 
     Waiting on the block just above is enough: every block writes only after
     all blocks above it are read.  Blocks are claimed in order by two
     threads, so when block k is claimed, every block above it is done except
     at most one, j, that the other thread holds.  If j is block k-1, block
     k waits for it.  Otherwise block k-1 was done by this thread, and it
-    wrote only after all blocks above it, j among them, were read.  Equal
-    values are equal doubles, so the bytes are those of one stable sort of
-    ``L, L + 1``.
+    wrote only after all blocks above it, j among them, were read.  Each
+    value is formed by the same operations as in a pass over the whole
+    level, and equal values are equal bits, so the bytes are those of one
+    stable sort of ``L, L + 1`` scaled in place.
     """
     size = _MERGE_BLOCK
     low = out[:out.size // 2]
-    ranks = [_co_rank(low, p) for p in range(out.size, -1, -size)]  # x(p), top down
+    ranks = [_co_rank(low, p, lam) for p in range(out.size, -1, -size)]  # x(p), top down
     read = [threading.Event() for _ in ranks[1:]]
     local = threading.local()
 
@@ -271,37 +287,32 @@ def _merge_blocks(out: np.ndarray) -> None:
         x0, x1 = ranks[k + 1], ranks[k]
         y0, y1 = p0 - x0, p1 - x1
         try:
-            if x0 != x1 and y0 != y1:
-                block = getattr(local, "block", None)
-                if block is None:
-                    block = local.block = np.empty(size, dtype=np.float64)
-                block[:x1 - x0] = low[x0:x1]
-                np.add(low[y0:y1], 1.0, out=block[x1 - x0:])
-                read[k].set()
-                block.sort(kind="stable")
+            block = getattr(local, "block", None)
+            if block is None:
+                block = local.block = np.empty(size, dtype=np.float64)
+            np.multiply(low[x0:x1], lam, out=block[:x1 - x0])
+            np.multiply(low[y0:y1], lam, out=block[x1 - x0:])
+            block[x1 - x0:] += 1.0
+            read[k].set()
+            if x0 != x1 and y0 != y1:  # a block of one part is sorted already
+                block.view(np.int64).sort(kind="stable")
             if k:
                 read[k - 1].wait()
-            if y0 == y1:
-                if y0:
-                    out[p0:p1] = low[x0:x1]
-            elif x0 == x1:
-                np.add(low[y0:y1], 1.0, out=out[p0:p1])
-            else:
-                out[p0:p1] = block
+            np.multiply(block, scale, out=out[p0:p1])
         finally:
             read[k].set()  # also on failure, so that no block waits forever
 
     _map_blocks(merge, range(len(read)))
 
 
-def _co_rank(low: np.ndarray, p: int) -> int:
-    """How many of ``low``'s values are among the ``p`` smallest of the merge
-    of ``low`` and ``low + 1`` (ties go to ``low + 1``), by bisection.  It
-    reads ``low`` below index ``p`` only."""
+def _co_rank(low: np.ndarray, p: int, lam: float) -> int:
+    """How many of ``lam*low``'s values are among the ``p`` smallest of the
+    merge of ``lam*low`` and ``lam*low + 1`` (ties go to ``lam*low + 1``), by
+    bisection.  It reads ``low`` below index ``p`` only."""
     lo, hi = max(0, p - low.size), min(p, low.size)
     while lo < hi:
         mid = (lo + hi) // 2
-        if low[mid] < low[p - mid - 1] + 1.0:
+        if lam * float(low[mid]) < lam * float(low[p - mid - 1]) + 1.0:
             lo = mid + 1
         else:
             hi = mid

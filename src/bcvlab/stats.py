@@ -19,9 +19,11 @@ Conventions fixed across the module:
 * Passes over a whole set stream it in blocks of ``_BLOCK`` (2**15) values
   (the pair counter, the CDF evaluation of :func:`rescale`, the spacings,
   the bucket count, the KS gather, the variance pass and the gap scan), so
-  no temporary grows with the set.  The variance adds its per-block partial
-  sums along numpy's own pairwise-summation split, so it equals
-  ``np.var(ddof=1)`` bit for bit.
+  no temporary grows with the set.  Given a CDF model, :func:`spacings`
+  evaluates and checks the CDF inside its own blocks, so the figure
+  pipeline reads only the point set and makes no rescaled copy.  The
+  variance adds its per-block partial sums along numpy's own
+  pairwise-summation split, so it equals ``np.var(ddof=1)`` bit for bit.
   The Erdos-Joo-Komornik check of :func:`gaps` reads only a search window
   around the predicted gap.
 * The CDF evaluation, the spacings, the bucket count, the KS gather and the
@@ -209,14 +211,24 @@ class SpacingSet:
         return counts
 
 
-def spacings(source, ell: int) -> SpacingSet:
+def spacings(source, ell: int, model: CdfModel | None = None) -> SpacingSet:
     """Order-ell spacings ``n_points * (x[n+ell] - x[n])`` of a sorted sequence.
 
-    ``source`` is a :class:`PointSet` or any sorted finite 1-D array, such as
-    the output of :func:`rescale`.
+    ``source`` is a :class:`PointSet` or any sorted finite 1-D array of at
+    least two values.  With a ``model``, ``x`` is the model's CDF ``F`` of a
+    STANDARD-form point set, as :func:`rescale` gives it, with the same
+    checks and warning, but no rescaled copy is made: each block of the pass
+    evaluates ``F`` over its values and the ``ell`` values past them (as two
+    slices, its own and the ``ell``-th ones on, when ``ell`` exceeds the
+    block), checks it finite and ascending, the pair across the block's far
+    edge included, and writes the spacings.  ``F`` is elementwise, so the
+    bytes are those of ``spacings(rescale(source, model), ell)``.
     """
-    values = _pointset._sorted_finite(source)
-    n = values.size
+    if model is None:
+        values = _pointset._sorted_finite(source)
+    else:
+        values = _cdf_source(source, model)
+    n = integer_arg(values.size, "point count of spacings", lo=2)
     ell = integer_arg(ell, "ell", 1, n - 1)
     sp = np.empty(n - ell, dtype=np.float64)
 
@@ -226,8 +238,23 @@ def spacings(source, ell: int) -> SpacingSet:
                     values[start:start + part.size], out=part)
         part *= float(n)
 
+    def fill_cdf(start):
+        stop = min(start + _BLOCK, n)
+        part = sp[start:stop]  # empty once start passes n - ell
+        if ell <= _BLOCK:  # one slice: the block's values and the ell past them
+            near = _cdf_block(model, values[start:stop + ell])
+            far = near[ell:]
+        else:  # two: the block's values and one more, and the ell-th ones on
+            near = _cdf_block(model, values[start:stop + 1])
+            far = _cdf_block(model, values[start + ell:start + ell + part.size])
+        np.subtract(far[:part.size], near[:part.size], out=part)
+        part *= float(n)
+
     with np.errstate(over="ignore"):  # spacings past a double are inf
-        _pointset._map_blocks(fill, range(0, sp.size, _BLOCK))
+        if model is None:
+            _pointset._map_blocks(fill, range(0, sp.size, _BLOCK))
+        else:
+            _pointset._map_blocks(fill_cdf, range(0, n, _BLOCK))
     sp.flags.writeable = False
     return SpacingSet(ell, sp, n)
 
@@ -239,6 +266,7 @@ _SQRT2 = math.sqrt(2.0)
 _CDF_A = 1.5 * _SQRT2 + 2.0
 _CDF_B = _SQRT2 - 1.0
 EMPIRICAL_KNOTS = 4096  # equally spaced knots of every empirical CDF
+_CDF_OUTPUT = "the CDF model's output must be finite and ascending"
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,6 +277,10 @@ class CdfModel:
     knots_y)`` (:func:`cdf_empirical` builds ``EMPIRICAL_KNOTS`` = 4096 of
     them); without knots it is the closed form of :func:`cdf_sqrt_half` on
     [0, 1].  ``lam`` and ``level`` name the point set it was built from.
+    The knots are both given or both omitted, two 1-D sequences of one
+    length of at least 2, with ``knots_x`` finite and strictly ascending, or
+    :class:`DomainError` is raised; they are kept as float64 arrays.  The
+    ``knots_y`` values are left to the check of the model's output.
     Inputs must be finite and ascending (a 0-d input is one value), or
     :class:`DomainError` is raised; a :class:`PointSet` is read as its
     values, which are built so, without a check.  Outside the support the
@@ -260,6 +292,20 @@ class CdfModel:
     level: int | None = None
     knots_x: np.ndarray | None = None
     knots_y: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.knots_x is None and self.knots_y is None:
+            return
+        if self.knots_x is None or self.knots_y is None:
+            raise DomainError("a CDF model needs both knots_x and knots_y, or neither")
+        xs = _pointset._float_array(self.knots_x, "knots_x")
+        ys = _pointset._float_array(self.knots_y, "knots_y")
+        if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
+            raise DomainError("knots_x and knots_y must be 1-D, of one length of at least 2")
+        if not (np.all(xs[1:] > xs[:-1]) and math.isfinite(xs[0]) and math.isfinite(xs[-1])):
+            raise DomainError("knots_x must be finite and strictly ascending")
+        object.__setattr__(self, "knots_x", xs)
+        object.__setattr__(self, "knots_y", ys)
 
     @property
     def support(self) -> tuple[float, float]:
@@ -339,18 +385,44 @@ def rescale(ps: PointSet, model: CdfModel) -> np.ndarray:
     The model reads the point set itself, whose values are ascending by
     construction, so they are not checked again; an empirical model
     interpolates its 4096 knots.  The output stays sorted because the model
-    is nondecreasing; this is checked rather than re-sorted, and output that
-    is not finite and ascending raises :class:`DomainError`.
+    is nondecreasing; this is checked rather than re-sorted, block by block
+    and across the block edges, and output that is not finite and ascending
+    raises :class:`DomainError`.  :func:`spacings` takes the model itself and
+    makes no rescaled copy.
     """
-    if ps.form is Form.PRIMED:
-        raise DomainError("rescale needs STANDARD form (support in [0, 1]); "
-                          "regenerate with Form.STANDARD")
+    values = _cdf_source(ps, model)
+    y = np.empty_like(values)
+    _pointset._map_blocks(lambda start: _cdf_block(model, values[start:start + _BLOCK],
+                                                   y[start:start + _BLOCK]),
+                          range(0, values.size, _BLOCK))
+    if not np.all(y[_BLOCK::_BLOCK] >= y[_BLOCK - 1:-1:_BLOCK]):
+        raise DomainError(_CDF_OUTPUT)
+    return y
+
+
+def _cdf_source(ps, model: CdfModel) -> np.ndarray:
+    """The values of the STANDARD-form point set ``ps`` that ``model`` is to
+    rescale; warns when the model is the set's own empirical CDF."""
+    if not isinstance(ps, PointSet) or ps.form is not Form.STANDARD:
+        raise DomainError("rescaling needs a point set in STANDARD form (support in "
+                          "[0, 1]); regenerate with Form.STANDARD")
     if (model.lam, model.level) == (ps.lam, ps.levels):
         warnings.warn(
             "rescaling a point set by its own empirical CDF degenerates to the "
             "uniform lattice; build the CDF at a different level",
-            UserWarning, stacklevel=2)
-    return _pointset._sorted_finite(model(ps))
+            UserWarning, stacklevel=3)
+    return ps.values
+
+
+def _cdf_block(model: CdfModel, v: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+    """``F(v)`` for a sorted slice ``v``, written into ``y`` (a new array if
+    None) and checked finite and ascending, else :class:`DomainError`."""
+    y = np.empty_like(v) if y is None else y
+    model._evaluate_block(v, y)
+    if y.size and not (np.all(y[1:] >= y[:-1])
+                       and math.isfinite(y[0]) and math.isfinite(y[-1])):
+        raise DomainError(_CDF_OUTPUT)
+    return y
 
 
 # ---------------------------------------------------------------------------

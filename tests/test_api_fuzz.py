@@ -82,6 +82,8 @@ CALLS = {
     "sft_growth_rate": (b.sft_growth_rate, {"block": ("101", NUMBER),
                                             "count_cap": (10, NUMBER)}),
     "spacings": (b.spacings, {"source": VALUES, "ell": (1, NUMBER)}),
+    "CdfModel": (b.CdfModel, {"knots_x": ((0.0, 0.5, 1.0), SEQUENCE),
+                              "knots_y": ((0.0, 0.25, 1.0), SEQUENCE)}),
     "cdf_sqrt_half": (b.cdf_sqrt_half, {}),
     "cdf_empirical": (b.cdf_empirical, {"lam": (0.6, NUMBER), "level": (6, NUMBER)}),
     "rescale": (b.rescale, {"ps": (PS, OBJECT), "model": (b.cdf_sqrt_half(), OBJECT)}),
@@ -124,7 +126,7 @@ CALLS = {
 }
 # Public callables outside the contract: records, enums and exception types.
 EXEMPT = {
-    "AlgebraicClass", "AttractingParameter", "CdfModel", "CorrelationCurve",
+    "AlgebraicClass", "AttractingParameter", "CorrelationCurve",
     "DomainError", "ExactPointSet", "Form", "GapReport", "GofReport",
     "GreedyExpansion", "GrowthReport", "Histogram", "MinGapScan", "PointSet",
     "SizeCapError", "SpacingSet", "SweepReport", "TransversalityReport",
@@ -258,6 +260,13 @@ DOMAINS = [
     ("spacings", dict(ell=3), None),
     ("spacings", dict(ell=4), DomainError),
     ("spacings", dict(ell=0), DomainError),
+    ("spacings", dict(source=(0.5,)), DomainError),
+    ("CdfModel", dict(knots_x=None, knots_y=None), None),
+    ("CdfModel", dict(knots_y=(1.0, math.nan, 0.0)), None),
+    ("CdfModel", dict(knots_x=(0.0, 1.0, 0.5)), DomainError),
+    ("CdfModel", dict(knots_x=(0.0, 0.5, math.inf)), DomainError),
+    ("CdfModel", dict(knots_y=None), DomainError),
+    ("CdfModel", dict(knots_x=(0.0, 1.0)), DomainError),
     ("cdf_empirical", dict(level=0), SizeCapError),
     ("cdf_empirical", dict(level=MAX_EXACT_LEVELS + 1), SizeCapError),
     ("poisson_reference", dict(ell=171), None),

@@ -142,12 +142,43 @@ def _figure_outputs() -> str:
         ps = generate(lam, 18, form)
         parts += [ps.values.tobytes(), repr(asdict(gaps(ps)))]
     for model, ell in ((cdf_sqrt_half(), 1), (cdf_empirical(0.66, 14), 3)):
-        seq, clamped = model.evaluate(generate(2.0**-0.5, 18).values)
-        sp = spacings(rescale(generate(2.0**-0.5, 18), model), ell)
+        ps = generate(2.0**-0.5, 18)
+        seq, clamped = model.evaluate(ps.values)
+        sp = spacings(rescale(ps, model), ell)
         hist = histogram(sp)
         parts += [seq.tobytes(), repr(clamped), sp.values.tobytes(), hist.counts.tobytes(),
-                  repr(hist.overflow), repr(asdict(gof_statistics(sp)))]
+                  repr(hist.overflow), repr(asdict(gof_statistics(sp))),
+                  spacings(ps, ell, model).values.tobytes()]
     return hashlib.sha256("".join(map(str, parts)).encode()).hexdigest()
+
+
+MODELS = {"sqrt-half": cdf_sqrt_half(), "empirical": cdf_empirical(0.66, 10)}
+
+
+@st.composite
+def fused_cases(draw):
+    """The level of a point set, a block size below or above the 4096 knots
+    of an empirical model, and an order ell up to, at and past the block."""
+    levels = draw(st.integers(1, 13))
+    n = 1 << levels
+    block = draw(st.sampled_from([7, 1000, 5000]))
+    ell = draw(st.one_of(st.integers(1, 20), st.integers(1, n),
+                         st.sampled_from([block - 1, block, block + 1, block + 2, n - 1])))
+    return levels, block, max(1, min(ell, n - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.5, 1.0, exclude_min=True, exclude_max=True), fused_cases(),
+       st.sampled_from(sorted(MODELS)), st.sampled_from([1, 2]))
+def test_spacings_with_a_model_match_spacings_of_the_rescaled_set(lam, case, model, cpus):
+    levels, block, ell = case
+    ps = generate(lam, levels)
+    with threads(cpus), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stats, "_BLOCK", block)
+        got = spacings(ps, ell, MODELS[model])
+        want = spacings(rescale(ps, MODELS[model]), ell)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert (got.ell, got.point_count) == (want.ell, want.point_count)
 
 
 def test_one_usable_cpu_submits_nothing_and_keeps_the_bytes():

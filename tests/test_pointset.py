@@ -119,6 +119,20 @@ def test_generate_blocked_levels_match_merge_oracle(lam, levels):
         assert got == merge_oracle_bytes(lam, levels, form)
 
 
+# Next to 1/2 the two images barely overlap; next to 1 they interleave at
+# almost every value.  Blocks of 2 and 8 values fold the scaling of every
+# level past the first few, and the STANDARD scaling of the last, into them.
+@pytest.mark.parametrize("lam", [float(np.nextafter(0.5, 1.0)), float(np.nextafter(1.0, 0.0))])
+@pytest.mark.parametrize("block", [2, 8, pointset._MERGE_BLOCK])
+def test_generate_at_extreme_lambda_matches_merge_oracle(lam, block):
+    for levels in (1, 2, 3, 9, 14):
+        for form in Form:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(pointset, "_MERGE_BLOCK", block)
+                got = generate(lam, levels, form).values.tobytes()
+            assert got == merge_oracle_bytes(lam, levels, form)
+
+
 # sha256 of generate(lam, levels, form).values, STANDARD then PRIMED, pinned
 # as one whole-prefix stable sort per level gives them.
 GENERATE_DIGESTS = {

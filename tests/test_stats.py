@@ -72,6 +72,12 @@ def test_spacings_validation():
         spacings(np.array([1.0, 0.5]), 1)  # unsorted
 
 
+@pytest.mark.parametrize("source", [[], [0.5], np.zeros(0)])
+def test_spacings_refuse_fewer_than_two_values_by_count(source):
+    with pytest.raises(DomainError, match="point count of spacings must be at least 2"):
+        spacings(source, 1)
+
+
 # ---------------------------------------------------------------------------
 # CDF models
 
@@ -185,6 +191,30 @@ def test_cdf_models_reject_unsorted_or_non_finite_input(model, x):
         model.evaluate(x)
 
 
+@pytest.mark.parametrize("knots", [
+    dict(knots_x=[1.0, 0.0], knots_y=[0.0, 1.0]),  # mapped ascending input to all 1.0
+    dict(knots_x=[0.0, np.inf], knots_y=[0.0, 1.0]),  # mapped ascending input to all 0.0
+    dict(knots_x=[0.0, 1.0]),  # evaluating it raised numpy's ValueError
+    dict(knots_y=[0.0, 1.0]),
+    dict(knots_x=[0.0, 0.0, 1.0], knots_y=[0.0, 0.5, 1.0]),
+    dict(knots_x=[0.0, np.nan], knots_y=[0.0, 1.0]),
+    dict(knots_x=[0.5], knots_y=[0.5]),
+    dict(knots_x=[0.0, 1.0], knots_y=[0.0, 0.5, 1.0]),
+    dict(knots_x=[[0.0, 1.0]], knots_y=[[0.0, 1.0]]),
+    dict(knots_x=0.5, knots_y=0.5),
+    dict(knots_x=["a", "b"], knots_y=[0.0, 1.0]),
+])
+def test_cdf_model_refuses_knots_it_cannot_use(knots):
+    with pytest.raises(DomainError):
+        CdfModel(**knots)
+
+
+def test_cdf_model_keeps_usable_knots_as_float_arrays():
+    model = CdfModel(knots_x=[0, 1], knots_y=[1, 0])  # knots_y is left to the output check
+    assert model.knots_x.dtype == model.knots_y.dtype == np.float64
+    assert model.support == (0.0, 1.0) and model(0.25) == 0.75
+
+
 # ---------------------------------------------------------------------------
 # rescaling
 
@@ -217,20 +247,50 @@ def test_rescale_rejects_non_monotone_or_nan_output(knots_y):
         rescale(generate(0.6, 6), model)
 
 
-def test_rescale_checks_only_its_output(monkeypatch):
-    # The point set's values are ascending by construction; only the model's
-    # output is checked as finite and ascending.
-    checked = []
-    check = stats._pointset._sorted_finite
+def spy_checks(monkeypatch) -> tuple[list, list]:
+    """Record the arrays ``pointset._sorted_finite`` checks and the sizes of
+    the slices ``stats._cdf_block`` evaluates and checks."""
+    checked, evaluated = [], []
+    check, block = stats._pointset._sorted_finite, stats._cdf_block
 
-    def spy(values, *args):
-        if not isinstance(values, PointSet):
-            checked.append(values)
+    def check_spy(values, *args):
+        checked.append(values)
         return check(values, *args)
 
-    monkeypatch.setattr(stats._pointset, "_sorted_finite", spy)
+    def block_spy(model, v, *args):
+        evaluated.append(v.size)
+        return block(model, v, *args)
+
+    monkeypatch.setattr(stats._pointset, "_sorted_finite", check_spy)
+    monkeypatch.setattr(stats, "_cdf_block", block_spy)
+    return checked, evaluated
+
+
+def test_rescale_checks_only_its_output(monkeypatch):
+    # The point set's values are ascending by construction; only the model's
+    # output is checked as finite and ascending, once, by the blocks that
+    # evaluate it.
+    checked, evaluated = spy_checks(monkeypatch)
+    monkeypatch.setattr(stats, "_BLOCK", 1000)
     out = rescale(generate(0.7, 12), cdf_sqrt_half())
-    assert len(checked) == 1 and checked[0] is out
+    assert checked == []
+    assert sorted(evaluated) == [96, 1000, 1000, 1000, 1000] and out.size == 4096
+
+
+@pytest.mark.parametrize("ell, sizes", [(1, [96, 1001, 1001, 1001, 1001]),
+                                        (999, [96, 1096, 1999, 1999, 1999]),
+                                        (1000, [96, 1096, 2000, 2000, 2000]),
+                                        (3000, [0, 0, 0, 96, 96, 1000,
+                                                1001, 1001, 1001, 1001])])
+def test_spacings_with_a_model_check_only_the_cdf(monkeypatch, ell, sizes):
+    # No rescaled copy is made or checked: each block evaluates the CDF over
+    # its values and the ell past them, or for ell past the block over its
+    # values and one more, then over the ell-th ones on.
+    checked, evaluated = spy_checks(monkeypatch)
+    monkeypatch.setattr(stats, "_BLOCK", 1000)
+    sp = spacings(generate(0.7, 12), ell, cdf_sqrt_half())
+    assert checked == []
+    assert sorted(evaluated) == sizes and sp.values.size == 4096 - ell
 
 
 def test_rescale_warns_on_self_cdf():
@@ -238,6 +298,49 @@ def test_rescale_warns_on_self_cdf():
     F = cdf_empirical(0.6429, 10)
     with pytest.warns(UserWarning):
         rescale(ps, F)
+
+
+@pytest.mark.parametrize("source", [generate(0.6, 5, Form.PRIMED), generate(0.6, 5).values])
+def test_spacings_with_a_model_need_a_standard_point_set(source):
+    with pytest.raises(DomainError, match="STANDARD"):
+        spacings(source, 1, cdf_sqrt_half())
+
+
+@pytest.mark.parametrize("knots_y", [[1.0, 0.0], [0.0, np.nan]])
+@pytest.mark.parametrize("ell", [1, 3, 63])
+def test_spacings_with_a_model_reject_non_monotone_or_nan_output(knots_y, ell):
+    model = CdfModel(knots_x=np.array([0.0, 1.0]), knots_y=np.array(knots_y))
+    with pytest.raises(DomainError):
+        spacings(generate(0.6, 6), ell, model)
+
+
+def test_spacings_with_a_model_warn_on_self_cdf():
+    with pytest.warns(UserWarning, match="own empirical CDF"):
+        spacings(generate(0.6429, 10), 1, cdf_empirical(0.6429, 10))
+
+
+def descending_at(values: np.ndarray, i: int) -> CdfModel:
+    """A model that is ascending on ``values`` except from ``values[i - 1]``
+    to ``values[i]``, where it steps down."""
+    return CdfModel(knots_x=[0.0, values[i - 1], values[i], 1.0],
+                    knots_y=[0.0, 0.5, 0.49, 1.0])
+
+
+@pytest.mark.parametrize("i", [5, 8, 16, 31, 56])
+@pytest.mark.parametrize("ell", [1, 3, 8, 9, 40, 63])
+def test_one_descending_pair_is_found_at_every_place(monkeypatch, i, ell):
+    # Blocks of 8 values: i = 8, 16 and 56 put the pair across a block edge,
+    # and i = 31 past n - ell for the larger ell, where no spacing reads it.
+    values = np.linspace(0.0, 0.9, 64)
+    ps = PointSet(0.6, 6, Form.STANDARD, values)
+    model = descending_at(values, i)
+    monkeypatch.setattr(stats, "_BLOCK", 8)
+    with pytest.raises(DomainError):
+        rescale(ps, model)
+    with pytest.raises(DomainError):
+        spacings(ps, ell, model)
+    fine = CdfModel(knots_x=model.knots_x, knots_y=[0.0, 0.5, 0.5, 1.0])
+    assert spacings(ps, ell, fine).values.tobytes() == spacings(rescale(ps, fine), ell).values.tobytes()
 
 
 @pytest.mark.parametrize("model", [cdf_sqrt_half(), cdf_empirical(SQRT_HALF, 16)],
