@@ -205,8 +205,7 @@ def greedy_expansion(lam: float, k: int) -> GreedyExpansion:
     (equivalently ``1 - lam < lam``), and ``k <= MAX_GREEDY_DIGITS``.
     """
     lam = real_arg(lam, "greedy expansion lambda", 0.5, 1.0)
-    k = integer_arg(k, "expansion length k", lo=1)
-    integer_arg(k, "expansion length k", hi=MAX_GREEDY_DIGITS, error=SizeCapError)
+    k = integer_arg(k, "expansion length k", 1, MAX_GREEDY_DIGITS, SizeCapError)
     digits = [1]
     remainder = 1.0 - lam
     power = lam
@@ -275,8 +274,7 @@ def poly_roots(coeffs) -> tuple[complex, ...]:
     :class:`SizeCapError` past ``MAX_POLY_DEGREE`` before the eigen solve.
     """
     coeffs = _integer_coeffs(coeffs)
-    integer_arg(len(coeffs) - 1, "polynomial degree", lo=1)
-    integer_arg(len(coeffs) - 1, "polynomial degree", hi=MAX_POLY_DEGREE, error=SizeCapError)
+    integer_arg(len(coeffs) - 1, "polynomial degree", 1, MAX_POLY_DEGREE, SizeCapError)
     try:  # a coefficient, root power or residual can overflow a double
         raw = np.roots(np.array(coeffs[::-1], dtype=float))
         polished = []
@@ -431,8 +429,7 @@ def sft_growth_rate(block: str, count_cap: int = 30) -> GrowthReport:
     if not isinstance(block, str) or block[:1] != "1" or any(ch not in "01" for ch in block):
         raise DomainError("block must be a string over {0,1} starting with 1")
     integer_arg(len(block), "block length", hi=MAX_POLY_DEGREE + 1, error=SizeCapError)
-    count_cap = integer_arg(count_cap, "count_cap", lo=0)
-    integer_arg(count_cap, "count_cap", hi=MAX_WORD_COUNT_LENGTH, error=SizeCapError)
+    count_cap = integer_arg(count_cap, "count_cap", 0, MAX_WORD_COUNT_LENGTH, SizeCapError)
     m = len(block)
     delta = _pattern_transitions(block)
     T = np.zeros((m, m), dtype=np.int64)

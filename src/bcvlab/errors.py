@@ -23,13 +23,14 @@ class SizeCapError(ValueError):
 
 def integer_arg(value, name: str, lo=None, hi=None, error=DomainError) -> int:
     """``value`` as a Python int, from an int or a numpy integer (else
-    :class:`DomainError`); ``error`` when it lies outside ``lo..hi``."""
+    :class:`DomainError`); :class:`DomainError` below ``lo`` and ``error``
+    past ``hi``, since only a size past its cap is a resource limit."""
     try:
         value = operator.index(value)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
     if lo is not None and value < lo:
-        raise error(f"{name} must be at least {lo}, got {value}")
+        raise DomainError(f"{name} must be at least {lo}, got {value}")
     if hi is not None and value > hi:
         raise error(f"{name} must be at most {hi}, got {value}")
     return value

@@ -19,11 +19,14 @@ Conventions fixed across the module:
 * Passes over a whole set stream it in blocks of ``_BLOCK`` (2**15) values
   (the pair counter, the CDF evaluation of :func:`rescale`, the spacings,
   the bucket count, the KS gather, the variance pass and the gap scan), so
-  no temporary grows with the set.  Given a CDF model, :func:`spacings`
-  evaluates and checks the CDF inside its own blocks, so the figure
-  pipeline reads only the point set and makes no rescaled copy.  The
-  variance adds its per-block partial sums along numpy's own
-  pairwise-summation split, so it equals ``np.var(ddof=1)`` bit for bit.
+  no temporary grows with the set.  A CDF model is evaluated only by
+  :func:`_cdf_block`, which writes one sorted slice's CDF into a buffer the
+  caller gives it and checks it.  :func:`rescale` is the one public way to
+  evaluate a model, and :func:`spacings` calls the same routine inside its
+  own blocks, so the figure pipeline reads only the point set and makes no
+  rescaled copy.  The variance adds its per-block partial sums along
+  numpy's own pairwise-summation split, so it equals ``np.var(ddof=1)`` bit
+  for bit.
   The Erdos-Joo-Komornik check of :func:`gaps` reads only a search window
   around the predicted gap.
 * The CDF evaluation, the spacings, the bucket count, the KS gather and the
@@ -215,46 +218,42 @@ def spacings(source, ell: int, model: CdfModel | None = None) -> SpacingSet:
     """Order-ell spacings ``n_points * (x[n+ell] - x[n])`` of a sorted sequence.
 
     ``source`` is a :class:`PointSet` or any sorted finite 1-D array of at
-    least two values.  With a ``model``, ``x`` is the model's CDF ``F`` of a
-    STANDARD-form point set, as :func:`rescale` gives it, with the same
-    checks and warning, but no rescaled copy is made: each block of the pass
+    least two values.  With a ``model``, ``x`` is the model's CDF ``F`` of
+    the source, as :func:`rescale` gives it, with the same checks and
+    warning, but no rescaled copy is made.  Each block of the one pass
     evaluates ``F`` over its values and the ``ell`` values past them (as two
     slices, its own and the ``ell``-th ones on, when ``ell`` exceeds the
-    block), checks it finite and ascending, the pair across the block's far
-    edge included, and writes the spacings.  ``F`` is elementwise, so the
-    bytes are those of ``spacings(rescale(source, model), ell)``.
+    block) and writes the spacings; without a model each slice is read as it
+    is.  ``F`` is elementwise and :func:`_cdf_block` checks each slice, the
+    pair across the block's far edge included, so the bytes are those of
+    ``spacings(rescale(source, model)[0], ell)``.
     """
-    if model is None:
-        values = _pointset._sorted_finite(source)
-    else:
-        values = _cdf_source(source, model)
+    values = _pointset._sorted_finite(source) if model is None else _cdf_source(source, model)
     n = integer_arg(values.size, "point count of spacings", lo=2)
     ell = integer_arg(ell, "ell", 1, n - 1)
     sp = np.empty(n - ell, dtype=np.float64)
 
-    def fill(start):
-        part = sp[start:start + _BLOCK]
-        np.subtract(values[start + ell:start + ell + part.size],
-                    values[start:start + part.size], out=part)
-        part *= float(n)
+    def cdf(v):
+        if model is None:
+            return v
+        y = np.empty_like(v)
+        _cdf_block(model, v, y)
+        return y
 
-    def fill_cdf(start):
+    def fill(start):
         stop = min(start + _BLOCK, n)
         part = sp[start:stop]  # empty once start passes n - ell
         if ell <= _BLOCK:  # one slice: the block's values and the ell past them
-            near = _cdf_block(model, values[start:stop + ell])
+            near = cdf(values[start:stop + ell])
             far = near[ell:]
         else:  # two: the block's values and one more, and the ell-th ones on
-            near = _cdf_block(model, values[start:stop + 1])
-            far = _cdf_block(model, values[start + ell:start + ell + part.size])
+            near = cdf(values[start:stop + 1])
+            far = cdf(values[start + ell:start + ell + part.size])
         np.subtract(far[:part.size], near[:part.size], out=part)
         part *= float(n)
 
     with np.errstate(over="ignore"):  # spacings past a double are inf
-        if model is None:
-            _pointset._map_blocks(fill, range(0, sp.size, _BLOCK))
-        else:
-            _pointset._map_blocks(fill_cdf, range(0, n, _BLOCK))
+        _pointset._map_blocks(fill, range(0, n, _BLOCK))
     sp.flags.writeable = False
     return SpacingSet(ell, sp, n)
 
@@ -281,11 +280,10 @@ class CdfModel:
     length of at least 2, with ``knots_x`` finite and strictly ascending, or
     :class:`DomainError` is raised; they are kept as float64 arrays.  The
     ``knots_y`` values are left to the check of the model's output.
-    Inputs must be finite and ascending (a 0-d input is one value), or
-    :class:`DomainError` is raised; a :class:`PointSet` is read as its
-    values, which are built so, without a check.  Outside the support the
-    model clamps to its end values; :meth:`evaluate` also counts the clamped
-    inputs.
+    A model is applied only through :func:`rescale` and :func:`spacings`,
+    which evaluate it block by block in :func:`_cdf_block`.  Outside the
+    support it clamps to its end values, and :func:`rescale` counts the
+    clamped inputs.
     """
 
     lam: float | None = None
@@ -313,41 +311,6 @@ class CdfModel:
             return (0.0, 1.0)
         return (float(self.knots_x[0]), float(self.knots_x[-1]))
 
-    def __call__(self, x):
-        return self.evaluate(x)[0]
-
-    def evaluate(self, x):
-        """``(F(x), count of x outside the support)``, filled one ``_BLOCK``
-        slice of the sorted ``x`` at a time."""
-        v = _pointset._sorted_finite(x, "x")
-        y = np.empty_like(v)
-        clamped = _pointset._map_blocks(
-            lambda start: self._evaluate_block(v[start:start + _BLOCK], y[start:start + _BLOCK]),
-            range(0, v.size, _BLOCK))
-        return y.reshape(v.shape if isinstance(x, PointSet) else np.shape(x)), sum(clamped)
-
-    def _evaluate_block(self, v: np.ndarray, y: np.ndarray) -> int:
-        """Write F(v) into ``y`` and return the count of ``v`` outside the
-        support; the support ends and the closed form's two joins split the
-        sorted ``v`` into one slice per piece."""
-        lo, hi = self.support
-        below = int(np.searchsorted(v, lo, side="left"))
-        inside = int(np.searchsorted(v, hi, side="right"))
-        if self.knots_x is not None:
-            y[:] = np.interp(v, self.knots_x, self.knots_y)
-        else:
-            left = int(np.searchsorted(v, _CDF_B, side="right"))
-            right = int(np.searchsorted(v, 1.0 - _CDF_B, side="left"))
-            y[:below] = 0.0
-            t = v[below:left]
-            y[below:left] = _CDF_A * t * t / 2.0
-            t = v[left:right]
-            y[left:right] = _CDF_A * _CDF_B * _CDF_B / 2.0 + _CDF_A * _CDF_B * (t - _CDF_B)
-            t = v[right:inside]
-            y[right:inside] = 1.0 - _CDF_A * (1.0 - t) ** 2 / 2.0
-            y[inside:] = 1.0
-        return below + v.size - inside
-
 
 def cdf_sqrt_half() -> CdfModel:
     """Closed-form CDF of the infinite Bernoulli convolution at lambda = 2**-0.5.
@@ -369,7 +332,7 @@ def cdf_empirical(lam: float, level: int) -> CdfModel:
     from (same lambda and level): that degenerates to the uniform lattice and
     :func:`rescale` warns about it.
     """
-    level = integer_arg(level, "level", hi=_pointset.MAX_EXACT_LEVELS, error=SizeCapError)
+    level = integer_arg(level, "level", 1, _pointset.MAX_EXACT_LEVELS, SizeCapError)
     values = _pointset.generate(lam, level, Form.STANDARD).values
     xs = np.linspace(0.0, float(values[-1]), EMPIRICAL_KNOTS)
     counts = np.searchsorted(values, xs, side="right")
@@ -379,50 +342,85 @@ def cdf_empirical(lam: float, level: int) -> CdfModel:
     return CdfModel(lam=float(lam), level=level, knots_x=xs, knots_y=ys)
 
 
-def rescale(ps: PointSet, model: CdfModel) -> np.ndarray:
-    """Apply the CDF elementwise to a STANDARD-form point set.
+def rescale(source, model: CdfModel) -> tuple[np.ndarray, int]:
+    """``(F(x), count of x outside the model's support)``: the CDF applied
+    elementwise to the sorted values ``x`` of ``source``.
 
-    The model reads the point set itself, whose values are ascending by
-    construction, so they are not checked again; an empirical model
-    interpolates its 4096 knots.  The output stays sorted because the model
-    is nondecreasing; this is checked rather than re-sorted, block by block
-    and across the block edges, and output that is not finite and ascending
-    raises :class:`DomainError`.  :func:`spacings` takes the model itself and
-    makes no rescaled copy.
+    ``source`` is a STANDARD-form :class:`PointSet`, whose values are
+    ascending by construction and are not checked again, or any sorted
+    finite 1-D array (a scalar is one value), else :class:`DomainError`.
+    The output is filled one ``_BLOCK`` slice at a time by
+    :func:`_cdf_block`; it stays sorted because the model is nondecreasing,
+    and this is checked rather than re-sorted, within each block and across
+    the block edges, so output that is not finite and ascending raises
+    :class:`DomainError`.  :func:`spacings` takes the model itself and makes
+    no rescaled copy.
     """
-    values = _cdf_source(ps, model)
+    values = _cdf_source(source, model)
     y = np.empty_like(values)
-    _pointset._map_blocks(lambda start: _cdf_block(model, values[start:start + _BLOCK],
-                                                   y[start:start + _BLOCK]),
-                          range(0, values.size, _BLOCK))
+    clamped = _pointset._map_blocks(
+        lambda start: _cdf_block(model, values[start:start + _BLOCK], y[start:start + _BLOCK]),
+        range(0, values.size, _BLOCK))
     if not np.all(y[_BLOCK::_BLOCK] >= y[_BLOCK - 1:-1:_BLOCK]):
         raise DomainError(_CDF_OUTPUT)
-    return y
+    return y, sum(clamped)
 
 
-def _cdf_source(ps, model: CdfModel) -> np.ndarray:
-    """The values of the STANDARD-form point set ``ps`` that ``model`` is to
-    rescale; warns when the model is the set's own empirical CDF."""
-    if not isinstance(ps, PointSet) or ps.form is not Form.STANDARD:
+def _cdf_source(source, model: CdfModel) -> np.ndarray:
+    """The values that ``model`` is to rescale: those of a STANDARD-form
+    point set (a warning when the model is the set's own empirical CDF), or
+    those of a sorted finite 1-D array."""
+    if not isinstance(source, PointSet):
+        return _pointset._sorted_finite(source)
+    if source.form is not Form.STANDARD:
         raise DomainError("rescaling needs a point set in STANDARD form (support in "
                           "[0, 1]); regenerate with Form.STANDARD")
-    if (model.lam, model.level) == (ps.lam, ps.levels):
+    if (model.lam, model.level) == (source.lam, source.levels):
         warnings.warn(
             "rescaling a point set by its own empirical CDF degenerates to the "
             "uniform lattice; build the CDF at a different level",
             UserWarning, stacklevel=3)
-    return ps.values
+    return source.values
 
 
-def _cdf_block(model: CdfModel, v: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-    """``F(v)`` for a sorted slice ``v``, written into ``y`` (a new array if
-    None) and checked finite and ascending, else :class:`DomainError`."""
-    y = np.empty_like(v) if y is None else y
-    model._evaluate_block(v, y)
+def _cdf_block(model: CdfModel, v: np.ndarray, y: np.ndarray) -> int:
+    """Write ``F(v)`` for a sorted slice ``v`` into ``y``, check it finite and
+    ascending (else :class:`DomainError`), and return the count of ``v``
+    outside the support.
+
+    The support ends and the closed form's two joins split ``v`` into one
+    slice per piece, and each piece is computed in its slice of ``y`` in the
+    order of the formula's operations.  An empirical model interpolates its
+    knots.
+    """
+    lo, hi = model.support
+    below = int(np.searchsorted(v, lo, side="left"))
+    inside = int(np.searchsorted(v, hi, side="right"))
+    if model.knots_x is not None:
+        y[:] = np.interp(v, model.knots_x, model.knots_y)
+    else:
+        left = int(np.searchsorted(v, _CDF_B, side="right"))
+        right = int(np.searchsorted(v, 1.0 - _CDF_B, side="left"))
+        y[:below] = 0.0
+        part = y[below:left]  # a t^2 / 2
+        np.multiply(v[below:left], _CDF_A, out=part)
+        part *= v[below:left]
+        part /= 2.0
+        part = y[left:right]  # a b^2 / 2 + a b (t - b)
+        np.subtract(v[left:right], _CDF_B, out=part)
+        part *= _CDF_A * _CDF_B
+        part += _CDF_A * _CDF_B * _CDF_B / 2.0
+        part = y[right:inside]  # 1 - a (1 - t)^2 / 2
+        np.subtract(1.0, v[right:inside], out=part)
+        part *= part
+        part *= _CDF_A
+        part /= 2.0
+        np.subtract(1.0, part, out=part)
+        y[inside:] = 1.0
     if y.size and not (np.all(y[1:] >= y[:-1])
                        and math.isfinite(y[0]) and math.isfinite(y[-1])):
         raise DomainError(_CDF_OUTPUT)
-    return y
+    return below + v.size - inside
 
 
 # ---------------------------------------------------------------------------

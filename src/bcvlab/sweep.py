@@ -73,9 +73,8 @@ class SweepConfig:
         if not (0.5 <= a <= b < 1.0):
             raise DomainError(f"interval must satisfy 0.5 <= a <= b < 1, got [{a}, {b}]")
         levels = integer_arg(self.levels, "levels", 1, MAX_FLOAT_LEVELS, SizeCapError)
-        count = integer_arg(self.sample_count, "sample_count", lo=1)
         # Past 2**53, i + 0.5 is not exact in a double.
-        integer_arg(count, "sample_count", hi=2**53, error=SizeCapError)
+        count = integer_arg(self.sample_count, "sample_count", 1, 2**53, SizeCapError)
         if self.quadrature not in ("midpoint", "montecarlo"):
             raise DomainError(f"unknown quadrature {self.quadrature!r}")
         grid = tuple(_validate_grid(self.s_grid).tolist())

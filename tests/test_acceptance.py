@@ -15,7 +15,7 @@ import numpy as np
 from bcvlab import (Form, SweepConfig, averaged_pair_correlation, cdf_empirical,
                     cdf_sqrt_half, classify, coincidence_rate,
                     distinct_count_profile, gaps, generate, generate_exact,
-                    min_gap_scan, pair_correlation, sft_growth_rate, spacings,
+                    min_gap_scan, pair_correlation, rescale, sft_growth_rate, spacings,
                     transversality_check, Verdict)
 from bcvlab.cli import main
 from oracles import horner_values, words_avoiding
@@ -124,17 +124,18 @@ def test_criterion_5_ejk_gap_law():
 def test_criterion_6_explicit_cdf():
     with Criterion(6, "explicit CDF identities and empirical agreement", 30.0):
         F = cdf_sqrt_half()
-        assert abs(float(F(0.0)) - 0.0) < 1e-15
-        assert abs(float(F(1.0)) - 1.0) < 1e-15
-        assert abs(float(F(0.5)) - 0.5) < 1e-15
+        (at0, at_half, at1), _ = rescale([0.0, 0.5, 1.0], F)
+        assert abs(at0 - 0.0) < 1e-15
+        assert abs(at1 - 1.0) < 1e-15
+        assert abs(at_half - 0.5) < 1e-15
         for knot in (math.sqrt(2.0) - 1.0, 2.0 - math.sqrt(2.0)):
-            below = float(F(np.nextafter(knot, 0.0)))
-            above = float(F(np.nextafter(knot, 1.0)))
-            assert abs(below - float(F(knot))) < 1e-15
-            assert abs(above - float(F(knot))) < 1e-15
+            below, here, above = rescale([np.nextafter(knot, 0.0), knot,
+                                          np.nextafter(knot, 1.0)], F)[0]
+            assert abs(below - here) < 1e-15
+            assert abs(above - here) < 1e-15
         F_emp = cdf_empirical(SQRT_HALF, 20)
         xs = np.linspace(0.0, 1.0, 20001)
-        assert np.max(np.abs(F_emp(xs) - F(xs))) < 0.01
+        assert np.max(np.abs(rescale(xs, F_emp)[0] - rescale(xs, F)[0])) < 0.01
 
 
 def test_criterion_7_averaged_correlation_linearity():

@@ -86,7 +86,7 @@ CALLS = {
                               "knots_y": ((0.0, 0.25, 1.0), SEQUENCE)}),
     "cdf_sqrt_half": (b.cdf_sqrt_half, {}),
     "cdf_empirical": (b.cdf_empirical, {"lam": (0.6, NUMBER), "level": (6, NUMBER)}),
-    "rescale": (b.rescale, {"ps": (PS, OBJECT), "model": (b.cdf_sqrt_half(), OBJECT)}),
+    "rescale": (b.rescale, {"source": VALUES, "model": (b.cdf_sqrt_half(), OBJECT)}),
     "histogram": (b.histogram, {"sp": (SP, OBJECT)}),
     "poisson_reference": (b.poisson_reference, {"ell": (1, NUMBER),
                                                 "s": ((0.5, 1.0), SEQUENCE)}),
@@ -236,10 +236,10 @@ DOMAINS = [
     ("generate", dict(lam="0.5"), None),
     ("generate", dict(lam=0.0), DomainError),
     ("generate", dict(lam=1.0), DomainError),
-    ("generate", dict(levels=0), SizeCapError),
+    ("generate", dict(levels=0), DomainError),
     ("generate", dict(levels=MAX_FLOAT_LEVELS + 1), SizeCapError),
     ("exact_levels", dict(minpoly=(-1, 1), levels=4), None),
-    ("exact_levels", dict(levels=0), SizeCapError),
+    ("exact_levels", dict(levels=0), DomainError),
     ("exact_levels", dict(levels=MAX_EXACT_LEVELS + 1), SizeCapError),
     ("defining_poly", dict(minpoly=(1, -1)), None),
     ("defining_poly", dict(minpoly=()), DomainError),
@@ -261,13 +261,18 @@ DOMAINS = [
     ("spacings", dict(ell=4), DomainError),
     ("spacings", dict(ell=0), DomainError),
     ("spacings", dict(source=(0.5,)), DomainError),
+    ("rescale", dict(source=PS), None),
+    ("rescale", dict(source=0.5), None),
+    ("rescale", dict(source=b.generate(0.6, 8, b.Form.PRIMED)), DomainError),
+    ("rescale", dict(source=(0.5, 0.25)), DomainError),
+    ("rescale", dict(source=((0.25, 0.5),)), DomainError),
     ("CdfModel", dict(knots_x=None, knots_y=None), None),
     ("CdfModel", dict(knots_y=(1.0, math.nan, 0.0)), None),
     ("CdfModel", dict(knots_x=(0.0, 1.0, 0.5)), DomainError),
     ("CdfModel", dict(knots_x=(0.0, 0.5, math.inf)), DomainError),
     ("CdfModel", dict(knots_y=None), DomainError),
     ("CdfModel", dict(knots_x=(0.0, 1.0)), DomainError),
-    ("cdf_empirical", dict(level=0), SizeCapError),
+    ("cdf_empirical", dict(level=0), DomainError),
     ("cdf_empirical", dict(level=MAX_EXACT_LEVELS + 1), SizeCapError),
     ("poisson_reference", dict(ell=171), None),
     ("poisson_reference", dict(ell=172), DomainError),
@@ -287,7 +292,7 @@ DOMAINS = [
     ("SweepConfig", dict(sample_count=0), DomainError),
     ("SweepConfig", dict(sample_count=1.5), DomainError),
     ("SweepConfig", dict(sample_count=2**53 + 1), SizeCapError),
-    ("SweepConfig", dict(levels=0), SizeCapError),
+    ("SweepConfig", dict(levels=0), DomainError),
     ("SweepConfig", dict(levels=MAX_FLOAT_LEVELS + 1), SizeCapError),
     ("SweepConfig", dict(levels="abc"), DomainError),
     ("averaged_pair_correlation", dict(cfg=b.SweepConfig((0.6, 0.7), 1, (1.0,), 2**40)),

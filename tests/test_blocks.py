@@ -5,13 +5,16 @@ thread on any host, and shorten the switch interval so that the threads
 hand over often.
 """
 
+import functools
 import hashlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 from dataclasses import asdict
 from pathlib import Path
 
@@ -20,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcvlab import (DomainError, Form, SpacingSet, cdf_empirical, cdf_sqrt_half, gaps,
+from bcvlab import (DomainError, Form, SpacingSet, cdf_empirical, cdf_sqrt_half, cli, gaps,
                     generate, gof_statistics, histogram, pointset, rescale, spacings, stats)
 from oracles import histogram_bincount, merge_levels
 
@@ -143,8 +146,8 @@ def _figure_outputs() -> str:
         parts += [ps.values.tobytes(), repr(asdict(gaps(ps)))]
     for model, ell in ((cdf_sqrt_half(), 1), (cdf_empirical(0.66, 14), 3)):
         ps = generate(2.0**-0.5, 18)
-        seq, clamped = model.evaluate(ps.values)
-        sp = spacings(rescale(ps, model), ell)
+        seq, clamped = rescale(ps, model)
+        sp = spacings(seq, ell)
         hist = histogram(sp)
         parts += [seq.tobytes(), repr(clamped), sp.values.tobytes(), hist.counts.tobytes(),
                   repr(hist.overflow), repr(asdict(gof_statistics(sp))),
@@ -176,7 +179,7 @@ def test_spacings_with_a_model_match_spacings_of_the_rescaled_set(lam, case, mod
     with threads(cpus), pytest.MonkeyPatch.context() as mp:
         mp.setattr(stats, "_BLOCK", block)
         got = spacings(ps, ell, MODELS[model])
-        want = spacings(rescale(ps, MODELS[model]), ell)
+        want = spacings(rescale(ps, MODELS[model])[0], ell)
     assert got.values.tobytes() == want.values.tobytes()
     assert (got.ell, got.point_count) == (want.ell, want.point_count)
 
@@ -189,6 +192,61 @@ def test_one_usable_cpu_submits_nothing_and_keeps_the_bytes():
         one = _figure_outputs()
     assert helper.futures == []
     assert one == two
+
+
+# Small CLI runs over every blocked pass: each CDF model, an ell past the
+# small blocks (and below the histogram's 113), pair counts with and without
+# an interval, gaps at odd and even N, the exact walk and a sweep.
+CLI_JOBS = {
+    "spacings": ("spacings", "--lambda", "0.7071", "--n", "10"),
+    "spacings-sqrt-half": ("spacings", "--lambda", "0.7071", "--n", "10", "--ell", "3",
+                           "--rescale", "sqrt-half"),
+    "spacings-empirical": ("spacings", "--lambda", "0.7071", "--n", "10", "--ell", "100",
+                           "--rescale", "empirical:6"),
+    "paircorr": ("paircorr", "--lambda", "0.7", "--n", "10", "--s-grid", "0,0.5,1,2,4"),
+    "paircorr-interval": ("paircorr", "--lambda", "0.7", "--n", "10",
+                          "--s-grid", "0,0.5,1,2,4", "--interval", "0.2,0.7"),
+    "gaps-odd": ("gaps", "--lambda", "0.6", "--n", "11"),
+    "gaps-even": ("gaps", "--lambda", "0.6", "--n", "10", "--primed"),
+    "exact-golden": ("exact", "--minpoly", "x^2+x-1", "--n", "10"),
+    "exact-garsia": ("exact", "--minpoly", "x^3-2x-2", "--n", "10"),
+    "sweep": ("sweep", "--interval", "0.6,0.7", "--n", "9", "--s-grid", "0.5,1,2",
+              "--samples", "3"),
+}
+
+
+def cli_digests() -> dict:
+    """sha256 of each data file every CLI job writes (the manifest, which
+    records the wall time, aside)."""
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()):
+        for name, argv in CLI_JOBS.items():
+            out = Path(tmp) / name
+            assert cli.main([*argv, "--out-dir", str(out)]) == 0, name
+            for path in sorted(out.iterdir()):
+                if path.name != "run_manifest.json":
+                    digests[name, path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
+@functools.cache
+def default_cli_digests() -> dict:
+    return cli_digests()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([3, 8, 61, 64, stats._BLOCK]), st.sampled_from([1, 3, 8, stats._DEPTH]),
+       st.sampled_from([2, 8, 64, pointset._MERGE_BLOCK]),
+       st.sampled_from([1, 3, 64, pointset._TALLY_BLOCK]), st.sampled_from([1, 2]))
+def test_cli_outputs_do_not_depend_on_the_block_sizes(block, depth, merge, tally, cpus):
+    want = default_cli_digests()
+    with threads(cpus), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stats, "_BLOCK", block)
+        mp.setattr(stats, "_DEPTH", depth)
+        mp.setattr(pointset, "_MERGE_BLOCK", merge)
+        mp.setattr(pointset, "_TALLY_BLOCK", tally)
+        got = cli_digests()
+    assert got == want
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -165,6 +165,11 @@ REFUSED_ARGS = {
     "classify-constant": (("classify", "--poly", "5"), 4),
     "spacings-empirical-over-cap": (("spacings", "--lambda", "0.6", "--n", "6",
                                      "--rescale", "empirical:25"), 3),
+    # A level count below 1 is outside the domain, not past a cap.
+    "spacings-zero-levels": (("spacings", "--lambda", "0.6", "--n", "0"), 4),
+    "spacings-empirical-zero-level": (("spacings", "--lambda", "0.6", "--n", "6",
+                                       "--rescale", "empirical:0"), 4),
+    "exact-zero-levels": (("exact", "--minpoly", "x^2+x-1", "--n", "0"), 4),
     "sweep-negative-seed": (("sweep", "--interval", "0.6,0.7", "--n", "8", "--s-grid", "1",
                              "--samples", "2", "--quadrature", "montecarlo",
                              "--seed", "-5"), 4),

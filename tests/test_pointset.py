@@ -632,7 +632,7 @@ def test_generate_errors():
         generate(0.0, 4)
     with pytest.raises(DomainError):
         generate(1.0, 4)
-    with pytest.raises(SizeCapError):
+    with pytest.raises(DomainError):
         generate(0.6, 0)
     with pytest.raises(SizeCapError):
         generate(0.6, 29)

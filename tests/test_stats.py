@@ -56,7 +56,7 @@ def test_golden_primed_contains_zero_spacing():
 
 
 def test_spacing_values_are_read_only():
-    for source in (generate(0.6, 8), rescale(generate(0.6, 8), cdf_sqrt_half())):
+    for source in (generate(0.6, 8), rescale(generate(0.6, 8), cdf_sqrt_half())[0]):
         sp = spacings(source, 2)
         with pytest.raises(ValueError):
             sp.values[0] = 1.0
@@ -83,27 +83,23 @@ def test_spacings_refuse_fewer_than_two_values_by_count(source):
 
 
 def test_cdf_sqrt_half_values():
-    F = cdf_sqrt_half()
-    assert float(F(0.0)) == 0.0
-    assert float(F(1.0)) == 1.0
-    assert abs(float(F(0.5)) - 0.5) < 1e-15
     b = math.sqrt(2.0) - 1.0
-    assert float(F(b)) == pytest.approx(math.sqrt(2.0) / 4.0, abs=1e-15)
+    (at0, at_b, at_half, at1), clamped = rescale([0.0, b, 0.5, 1.0], cdf_sqrt_half())
+    assert at0 == 0.0 and at1 == 1.0 and clamped == 0
+    assert abs(at_half - 0.5) < 1e-15
+    assert at_b == pytest.approx(math.sqrt(2.0) / 4.0, abs=1e-15)
 
 
 def test_cdf_sqrt_half_continuity_at_joins():
-    F = cdf_sqrt_half()
     for knot in (math.sqrt(2.0) - 1.0, 2.0 - math.sqrt(2.0)):
-        below = float(F(np.nextafter(knot, 0.0)))
-        here = float(F(knot))
-        above = float(F(np.nextafter(knot, 1.0)))
+        x = [np.nextafter(knot, 0.0), knot, np.nextafter(knot, 1.0)]
+        below, here, above = rescale(x, cdf_sqrt_half())[0]
         assert abs(below - here) < 1e-15
         assert abs(above - here) < 1e-15
 
 
 def test_cdf_sqrt_half_clamps_with_flag():
-    F = cdf_sqrt_half()
-    y, clamped = F.evaluate(np.array([-0.1, 0.3, 1.2]))
+    y, clamped = rescale(np.array([-0.1, 0.3, 1.2]), cdf_sqrt_half())
     assert clamped == 2
     assert y[0] == 0.0 and y[2] == 1.0
 
@@ -111,21 +107,20 @@ def test_cdf_sqrt_half_clamps_with_flag():
 def test_cdf_empirical_identity_for_half():
     F = cdf_empirical(0.5, 10)
     xs = np.linspace(0.0, F.support[1], 4001)
-    assert np.max(np.abs(F(xs) - xs)) <= 2.0**-10
+    assert np.max(np.abs(rescale(xs, F)[0] - xs)) <= 2.0**-10
 
 
 def test_cdf_empirical_endpoints():
     F = cdf_empirical(0.6429, 12)
-    lo, hi = F.support
-    assert float(F(lo)) == 0.0
-    assert float(F(hi)) == 1.0
+    y, clamped = rescale(F.support, F)
+    assert y.tolist() == [0.0, 1.0] and clamped == 0
 
 
 def test_cdf_empirical_close_to_explicit():
     F_emp = cdf_empirical(SQRT_HALF, 20)
     F_ref = cdf_sqrt_half()
     xs = np.linspace(0.0, 1.0, 20001)
-    assert np.max(np.abs(F_emp(xs) - F_ref(xs))) < 0.01
+    assert np.max(np.abs(rescale(xs, F_emp)[0] - rescale(xs, F_ref)[0])) < 0.01
 
 
 EMPIRICAL_06 = cdf_empirical(0.6, 8)  # support ends at 1 - 0.6**8, below 1
@@ -161,10 +156,11 @@ def test_cdf_models_match_oracles(x, block):
     F = EMPIRICAL_06
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(stats, "_BLOCK", block)
-        closed, empirical = cdf_sqrt_half().evaluate(x), F.evaluate(x)
+        closed, empirical = rescale(x, cdf_sqrt_half()), rescale(x, F)
     y, clamped = closed
     y_ref, clamped_ref = cdf_sqrt_half_where(x)
-    assert y.shape == x.shape and y.tobytes() == y_ref.tobytes()
+    # A 0-d input is one value and comes back as a length-1 array.
+    assert y.shape == (x.size,) and y.tobytes() == y_ref.tobytes()
     assert clamped == clamped_ref
     lo, hi = F.support
     y, clamped = empirical
@@ -175,7 +171,7 @@ def test_cdf_models_match_oracles(x, block):
 def test_cdf_empirical_clamps_past_last_knot():
     F = EMPIRICAL_06
     hi = F.support[1]
-    y, clamped = F.evaluate([-1.0, 0.0, hi / 2, hi, np.nextafter(hi, 2.0), 1.0, 5.0])
+    y, clamped = rescale([-1.0, 0.0, hi / 2, hi, np.nextafter(hi, 2.0), 1.0, 5.0], F)
     assert clamped == 4
     assert y[0] == 0.0 and y[1] == 0.0
     assert np.all(y[3:] == 1.0)
@@ -186,9 +182,9 @@ def test_cdf_empirical_clamps_past_last_knot():
                                [0.2, np.inf], [-np.inf, 0.2], [[0.1, 0.2]]])
 def test_cdf_models_reject_unsorted_or_non_finite_input(model, x):
     with pytest.raises(DomainError):
-        model(x)
+        rescale(x, model)
     with pytest.raises(DomainError):
-        model.evaluate(x)
+        spacings(x, 1, model)
 
 
 @pytest.mark.parametrize("knots", [
@@ -212,7 +208,7 @@ def test_cdf_model_refuses_knots_it_cannot_use(knots):
 def test_cdf_model_keeps_usable_knots_as_float_arrays():
     model = CdfModel(knots_x=[0, 1], knots_y=[1, 0])  # knots_y is left to the output check
     assert model.knots_x.dtype == model.knots_y.dtype == np.float64
-    assert model.support == (0.0, 1.0) and model(0.25) == 0.75
+    assert model.support == (0.0, 1.0) and rescale(0.25, model)[0].tolist() == [0.75]
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +219,13 @@ def test_rescale_identity_model_keeps_lattice():
     ps = generate(0.5, 8)
     ident = CdfModel(knots_x=np.array([0.0, 1.0]),
                      knots_y=np.array([0.0, 1.0]))
-    out = rescale(ps, ident)
-    assert np.array_equal(out, ps.values)
+    out, clamped = rescale(ps, ident)
+    assert np.array_equal(out, ps.values) and clamped == 0
 
 
 def test_rescale_starts_at_zero_and_keeps_order():
     ps = generate(0.70880447, 12)
-    out = rescale(ps, cdf_sqrt_half())
+    out = rescale(ps, cdf_sqrt_half())[0]
     assert out[0] == 0.0
     assert np.all(np.diff(out) >= 0)
 
@@ -272,7 +268,7 @@ def test_rescale_checks_only_its_output(monkeypatch):
     # evaluate it.
     checked, evaluated = spy_checks(monkeypatch)
     monkeypatch.setattr(stats, "_BLOCK", 1000)
-    out = rescale(generate(0.7, 12), cdf_sqrt_half())
+    out, _ = rescale(generate(0.7, 12), cdf_sqrt_half())
     assert checked == []
     assert sorted(evaluated) == [96, 1000, 1000, 1000, 1000] and out.size == 4096
 
@@ -300,10 +296,41 @@ def test_rescale_warns_on_self_cdf():
         rescale(ps, F)
 
 
-@pytest.mark.parametrize("source", [generate(0.6, 5, Form.PRIMED), generate(0.6, 5).values])
+@pytest.mark.parametrize("source", [generate(0.6, 5, Form.PRIMED)])
 def test_spacings_with_a_model_need_a_standard_point_set(source):
     with pytest.raises(DomainError, match="STANDARD"):
         spacings(source, 1, cdf_sqrt_half())
+
+
+@pytest.mark.parametrize("model", [cdf_sqrt_half(), EMPIRICAL_06])
+def test_a_model_reads_a_sorted_array_as_its_point_set(model):
+    # rescale and spacings take one rule: a STANDARD point set or any sorted
+    # finite array, whose values give the same bytes.
+    ps = generate(0.7, 9)
+    y, clamped = rescale(ps.values, model)
+    want_y, want_clamped = rescale(ps, model)
+    assert y.tobytes() == want_y.tobytes() and clamped == want_clamped
+    for ell in (1, 5):
+        want = spacings(y, ell).values.tobytes()
+        assert spacings(ps.values, ell, model).values.tobytes() == want
+        assert spacings(ps, ell, model).values.tobytes() == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(0.51, 0.95), st.integers(1, 11), st.integers(1, 4),
+       st.sampled_from(SMALL_BLOCKS + [stats._BLOCK]))
+def test_rescale_counts_the_points_past_a_lower_level_model(lam, low, more, block):
+    # An empirical model built at a lower level than the set ends at that
+    # level's last point, and the set's points past it are clamped.
+    model = cdf_empirical(lam, low)
+    ps = generate(lam, low + more)
+    lo, hi = model.support
+    want = int(np.count_nonzero((ps.values < lo) | (ps.values > hi)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stats, "_BLOCK", block)
+        y, clamped = rescale(ps, model)
+    assert clamped == want and want > 0
+    assert np.all(y[ps.values > hi] == 1.0)
 
 
 @pytest.mark.parametrize("knots_y", [[1.0, 0.0], [0.0, np.nan]])
@@ -340,7 +367,8 @@ def test_one_descending_pair_is_found_at_every_place(monkeypatch, i, ell):
     with pytest.raises(DomainError):
         spacings(ps, ell, model)
     fine = CdfModel(knots_x=model.knots_x, knots_y=[0.0, 0.5, 0.5, 1.0])
-    assert spacings(ps, ell, fine).values.tobytes() == spacings(rescale(ps, fine), ell).values.tobytes()
+    want = spacings(rescale(ps, fine)[0], ell).values.tobytes()
+    assert spacings(ps, ell, fine).values.tobytes() == want
 
 
 @pytest.mark.parametrize("model", [cdf_sqrt_half(), cdf_empirical(SQRT_HALF, 16)],
@@ -356,7 +384,7 @@ def test_rescaled_spacings_near_poisson_smoke():
     # Small-scale version of the figure setting: random-ish lambda near
     # 2**-0.5, explicit CDF rescale, nearest spacings roughly exponential.
     ps = generate(0.70880447, 16)
-    sp = spacings(rescale(ps, cdf_sqrt_half()), 1)
+    sp = spacings(rescale(ps, cdf_sqrt_half())[0], 1)
     report = gof_statistics(sp)
     assert report.ks < 0.1
 
@@ -513,7 +541,7 @@ def test_gof_lattice_degenerate_ks():
 
 def test_gof_telescoping_mean():
     ps = generate(0.70880447, 12)
-    seq = rescale(ps, cdf_sqrt_half())
+    seq = rescale(ps, cdf_sqrt_half())[0]
     report = gof_statistics(spacings(seq, 1))
     n = seq.size
     assert report.mean == pytest.approx(n * (seq[-1] - seq[0]) / (n - 1), rel=1e-12)
@@ -613,7 +641,7 @@ def test_spacing_stats_match_oracles(case, block):
 @pytest.mark.parametrize("lam", [0.5, GOLDEN, 0.70880447, SQRT_HALF])
 def test_spacing_stats_match_oracles_on_point_sets(lam):
     ps = generate(lam, 12)
-    for seq in (ps, rescale(ps, cdf_sqrt_half())):
+    for seq in (ps, rescale(ps, cdf_sqrt_half())[0]):
         for ell in (1, 2, 3, 7):
             for block in SMALL_BLOCKS + [stats._BLOCK]:
                 _assert_stats_match_oracles(spacings(seq, ell).values, ell, block)
@@ -694,7 +722,7 @@ def test_spacing_stats_at_one_hundred_spacings(ell):
 
 
 def test_ks_sorts_only_the_picked_buckets():
-    sp = spacings(rescale(generate(0.70880447, 16), cdf_sqrt_half()), 1)
+    sp = spacings(rescale(generate(0.70880447, 16), cdf_sqrt_half())[0], 1)
     sorted_sizes = []
     sort = np.sort
 
@@ -725,7 +753,7 @@ def test_gof_peak_memory():
     # The bucket count and the KS gather stream the spacings, with no sorted
     # copy; the count is built inside the traced calls.
     for lam in (SQRT_HALF, 0.7035834364832109):
-        sp = spacings(rescale(generate(lam, 20), cdf_sqrt_half()), 1)
+        sp = spacings(rescale(generate(lam, 20), cdf_sqrt_half())[0], 1)
 
         def both():
             histogram(sp)
