@@ -16,27 +16,27 @@ import math
 
 import numpy as np
 
-from bcvlab import Form, gaps, generate
+from bcvlab import Form, gaps_at, generate
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 print("=== largest gap: G_N = lam^(N-1), interior copy below the golden ratio ===")
 for lam in (0.55, 0.6, 0.615):
     for n in (5, 9, 13):
-        report = gaps(generate(lam, n, Form.PRIMED))
+        report = gaps_at(lam, n, Form.PRIMED)
         print(f"lam={lam:5} N={n:2}: G_N={report.max_gap:.3e} "
               f"(lam^(N-1)={lam**(n-1):.3e})  interior match: "
               f"{report.ejk_prediction_match}")
 
 print("\n=== Pisot separation: min gap tracks lam^N (golden ratio) ===")
 for n in range(8, 17, 2):
-    report = gaps(generate(GOLDEN, n, Form.PRIMED))
+    report = gaps_at(GOLDEN, n, Form.PRIMED)
     print(f"N={n:2}: g_N={report.min_gap:.6e}   g_N/lam^N="
           f"{report.min_gap / GOLDEN**n:.6f}")
 
 print("\n=== Garsia separation: min gap tracks 2^-N (parameter 2^-1/2) ===")
 for n in range(8, 17, 2):
-    report = gaps(generate(2**-0.5, n, Form.PRIMED))
+    report = gaps_at(2**-0.5, n, Form.PRIMED)
     print(f"N={n:2}: g_N={report.min_gap:.6e}   g_N*2^N="
           f"{report.min_gap * 2.0**n:.6f}")
 

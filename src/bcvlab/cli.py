@@ -30,8 +30,8 @@ from .errors import DomainError, SizeCapError
 from .pointset import Form, distinct_count, exact_levels, generate
 # Looked up here by name by the benchmark tracer (bench/tracing.py).
 from .pointset import distinct_count_profile, generate_exact  # noqa: F401
-from .stats import rescale  # noqa: F401
-from .stats import (cdf_empirical, cdf_sqrt_half, coincidence_rate, gaps,
+from .stats import gaps, rescale  # noqa: F401
+from .stats import (cdf_empirical, cdf_sqrt_half, coincidence_rate, gaps_at,
                     gof_statistics, histogram, pair_correlation,
                     pair_correlation_interval, spacings,
                     write_curve_csv, write_histogram_csv)
@@ -225,8 +225,7 @@ def cmd_sweep(args, run: _Run) -> None:
 
 def cmd_gaps(args, run: _Run) -> None:
     form = Form.PRIMED if args.primed else Form.STANDARD
-    ps = generate(args.lam, args.n, form)
-    report = gaps(ps, args.distinct_tol)
+    report = gaps_at(args.lam, args.n, form, args.distinct_tol)
     _json_dump({"lambda": args.lam, "n": args.n, "form": form.value,
                 **asdict(report)}, run.path("gaps_report.json"))
 

@@ -12,7 +12,11 @@ so a large level makes no pass of its own to scale.  The sorts run on the
 int64 view of the values, whose order is the values' own.  The blocks are
 shared between the calling thread and one helper thread (``_map_blocks``,
 also used by the blocked passes of ``stats``) where the process may use
-more than one CPU.  ``generate_exact``
+more than one CPU.  ``_last_level`` streams the last level instead: it
+builds the levels before it in a buffer of half the size and hands out
+the last level's blocks, each built as the merge builds it, one at a time
+while it sits in cache, so ``stats.gaps_at`` scans a set that is never
+written.  ``generate_exact``
 tallies the same 2**N digit strings as residues
 modulo a defining integer polynomial, in integer arithmetic on the scale
 ``lead**N``, so coincidence structure at an algebraic parameter is certified
@@ -209,17 +213,11 @@ def generate(lam: float, levels: int, form: Form = Form.STANDARD) -> PointSet:
     """All 2**levels values ``sum a_n lam^n`` (a_n in {0,1}), sorted, repeats kept.
 
     Built by iterating ``A -> merge(lam*A, lam*A + 1)`` from {0} inside one
-    2**levels buffer: level t merges the low run ``L = lam*A`` with ``L + 1``
-    into the first 2**(t+1) values.  A level of at most ``_MERGE_BLOCK``
-    values scales ``A`` in place to ``L``, writes ``L + 1`` behind it and
-    stable-sorts that prefix; a larger one is merged by ``_merge_blocks``,
-    which reads the unscaled ``A`` and scales it inside its blocks, on two
-    threads where the process may use more than one CPU, so no level
-    allocates more than one block per thread or makes a pass of its own to
-    scale.  Every digit string is evaluated by the same Horner scheme a
-    direct evaluation would use.  STANDARD form scales the result by ``(1 -
-    lam)`` so the support is inside [0, 1]: inside the blocks of a large last
-    level, in place after a small one.
+    2**levels buffer (see ``_build_levels``).  Every digit string is
+    evaluated by the same Horner scheme a direct evaluation would use.
+    STANDARD form scales the result by ``(1 - lam)`` so the support is
+    inside [0, 1]: inside the blocks of a large last level, in place after a
+    small one.
 
     Every value is a nonnegative finite double built from +0.0 by
     multiplying by ``lam`` and adding 1.0, so no -0.0 or NaN arises: the
@@ -230,8 +228,26 @@ def generate(lam: float, levels: int, form: Form = Form.STANDARD) -> PointSet:
     lam = real_arg(lam, "lambda", 0.0, 1.0)
     levels = integer_arg(levels, "levels", 1, MAX_FLOAT_LEVELS, SizeCapError)
     values = np.zeros(1 << levels, dtype=np.float64)
-    standard = form is Form.STANDARD
-    for t in range(levels):
+    _build_levels(values, lam, 1.0 - lam if form is Form.STANDARD else 1.0)
+    values.flags.writeable = False
+    return PointSet(lam, levels, form, values)
+
+
+def _build_levels(values: np.ndarray, lam: float, scale: float) -> None:
+    """Overwrite ``values``, which holds zeros, with ``scale`` times the
+    sorted level ``log2(values.size)``.
+
+    Level t merges the low run ``L = lam*A`` with ``L + 1`` into the first
+    2**(t+1) values.  A level of at most ``_MERGE_BLOCK`` values scales
+    ``A`` in place to ``L``, writes ``L + 1`` behind it and stable-sorts
+    that prefix; a larger one is merged by ``_merge_blocks``, which reads
+    the unscaled ``A`` and scales it inside its blocks, on two threads where
+    the process may use more than one CPU, so no level allocates more than
+    one block per thread or makes a pass of its own to scale.  ``scale`` is
+    applied inside the blocks of a large last level, in place after a small
+    one, and not at all when it is 1.
+    """
+    for t in range(values.size.bit_length() - 1):
         m = 1 << t
         if 2 * m <= _MERGE_BLOCK:
             low = values[:m]
@@ -239,70 +255,120 @@ def generate(lam: float, levels: int, form: Form = Form.STANDARD) -> PointSet:
             np.add(low, 1.0, out=values[m:2 * m])
             values[:2 * m].view(np.int64).sort(kind="stable")
         else:
-            last = 2 * m == values.size
-            _merge_blocks(values[:2 * m], lam, 1.0 - lam if standard and last else 1.0)
-    if standard and values.size <= _MERGE_BLOCK:
-        values *= 1.0 - lam
-    values.flags.writeable = False
-    return PointSet(lam, levels, form, values)
+            _merge_blocks(values[:2 * m], lam, scale if 2 * m == values.size else 1.0)
+    if scale != 1.0 and values.size <= _MERGE_BLOCK:
+        values *= scale
 
 
 def _merge_blocks(out: np.ndarray, lam: float, scale: float) -> None:
     """Overwrite ``out`` with ``scale`` times the sorted merge of ``L = lam*A``
     and ``L + 1``, where ``A`` is the low half of ``out``.
 
-    The output is cut into blocks of ``_MERGE_BLOCK`` values.  Block ``[p0,
-    p1)`` takes ``L[x0:x1]`` and ``(L + 1)[y0:y1]``, where ``x(p)`` is the
-    co-rank of ``p`` (see ``_co_rank``) and ``y(p) = p - x(p)``.  Every
-    co-rank is computed first, from the still-intact ``A``.  Since ``x1, y1
-    <= p1``, a block reads nothing that a block above it writes, but it may
-    read what the blocks beneath it write.  So ``_map_blocks`` works the
-    blocks from the top down, each block writing only once the block above
-    it is *read*.  A block writes ``lam*A[x0:x1]`` and ``lam*A[y0:y1] + 1``
-    into its thread's own block buffer, is then read, stable-sorts the
-    buffer's int64 view in cache (see ``generate``) if it holds both parts,
-    waits, and writes it back times ``scale``, which is exact when ``scale``
-    is 1.  The buffers are allocated here, so a set with no large level
-    allocates none.
+    The blocks are built by ``_merge_plan`` from co-ranks it computes
+    first, from the still-intact ``A``.  Block k, ``[p0, p1)``, reads
+    ``A`` below ``p1`` only, so it reads nothing that a block above it
+    writes, but it may read what the blocks beneath it write.  So
+    ``_map_blocks`` works the blocks from the top down, each block writing
+    only once the block above it is *read*: a block is built in its
+    thread's block buffer, waits, and is written back times ``scale``,
+    which is exact when ``scale`` is 1.
 
     Waiting on the block just above is enough: every block writes only after
     all blocks above it are read.  Blocks are claimed in order by two
     threads, so when block k is claimed, every block above it is done except
-    at most one, j, that the other thread holds.  If j is block k-1, block
-    k waits for it.  Otherwise block k-1 was done by this thread, and it
+    at most one, j, that the other thread holds.  If j is block k+1, block
+    k waits for it.  Otherwise block k+1 was done by this thread, and it
     wrote only after all blocks above it, j among them, were read.  Each
     value is formed by the same operations as in a pass over the whole
     level, and equal values are equal bits, so the bytes are those of one
     stable sort of ``L, L + 1`` scaled in place.
     """
     size = _MERGE_BLOCK
-    low = out[:out.size // 2]
-    ranks = [_co_rank(low, p, lam) for p in range(out.size, -1, -size)]  # x(p), top down
-    read = [threading.Event() for _ in ranks[1:]]
-    local = threading.local()
+    count, build = _merge_plan(out[:out.size // 2], lam)
+    read = [threading.Event() for _ in range(count)]
 
     def merge(k):
-        p1 = out.size - k * size
-        p0 = p1 - size
-        x0, x1 = ranks[k + 1], ranks[k]
-        y0, y1 = p0 - x0, p1 - x1
         try:
-            block = getattr(local, "block", None)
-            if block is None:
-                block = local.block = np.empty(size, dtype=np.float64)
-            np.multiply(low[x0:x1], lam, out=block[:x1 - x0])
-            np.multiply(low[y0:y1], lam, out=block[x1 - x0:])
-            block[x1 - x0:] += 1.0
-            read[k].set()
-            if x0 != x1 and y0 != y1:  # a block of one part is sorted already
-                block.view(np.int64).sort(kind="stable")
-            if k:
-                read[k - 1].wait()
-            np.multiply(block, scale, out=out[p0:p1])
+            block = build(k, read[k])
+            if k + 1 < count:
+                read[k + 1].wait()
+            np.multiply(block, scale, out=out[k * size:(k + 1) * size])
         finally:
             read[k].set()  # also on failure, so that no block waits forever
 
-    _map_blocks(merge, range(len(read)))
+    _map_blocks(merge, range(count - 1, -1, -1))
+
+
+def _merge_plan(low: np.ndarray, lam: float):
+    """The blocks of the sorted merge of ``L = lam*low`` and ``L + 1``, as
+    ``(count, build)``.
+
+    The merge is cut into ``count`` blocks of ``_MERGE_BLOCK`` values.
+    Block k, ``[p0, p1)``, takes ``L[x0:x1]`` and ``(L + 1)[y0:y1]``, where
+    ``x(p)`` is the co-rank of ``p`` (see ``_co_rank``) and ``y(p) = p -
+    x(p)``; every co-rank is computed here.  ``build(k, read=None)`` writes
+    ``lam*low[x0:x1]`` and ``lam*low[y0:y1] + 1`` into its thread's own
+    block buffer, sets ``read`` (``low`` is then no longer needed), stable-
+    sorts the buffer's int64 view in cache (see ``generate``) if it holds
+    both parts, and returns the buffer, which the next ``build`` on that
+    thread overwrites.  The buffers are allocated on first use.
+    """
+    size = _MERGE_BLOCK
+    ranks = [_co_rank(low, p, lam) for p in range(0, 2 * low.size + 1, size)]  # x(p)
+    local = threading.local()
+
+    def build(k, read=None):
+        x0, x1 = ranks[k], ranks[k + 1]
+        y0, y1 = k * size - x0, (k + 1) * size - x1
+        block = getattr(local, "block", None)
+        if block is None:
+            block = local.block = np.empty(size, dtype=np.float64)
+        np.multiply(low[x0:x1], lam, out=block[:x1 - x0])
+        np.multiply(low[y0:y1], lam, out=block[x1 - x0:])
+        block[x1 - x0:] += 1.0
+        if read is not None:
+            read.set()
+        if x0 != x1 and y0 != y1:  # a block of one part is sorted already
+            block.view(np.int64).sort(kind="stable")
+        return block
+
+    return len(ranks) - 1, build
+
+
+def _last_level(lam: float, levels: int, form: Form):
+    """The last level of ``generate(lam, levels, form)`` as a stream of
+    sorted blocks, without building it: ``(top, map_level)``.
+
+    ``top`` is the level's largest value, ``scale * (lam * A[-1] + 1)`` with
+    ``A`` the level before.  ``map_level(fn)`` returns ``[fn(block, start)
+    ...]`` over the level's blocks in order on ``_map_blocks``, where
+    ``block`` holds the bytes of ``values[start:start + block.size]``.
+    Levels 1 .. levels-1 are built in a 2**(levels-1) buffer by
+    ``_build_levels``, and the blocks of the last level by the
+    ``_merge_plan`` of ``_merge_blocks``, STANDARD ones scaled by ``1 -
+    lam`` with the multiply of its write-back.  ``block`` is a buffer of
+    the thread that calls ``fn``, so ``fn`` must not keep it.  A set of at
+    most ``_MERGE_BLOCK`` values is generated and is one block.  ``lam``
+    and ``levels`` must be checked by the caller.
+    """
+    scale = 1.0 - lam if form is Form.STANDARD else 1.0
+    if 1 << levels <= _MERGE_BLOCK:
+        values = generate(lam, levels, form).values
+        return float(values[-1]), lambda fn: [fn(values, 0)]
+    low = np.zeros(1 << (levels - 1), dtype=np.float64)
+    _build_levels(low, lam, 1.0)
+    count, build = _merge_plan(low, lam)
+
+    def map_level(fn):
+        def scan(k):
+            block = build(k)
+            if scale != 1.0:
+                np.multiply(block, scale, out=block)
+            return fn(block, k * _MERGE_BLOCK)
+
+        return _map_blocks(scan, range(count))
+
+    return scale * (lam * float(low[-1]) + 1.0), map_level
 
 
 def _co_rank(low: np.ndarray, p: int, lam: float) -> int:

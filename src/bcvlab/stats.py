@@ -27,8 +27,14 @@ Conventions fixed across the module:
   rescaled copy.  The variance adds its per-block partial sums along
   numpy's own pairwise-summation split, so it equals ``np.var(ddof=1)`` bit
   for bit.
-  The Erdos-Joo-Komornik check of :func:`gaps` reads only a search window
-  around the predicted gap.
+* :func:`gaps` and :func:`gaps_at` share one block scan and one in-order
+  reduction: :func:`gaps` scans ``_BLOCK``-value slices of a point set,
+  and :func:`gaps_at` the same slices of each block of
+  ``pointset._last_level`` as it is merged, so it never builds the set.  The gap between two blocks is taken in the reduction,
+  from the one's last and the next one's first value.  For the
+  Erdos-Joo-Komornik check each block keeps only its interior gaps that
+  start within the tolerance of the predicted place, and the match is
+  decided after the reduction.
 * The CDF evaluation, the spacings, the bucket count, the KS gather and the
   gap scan share their blocks between the calling thread and one helper
   thread (``pointset._map_blocks``) where the process may use more than one
@@ -54,7 +60,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, SizeCapError, integer_arg, interval_arg, real_arg
-from .pointset import ExactPointSet, Form, PointSet
+from .pointset import DISTINCT_REL_TOL, MAX_FLOAT_LEVELS, ExactPointSet, Form, PointSet
 from . import pointset as _pointset
 
 __all__ = [
@@ -76,6 +82,7 @@ __all__ = [
     "pair_correlation_interval",
     "coincidence_rate",
     "gaps",
+    "gaps_at",
     "write_histogram_csv",
     "write_curve_csv",
     "GOLDEN_RATIO",
@@ -738,74 +745,140 @@ def gaps(ps: PointSet, distinct_tol: float | None = None) -> GapReport:
     """
     values = ps.values
     integer_arg(values.size, "point count of gaps", lo=2)
-    distinct_tol = real_arg(ps.distinct_tolerance() if distinct_tol is None else distinct_tol,
-                            "distinct_tol", -math.inf, math.inf)
-    if distinct_tol < 0:
-        raise DomainError(f"distinct_tol must be >= 0, got {distinct_tol}")
-    last = values.size - 2  # index of the last gap
+    tol = _distinct_tol(ps.distinct_tolerance() if distinct_tol is None else distinct_tol)
 
-    def scan(start):
-        """The block's smallest gap above ``distinct_tol``, its first largest
-        gap with that gap's index, and its first largest interior gap with
-        that gap's left end (None if it has no interior gap)."""
-        block = values[start:start + _BLOCK + 1]  # one value of look-ahead
+    def map_blocks(fn):
+        return _pointset._map_blocks(lambda start: fn(values[start:start + _BLOCK], start),
+                                     range(0, values.size, _BLOCK))
+
+    return _gap_scan(map_blocks, values.size, float(values[-1]), tol, ps.lam, ps.levels, ps.form)
+
+
+def gaps_at(lam: float, levels: int, form: Form = Form.STANDARD,
+            distinct_tol: float | None = None) -> GapReport:
+    """``gaps(generate(lam, levels, form), distinct_tol)``, field for field,
+    without building the set.
+
+    The last level is scanned block by block as it is merged (see
+    ``pointset._last_level``), so the peak is about half the set's bytes,
+    for the level before it, and a merge block per thread.  Arguments are
+    checked as by :func:`generate` and :func:`gaps`, before anything is
+    allocated.
+    """
+    lam = real_arg(lam, "lambda", 0.0, 1.0)
+    levels = integer_arg(levels, "levels", 1, MAX_FLOAT_LEVELS, SizeCapError)
+    if distinct_tol is not None:
+        distinct_tol = _distinct_tol(distinct_tol)
+    top, map_level = _pointset._last_level(lam, levels, form)
+    tol = DISTINCT_REL_TOL * top if distinct_tol is None else distinct_tol
+
+    def map_blocks(fn):  # each level block in slices of _BLOCK values, as gaps reads a set
+        parts = map_level(lambda block, start: [fn(block[i:i + _BLOCK], start + i)
+                                                for i in range(0, block.size, _BLOCK)])
+        return [part for block_parts in parts for part in block_parts]
+
+    return _gap_scan(map_blocks, 1 << levels, top, tol, lam, levels, form)
+
+
+def _distinct_tol(tol) -> float:
+    tol = real_arg(tol, "distinct_tol", -math.inf, math.inf)
+    if tol < 0:
+        raise DomainError(f"distinct_tol must be >= 0, got {tol}")
+    return tol
+
+
+def _gap_scan(map_blocks, count: int, top: float, tol: float, lam: float, levels: int,
+              form: Form) -> GapReport:
+    """The :class:`GapReport` of a sorted set of ``count`` values whose
+    largest is ``top``, read as consecutive blocks: ``map_blocks(fn)``
+    returns ``[fn(block, start) ...]`` over them in order.
+
+    Each block is scanned on its own, and the gap between two blocks is
+    taken here, from the one's last and the next one's first value.  The
+    summaries are combined in index order, a later maximum replacing only a
+    smaller one, so each maximum is its first occurrence.  The EJK match is
+    decided last, from the largest interior gap and the gaps each block
+    found at the predicted place.
+    """
+    ejk = _ejk_prediction(lam, levels, form, top)
+    last = count - 2  # index of the last gap; it and gap 0 are not interior
+
+    def scan(block, start):
+        """The block's start, first and last value, and its summary: the
+        smallest gap above ``tol``, the first largest gap (size, index,
+        left end), the first largest interior gap (size, left end) and the
+        sizes of the interior gaps whose left end lies within ``tol_gap`` of
+        the predicted one."""
         diffs = np.diff(block)
-        low = float(np.min(diffs, where=diffs > distinct_tol, initial=np.inf))
-        k = int(np.argmax(diffs))
-        first = int(start == 0)  # the first and last gaps are not interior
-        inner = diffs[first:last - start]
-        if not inner.size:
-            return low, float(diffs[k]), start + k, None
-        j = int(np.argmax(inner))
-        return low, float(diffs[k]), start + k, (float(inner[j]), float(block[first + j]))
+        low = float(np.min(diffs, where=diffs > tol, initial=np.inf))
+        largest = interior = None
+        near = []
+        if diffs.size:
+            k = int(np.argmax(diffs))
+            largest = (float(diffs[k]), start + k, float(block[k]))
+            first, stop = int(start == 0), min(last - start, diffs.size)  # interior gaps
+            if first < stop:
+                j = first + int(np.argmax(diffs[first:stop]))
+                interior = (float(diffs[j]), float(block[j]))
+            if ejk:
+                # Only left ends within 2*tol_gap of the predicted one can
+                # qualify; tol_gap is far wider than the rounding of the ends.
+                lo, hi = np.searchsorted(block, [ejk[0] - 2.0 * ejk[2], ejk[0] + 2.0 * ejk[2]])
+                lo, hi = max(int(lo), first), min(int(hi), stop)
+                if lo < hi:
+                    near = diffs[lo:hi][np.abs(block[lo:hi] - ejk[0]) <= ejk[2]].tolist()
+        return start, float(block[0]), float(block[-1]), (low, largest, interior, near)
 
-    min_gap, max_gap = math.inf, -math.inf
-    max_idx = 0
-    interior_max = interior_left = None
-    # In block order, a later block's maximum replaces only a smaller one.
-    for low, top, index, interior in _pointset._map_blocks(
-            scan, range(0, values.size - 1, _BLOCK)):
+    def between(left, right, index):
+        """The summary of the gap from one block's last value to the next's first."""
+        gap = right - left
+        interior = 0 < index < last
+        return (gap if gap > tol else math.inf, (gap, index, left),
+                (gap, left) if interior else None,
+                [gap] if interior and ejk and abs(left - ejk[0]) <= ejk[2] else [])
+
+    parts, previous = [], None
+    for start, first, final, part in map_blocks(scan):
+        if previous is not None:
+            parts.append(between(previous, first, start - 1))
+        parts.append(part)
+        previous = final
+    min_gap, largest, interior, near = math.inf, None, None, []
+    for low, big, inner, close in parts:
         min_gap = min(min_gap, low)
-        if top > max_gap:
-            max_gap, max_idx = top, index
-        if interior is not None and (interior_max is None or interior[0] > interior_max):
-            interior_max, interior_left = interior
+        if big is not None and (largest is None or big[0] > largest[0]):
+            largest = big
+        if inner is not None and (interior is None or inner[0] > interior[0]):
+            interior = inner
+        near += close
     if min_gap == math.inf:
         min_gap = 0.0
-    ejk = interior_max is not None and _ejk_match(ps, interior_max)
-    return GapReport(distinct_tol, min_gap, max_gap, max_idx,
-                     float(values[max_idx]), interior_max, interior_left, ejk)
+    interior_max, interior_left = interior or (None, None)
+    # The mirror gap ties the maximum (the set is symmetric), so any maximal
+    # interior gap whose left end sits at the predicted spot matches.
+    match = (ejk is not None and interior_max is not None
+             and abs(interior_max - ejk[1]) <= ejk[2]
+             and any(gap >= interior_max - ejk[2] for gap in near))
+    return GapReport(tol, min_gap, *largest, interior_max, interior_left, match)
 
 
-def _ejk_match(ps: PointSet, interior_max: float) -> bool:
-    lam, n = ps.lam, ps.levels
+def _ejk_prediction(lam: float, n: int, form: Form, top: float):
+    """``(left, gap, tol_gap)``: where the Erdos-Joo-Komornik law puts the
+    largest interior gap of a level-``n`` set whose largest value is
+    ``top``, its size, and the tolerance on both; None where the law does
+    not apply."""
     if n < 3 or n % 2 == 0 or not lam < GOLDEN_RATIO:
-        return False
+        return None
     expected_left = 1.0
     power = 1.0
     for _ in range((n - 3) // 2):
         power *= lam * lam
         expected_left += power
     expected_gap = lam ** (n - 1)
-    scale = (1.0 - lam) if ps.form is Form.STANDARD else 1.0
-    expected_left *= scale
-    expected_gap *= scale
+    scale = (1.0 - lam) if form is Form.STANDARD else 1.0
     # Gaps are differences of values up to the support maximum, so their
     # rounding error scales with the ulp of the values, not of the gap.
-    tol_gap = 8.0 * n * np.spacing(float(ps.values[-1]))
-    if abs(interior_max - expected_gap) > tol_gap:
-        return False
-    # The mirror gap ties the maximum (the set is symmetric), so accept any
-    # maximal interior gap whose left endpoint sits at the predicted spot.
-    # Only left endpoints within 2*tol_gap of it can qualify; tol_gap is far
-    # wider than the rounding of the window ends.
-    values = ps.values
-    lo, hi = np.searchsorted(values, [expected_left - 2.0 * tol_gap,
-                                      expected_left + 2.0 * tol_gap])
-    lo, hi = max(int(lo), 1), min(int(hi), values.size - 2)  # interior gaps only
-    lefts = values[lo:hi]
-    maximal = values[lo + 1:hi + 1] - lefts >= interior_max - tol_gap
-    return bool(np.any(maximal & (np.abs(lefts - expected_left) <= tol_gap)))
+    return expected_left * scale, expected_gap * scale, 8.0 * n * float(np.spacing(top))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ from .errors import DomainError, SizeCapError, integer_arg, interval_arg, real_a
 from .pointset import MAX_FLOAT_LEVELS, Form, _float_array, exact_levels, generate
 # Looked up here by name by the benchmark tracer (bench/tracing.py).
 from .pointset import generate_exact  # noqa: F401
-from .stats import _validate_grid, coincidence_rate, gaps, pair_correlation
+from .stats import gaps  # noqa: F401
+from .stats import _validate_grid, coincidence_rate, gaps_at, pair_correlation
 
 __all__ = [
     "SweepConfig",
@@ -214,7 +215,7 @@ def min_gap_scan(interval, lambda_samples, level_range, alpha,
     for i, lam in enumerate(lambdas):
         hit = []
         for j, n in enumerate(levels):
-            report = gaps(generate(lam, n, Form.PRIMED))
+            report = gaps_at(lam, n, Form.PRIMED)
             table[i, j] = report.min_gap
             if report.min_gap > alphas[j]:
                 hit.append(n)

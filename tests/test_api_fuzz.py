@@ -99,6 +99,8 @@ CALLS = {
         "s_grid": ((0.5, 1.0), SEQUENCE)}),
     "coincidence_rate": (b.coincidence_rate, {"eps": (EPS, OBJECT)}),
     "gaps": (b.gaps, {"ps": (PS, OBJECT), "distinct_tol": (1e-9, NUMBER)}),
+    "gaps_at": (b.gaps_at, {"lam": (0.6, NUMBER), "levels": (6, NUMBER),
+                            "form": (b.Form.PRIMED, OBJECT), "distinct_tol": (1e-9, NUMBER)}),
     "write_histogram_csv": (b.write_histogram_csv, {"hist": (b.histogram(SP), OBJECT),
                                                     "path": ("{tmp}/h.csv", PATH)}),
     "write_curve_csv": (b.write_curve_csv, {"curve": (b.pair_correlation(PS, [1.0]), OBJECT),
@@ -193,6 +195,8 @@ def run(name, kwargs):
 @example(("poisson_cdf", {"ell": 1, "s": "abc"}))
 @example(("poisson_reference", {"ell": 1, "s": (0.5, "")}))
 @example(("gaps", {"ps": PS, "distinct_tol": "abc"}))
+@example(("gaps_at", {"lam": 0.6, "levels": 2**63, "form": b.Form.PRIMED,
+                      "distinct_tol": "abc"}))
 @example(("parse_poly", {"text": 1.5}))
 @example(("forbidden_block", {"relation_coeffs": 0}))
 @example(("poly_to_string", {"coeffs": ("abc", 1), "descending": False}))
@@ -286,6 +290,13 @@ DOMAINS = [
     ("gaps", dict(distinct_tol=0.0), None),
     ("gaps", dict(distinct_tol=-1e-300), DomainError),
     ("gaps", dict(distinct_tol=math.inf), DomainError),
+    ("gaps_at", dict(distinct_tol=None), None),
+    ("gaps_at", dict(lam=1e-300, levels=1, distinct_tol=0.0), None),
+    ("gaps_at", dict(lam=1.0), DomainError),
+    ("gaps_at", dict(levels=0), DomainError),
+    ("gaps_at", dict(levels=MAX_FLOAT_LEVELS + 1), SizeCapError),
+    ("gaps_at", dict(distinct_tol=-1e-300), DomainError),
+    ("gaps_at", dict(distinct_tol=math.nan), DomainError),
     ("SweepConfig", dict(interval=(0.5, 0.5), sample_count=2**53), None),
     ("SweepConfig", dict(interval=(0.49, 0.6)), DomainError),
     ("SweepConfig", dict(interval=(0.6, 1.0)), DomainError),

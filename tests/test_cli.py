@@ -339,6 +339,11 @@ REPORT_DIGESTS = {
         "6cb1bf3060341602ea2fc24f8e282dc2e3508f7b02f5db8a01f057eb188ee9db",
     ("gaps", "--lambda", "0.6", "--n", "9", "--distinct-tol", "1e-9"):
         "0904f9b1ca7845b59b9d8caab1b2720e783cb42a02228154a5ffeaca13eb4c0a",
+    # STANDARD sets of several merge blocks; the first one holds the EJK gap.
+    ("gaps", "--lambda", "0.6", "--n", "19"):
+        "6f88bdcbbe03d83c21c86e6100860dc1b47e4eb621c3c4d17ee4842baebf826e",
+    ("gaps", "--lambda", "0.7", "--n", "18"):
+        "2b9cbbc56d69ccdca87ffd0bd5f25af3fc2613b1851a00582f9a42f02a327cf8",
     ("classify", "--poly", "x^3-2x-2"):
         "fc61017c47724fbb481525ae1f11cc02ef4443ffb02acb12c622054b3de09600",
     ("classify", "--poly", "x^2+x-1"):

@@ -5,13 +5,14 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bcvlab import stats
-from bcvlab import (CdfModel, DomainError, Form, PointSet, SpacingSet,
+from bcvlab import pointset, stats
+from bcvlab import (MAX_FLOAT_LEVELS, CdfModel, DomainError, Form, PointSet, SizeCapError,
+                    SpacingSet,
                     cdf_empirical, cdf_sqrt_half, coincidence_rate, gaps,
-                    generate, generate_exact, gof_statistics, histogram,
+                    gaps_at, generate, generate_exact, gof_statistics, histogram,
                     pair_correlation, pair_correlation_interval,
                     poisson_cdf, poisson_reference, rescale, spacings)
 from bcvlab.stats import write_curve_csv, write_histogram_csv
@@ -1139,6 +1140,54 @@ def test_gaps_peak_memory(lam, levels):
     # At (0.6, 19) the EJK law holds, so its search window is read as well.
     ps = generate(lam, levels, Form.PRIMED)
     assert traced_peak(gaps, ps) <= 0.25 * ps.values.nbytes
+
+
+@st.composite
+def streamed_sets(draw):
+    """A merge block size, a scan block size and a level with at most about
+    2**11 blocks of either."""
+    merge = draw(st.sampled_from([2, 8, 64, 1024, pointset._MERGE_BLOCK]))
+    scan = draw(st.sampled_from(SMALL_BLOCKS + [stats._BLOCK]))
+    return merge, scan, draw(st.integers(1, min(19, merge.bit_length() + 10,
+                                                 scan.bit_length() + 10)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([0.5, 0.55, 0.6, GOLDEN, SQRT_HALF, 0.72, 0.85]) | st.floats(0.5, 0.95),
+       streamed_sets(), st.sampled_from(list(Form)),
+       st.sampled_from([None, 0.0]) | st.floats(0.0, 0.05), st.sampled_from([1, 2]))
+@example(0.6, (1024, stats._BLOCK, 19), Form.STANDARD, None, 2)  # EJK holds, 512 blocks
+@example(0.6, (pointset._MERGE_BLOCK, stats._BLOCK, 19), Form.PRIMED, None, 2)
+@example(0.6, (8, 7, 13), Form.PRIMED, 0.0, 1)
+def test_gaps_at_matches_gaps_of_the_set(lam, case, form, tol, cpus):
+    merge, scan, levels = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pointset, "_MERGE_BLOCK", merge)
+        mp.setattr(stats, "_BLOCK", scan)
+        mp.setattr(pointset, "_usable_cpus", lambda: cpus)
+        got = gaps_at(lam, levels, form, tol)
+    want = gaps(generate(lam, levels, form), tol)
+    assert repr(asdict(got)) == repr(asdict(want))
+
+
+@pytest.mark.parametrize("lam", [0.7, 0.6])
+def test_gaps_at_peak_memory(lam):
+    # The level before the last (half the set's bytes) and one merge block
+    # per thread; gaps(generate(...)) reads about 1.13x the set's bytes.
+    assert traced_peak(gaps_at, lam, 20, Form.PRIMED) <= 0.8 * 2**20 * 8
+
+
+@pytest.mark.parametrize("args,error", [
+    ((0.6, MAX_FLOAT_LEVELS + 1), SizeCapError),
+    ((1.0, 24), DomainError),
+    ((0.6, 24, Form.PRIMED, -1.0), DomainError),
+    ((0.6, 24, Form.PRIMED, math.nan), DomainError),
+])
+def test_gaps_at_refuses_before_allocating(args, error):
+    def refused():
+        with pytest.raises(error):
+            gaps_at(*args)
+    assert traced_peak(refused) < 64 * 1024
 
 
 def test_gaps_validation():
